@@ -1,0 +1,165 @@
+"""Golden outputs: the sha256 of CLI output files from fixed configs.
+
+A refactor must leave every one of these files byte-identical. A change that
+alters them on purpose (a new floating-point summation order, a new RNG
+stream, a new output format) re-baselines the affected hashes here and says
+why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+from test_acceptance import GRID_CONFIG, RUN_CONFIG
+
+from stalefl.cli import main
+
+# Criterion 3's quadratic, shortened to 300 rounds and two seeds.
+QUAD_REPEAT_CONFIG = """\
+[objective]
+kind = quadratic2d
+centers = 5,0; 0,5
+hessians = 1,0.5; 0.5,1
+
+[participation]
+kind = explicit
+n_clients = 2
+probs = 1, 0.01
+
+[local]
+local_steps = 5
+client_lr = 0.0025
+batch_size = 1
+
+[run]
+rounds = 300
+server_lr = 1.0
+master_seed = 1
+init = -10,-10
+"""
+
+# Noisy oracle, estimated weights, and rounds in which no client takes part.
+NOISY_ESTIMATOR_CONFIG = """\
+[objective]
+kind = quadratic2d
+centers = 5,0; 0,5
+hessians = 1,0.5; 0.5,1
+noise_var = 0.5
+
+[participation]
+kind = explicit
+n_clients = 2
+probs = 0.6, 0.3
+
+[local]
+local_steps = 5
+client_lr = 0.02
+batch_size = 1
+
+[aggregator]
+rule = u_fedavg
+weights_source = estimator
+
+[run]
+rounds = 60
+server_lr = 1.0
+master_seed = 3
+init = -10,-10
+"""
+
+THEORY_CONFIG = """\
+[local]
+local_steps = 5
+client_lr = 0.002
+
+[run]
+rounds = 500
+server_lr = 0.5
+
+[theory]
+smoothness = 2
+sigma_sq = 1.5
+sg_sq = 4
+p_var = 0.5
+p_avg = 0.4
+p_min = 0.1
+n_clients = 10
+h_init = 0.3
+betas = 0, 0.1, 0.5, 0.9, 1
+"""
+
+LOWERBOUND_CONFIG = """\
+[lowerbound]
+dim = 201
+horizon = 100
+smoothness = 1
+taus = 2, 3, 5, 10
+rounds = 150
+"""
+
+REPEAT_ARGS = ("--seeds", "1,2", "--comparability")
+
+# name: (subcommand, config, extra arguments, {output file: sha256})
+CASES = {
+    "run": ("run", RUN_CONFIG, (), {
+        "metrics.csv": "9c08caf8797d6f522d9695e52df76aac07e2ac509eb2217eb4305ca4ae1caabf",
+    }),
+    "run_noisy_estimator": ("run", NOISY_ESTIMATOR_CONFIG, (), {
+        "metrics.csv": "27261fc7a80c432fad3b096b321e2921e081b6c093d75ecce6c90601978cc14e",
+        "trace.csv": "09059dfe1946822bc3654b7525243193c104d8b3d85d357608f040198cc0e5c8",
+    }),
+    "repeat_u_fedavg": (
+        "repeat", QUAD_REPEAT_CONFIG + "\n[aggregator]\nrule = u_fedavg\n", REPEAT_ARGS, {
+            "metrics_seed1.csv": "949f2736fef94f079477f287ddd8d36f33bc3e577f84eae7ffa19a937d3a16b0",
+            "metrics_seed2.csv": "887e8cfe83ed7f85244263108a4953e3779787749d09879182171e8f855c093b",
+            "mean_curve.csv": "43fd49bfbc7d60f2bde7b5cad960f58354e370f528bd49a9d6a1a74de461de27",
+        },
+    ),
+    "repeat_u_fedvarp": (
+        "repeat", QUAD_REPEAT_CONFIG + "\n[aggregator]\nrule = u_fedvarp\n", REPEAT_ARGS, {
+            "metrics_seed1.csv": "cf109c73578cc298c87f9c632e0d39353a9d6c8d4aa7a6cd1c6b93c1a58a394e",
+            "metrics_seed2.csv": "e2c0f00e46b7c35a4de56b75d1e15a5987b9494f966372772dd8135d2a367f35",
+            "mean_curve.csv": "610378c3978eed7ea6670ee0ba6c18b8395b5a7cc82170f7581208681159b0b8",
+        },
+    ),
+    "repeat_fedstale": (
+        "repeat", QUAD_REPEAT_CONFIG + "\n[aggregator]\nrule = fedstale\nbeta = 0.8\n",
+        REPEAT_ARGS, {
+            "metrics_seed1.csv": "eb23ebe200e6ae882623d3e18e74821315562260acf768150e8590ef59b18158",
+            "metrics_seed2.csv": "b846fd4ede42f490a14f154e32146cc165ceaa891ecbd7516ba2f6fd925df1aa",
+            "mean_curve.csv": "be39e4a34894d5d830ebb75bc63b51953a1aa023bda2b2a46c7fd44d83b554cb",
+        },
+    ),
+    "grid": ("grid", GRID_CONFIG, ("--threads", "1"), {
+        "grid.csv": "23d67a3b1a214fb4006d6b6d6494de5c8d448a4ed92802f3b78dbd21ae9aef49",
+    }),
+    "theory": ("theory", THEORY_CONFIG, (), {
+        "theory.csv": "c85a3be180ee7e719d481bbdb4fad9068f512cb0dc02bba91bfcc36ee1541ff1",
+    }),
+    "lowerbound": ("lowerbound", LOWERBOUND_CONFIG, (), {
+        "frontier.csv": "42f4c9fbeb537bb77cdee85f88393c673625293edbdcb04593609e03c14cdf77",
+        "envelope.csv": "6e1fe55c5dc143cb31eff30c69bdc884e44491704433bd5c23cb931513b4fa10",
+    }),
+}
+
+
+def output_hashes(tmp_path, name):
+    command, config, extra, pinned = CASES[name]
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 0
+    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in pinned}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_golden_outputs_unchanged(tmp_path, name):
+    pinned = CASES[name][3]
+    changed = {
+        f: digest for f, digest in output_hashes(tmp_path, name).items()
+        if digest != pinned[f]
+    }
+    assert not changed, (
+        f"the bits of {name}'s {sorted(changed)} changed (new sha256: {changed}). "
+        "Refactors must keep golden outputs byte-identical; a deliberate change "
+        "re-baselines these hashes and records why in CHANGES.md."
+    )
