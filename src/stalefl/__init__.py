@@ -61,7 +61,6 @@ from .theory import (
     ConstraintReport,
     HardInstance,
     beta_star,
-    build_hard_instance,
     check_lr_constraints,
     expected_frontier_cap,
     fastest_schedule,
@@ -72,5 +71,3 @@ from .theory import (
     theorem1_bound,
     track_frontier,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,5 +1,8 @@
-"""Server update rules: biased averaging, unbiased reweighting, and the
-fresh/stale convex combination, plus the server-side memory of stale updates.
+"""Server update rules, plus the server-side memory of stale updates.
+
+Two kernels: biased plain averaging, and fedstale, the fresh/stale convex
+combination whose beta=0 and beta=1 cases are the unbiased u_fedavg and
+u_fedvarp rules.
 
 All rules are pure functions of their inputs and sum client contributions in
 ascending client-index order for bitwise reproducibility.
@@ -8,6 +11,7 @@ ascending client-index order for bitwise reproducibility.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,6 +33,8 @@ class AggregatorConfig:
     weight_cap: float | None = None   # estimator weight cap; engine default if None
 
     _RULES = ("fedavg_biased", "u_fedavg", "u_fedvarp", "fedstale")
+    # The unbiased rules are fedstale at a fixed staleness weight.
+    _RULE_BETA = {"u_fedavg": 0.0, "u_fedvarp": 1.0}
 
     def __post_init__(self):
         if self.rule not in self._RULES:
@@ -37,6 +43,11 @@ class AggregatorConfig:
             raise ValueError("beta must lie in [0, 1]")
         if self.weights_source not in ("exact", "estimator"):
             raise ValueError("weights_source must be 'exact' or 'estimator'")
+
+    @property
+    def staleness_weight(self) -> float:
+        """The beta that fedstale applies for this rule (unused by fedavg_biased)."""
+        return self._RULE_BETA.get(self.rule, self.beta)
 
 
 @dataclass(frozen=True)
@@ -80,27 +91,10 @@ def fedavg_biased(updates: list[ClientUpdate]) -> GlobalUpdate:
     return GlobalUpdate(delta, fresh_norm=float(np.linalg.norm(delta)))
 
 
-def u_fedavg(
-    updates: list[ClientUpdate],
-    weights: np.ndarray,
-    n_clients: int,
-    dim: int | None = None,
-) -> GlobalUpdate:
-    """Participant updates reweighted by 1/p_i (or estimated weight), over N.
-
-    An empty participant set yields the empty-sum value (zero update); `dim`
-    is only needed in that case.
-    """
-    updates = _sorted_updates(updates)
-    if not updates:
-        if dim is None:
-            raise ValueError("dim is required for an empty participant set")
-        return GlobalUpdate(np.zeros(dim))
-    delta = np.zeros_like(updates[0].delta)
-    for u in updates:
-        delta += weights[u.client] * u.delta
-    delta /= n_clients
-    return GlobalUpdate(delta, fresh_norm=float(np.linalg.norm(delta)))
+def _norm(x: np.ndarray) -> float:
+    # float(np.linalg.norm(x)) for a 1-D float array, bit for bit, at a
+    # fraction of its per-call cost.
+    return math.sqrt(x.dot(x))
 
 
 def fedstale(
@@ -113,44 +107,38 @@ def fedstale(
     """Convex fresh/stale combination:
     (beta/N) sum_i h_i + (1/N) sum_{i in S} (delta_i - beta*h_i)/p_i.
 
-    Does not mutate the bank. beta=0 recovers the unbiased average of fresh
-    updates; beta=1 recovers the stale-proxy rule.
+    `weights[i]` is 1/p_i (or its estimate). Does not mutate the bank. beta=0
+    is the unbiased average of fresh updates (u_fedavg), beta=1 the
+    stale-proxy rule (u_fedvarp). With no participants the update is the
+    stale term alone.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
-    updates = _sorted_updates(updates)
-    stale = beta * bank.slots.sum(axis=0) / n_clients
     fresh = np.zeros(bank.dim)
-    for u in updates:
-        fresh += weights[u.client] * (u.delta - beta * bank.slots[u.client])
+    for u in _sorted_updates(updates):
+        # At beta=0 the stale terms are zero; skipping them changes no bit.
+        d = u.delta - beta * bank.slots[u.client] if beta else u.delta
+        fresh += weights[u.client] * d
     fresh /= n_clients
-    return GlobalUpdate(
-        stale + fresh,
-        fresh_norm=float(np.linalg.norm(fresh)),
-        stale_norm=float(np.linalg.norm(stale)),
-    )
+    if not beta:
+        return GlobalUpdate(fresh, fresh_norm=_norm(fresh))
+    stale = beta * bank.slots.sum(axis=0) / n_clients
+    return GlobalUpdate(stale + fresh, fresh_norm=_norm(fresh), stale_norm=_norm(stale))
+
+
+def u_fedavg(
+    updates: list[ClientUpdate], bank: MemoryBank, weights: np.ndarray, n_clients: int,
+) -> GlobalUpdate:
+    """(1/N) sum_{i in S} delta_i/p_i: fedstale at beta=0, which reads no slot."""
+    return fedstale(updates, bank, weights, n_clients, 0.0)
 
 
 def u_fedvarp(
-    updates: list[ClientUpdate],
-    bank: MemoryBank,
-    weights: np.ndarray,
-    n_clients: int,
+    updates: list[ClientUpdate], bank: MemoryBank, weights: np.ndarray, n_clients: int,
 ) -> GlobalUpdate:
-    """Stale updates as proxies for absent clients:
-    (1/N) sum_i h_i + (1/N) sum_{i in S} (delta_i - h_i)/p_i.
-
-    Implemented directly (not via fedstale) so the two serve as independent
-    cross-checks of the same algebra.
-    """
-    updates = _sorted_updates(updates)
-    delta = bank.slots.sum(axis=0) / n_clients
-    stale_norm = float(np.linalg.norm(delta))
-    fresh = np.zeros(bank.dim)
-    for u in updates:
-        fresh += weights[u.client] * (u.delta - bank.slots[u.client])
-    fresh /= n_clients
-    return GlobalUpdate(delta + fresh, fresh_norm=float(np.linalg.norm(fresh)), stale_norm=stale_norm)
+    """Stale updates as proxies for absent clients, fedstale at beta=1:
+    (1/N) sum_i h_i + (1/N) sum_{i in S} (delta_i - h_i)/p_i."""
+    return fedstale(updates, bank, weights, n_clients, 1.0)
 
 
 def refresh_memory(bank: MemoryBank, updates: list[ClientUpdate], rnd: int) -> MemoryBank:

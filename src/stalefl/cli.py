@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -23,9 +22,7 @@ import numpy as np
 from . import __version__
 from .aggregation import AggregatorConfig
 from .engine import (
-    GridResult,
     TrainConfig,
-    horizon_for,
     run,
     run_grid,
     run_repeated,
@@ -138,17 +135,19 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> dict[st
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    raw: dict[str, dict[str, str]] = {}
-    text = path.read_text()
-    if path.suffix == ".json" or text.lstrip().startswith("{"):
-        data = json.loads(text)
-        for section, kv in data.items():
-            raw[section] = {k: str(v) for k, v in kv.items()}
-    else:
-        cp = configparser.ConfigParser()
-        cp.read_string(text)
-        for section in cp.sections():
-            raw[section] = dict(cp[section])
+    try:
+        text = path.read_text()
+        if path.suffix == ".json" or text.lstrip().startswith("{"):
+            data = json.loads(text)
+        else:
+            cp = configparser.ConfigParser()
+            cp.read_string(text)
+            data = {section: dict(cp[section]) for section in cp.sections()}
+    except (ValueError, configparser.Error) as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    if not (isinstance(data, dict) and all(isinstance(kv, dict) for kv in data.values())):
+        raise ConfigError(f"{path} must map each section to its key/value pairs")
+    raw = {section: {k: str(v) for k, v in kv.items()} for section, kv in data.items()}
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override must be KEY=VALUE, got {item!r}")
@@ -182,46 +181,66 @@ def _find_section(key: str) -> tuple[str, str]:
     return hits[0], key
 
 
+def _softmax_objective(
+    o: dict[str, str], n_clients: int, swap_fraction: float, group2: tuple[int, ...] | None,
+) -> SoftmaxObjective:
+    ds = build_label_swap_dataset(
+        n_clients, int(o["samples_per_client"]), swap_fraction,
+        (int(o["class_a"]), int(o["class_b"])),
+        np.random.default_rng(int(o["data_seed"])),
+        class_count=int(o["class_count"]), feature_dim=int(o["feature_dim"]),
+        cluster_std=float(o["cluster_std"]), group2=group2,
+    )
+    return SoftmaxObjective(ds, float(o["holdout_fraction"]))
+
+
 def build_objective(cfg: dict[str, dict[str, str]], profile: ParticipationProfile):
     o = cfg["objective"]
     kind = o["kind"]
-    if kind == "quadratic2d":
-        centers = [np.array(_parse_floats(c)) for c in o["centers"].split(";")]
-        if "hessians" in o:
-            hessians = [np.diag(_parse_floats(h)) for h in o["hessians"].split(";")]
+    if kind not in ("quadratic2d", "softmax", "hard_instance"):
+        raise ConfigError(f"unknown objective.kind {kind!r}")
+    try:
+        if kind == "quadratic2d":
+            centers = [np.array(_parse_floats(c)) for c in o["centers"].split(";")]
+            if "hessians" in o:
+                hessians = [np.diag(_parse_floats(h)) for h in o["hessians"].split(";")]
+            else:
+                hessians = [np.eye(len(centers[0]))] * len(centers)
+            obj = QuadraticObjective(hessians, centers, float(o["noise_var"]))
+        elif kind == "softmax":
+            obj = _softmax_objective(
+                o, int(o["n_clients"]), float(o["swap_fraction"]), profile.group2
+            )
         else:
-            hessians = [np.eye(len(centers[0]))] * len(centers)
-        return QuadraticObjective(hessians, centers, float(o["noise_var"]))
-    if kind == "softmax":
-        group2 = profile.group2
-        ds = build_label_swap_dataset(
-            int(o["n_clients"]), int(o["samples_per_client"]), float(o["swap_fraction"]),
-            (int(o["class_a"]), int(o["class_b"])),
-            np.random.default_rng(int(o["data_seed"])),
-            class_count=int(o["class_count"]), feature_dim=int(o["feature_dim"]),
-            cluster_std=float(o["cluster_std"]), group2=group2,
+            obj = HardInstance(
+                int(o["dim"]), int(o["horizon"]), float(o["smoothness"]), profile.n_clients
+            )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if obj.n_clients != profile.n_clients:
+        raise ConfigError(
+            f"the objective has {obj.n_clients} clients but the participation "
+            f"profile has {profile.n_clients}"
         )
-        return SoftmaxObjective(ds, float(o["holdout_fraction"]))
-    if kind == "hard_instance":
-        return HardInstance(
-            int(o["dim"]), int(o["horizon"]), float(o["smoothness"]), profile.n_clients
-        )
-    raise ConfigError(f"unknown objective.kind {kind!r}")
+    return obj
 
 
 def build_profile(cfg: dict[str, dict[str, str]]) -> ParticipationProfile:
     p = cfg["participation"]
-    if p["kind"] == "explicit":
-        if "probs" not in p:
-            raise ConfigError("participation.probs required for kind=explicit")
-        return ParticipationProfile(np.array(_parse_floats(p["probs"])))
-    if p["kind"] == "two_group":
-        if float(p["p_min_group"]) >= 1.0:
-            return ParticipationProfile(np.ones(int(p["n_clients"])))
-        return make_two_group_profile(
-            int(p["n_clients"]), float(p["p_min_group"]),
-            int(p["group2_size"]), int(p["seed"]),
-        )
+    if p["kind"] == "explicit" and "probs" not in p:
+        raise ConfigError("participation.probs required for kind=explicit")
+    try:
+        if p["kind"] == "explicit":
+            return ParticipationProfile(np.array(_parse_floats(p["probs"])))
+        if p["kind"] == "two_group":
+            if float(p["p_min_group"]) >= 1.0:
+                return ParticipationProfile(np.ones(int(p["n_clients"])))
+            return make_two_group_profile(
+                int(p["n_clients"]), float(p["p_min_group"]),
+                int(p["group2_size"]), int(p["seed"]),
+            )
+    except ValueError as exc:
+        raise ConfigError(f"participation: {exc}") from exc
     raise ConfigError(f"unknown participation.kind {p['kind']!r}")
 
 
@@ -260,6 +279,19 @@ def write_manifest(cfg: dict[str, dict[str, str]], out: Path, extra: dict | None
         cp.write(f)
 
 
+def _section(
+    cfg: dict[str, dict[str, str]], name: str, required: tuple[str, ...]
+) -> dict[str, str]:
+    """The [name] section of a subcommand, with its required keys present."""
+    sec = cfg.get(name)
+    if not sec:
+        raise ConfigError(f"{name} mode requires a [{name}] section")
+    missing = [k for k in required if k not in sec]
+    if missing:
+        raise ConfigError(f"[{name}] lacks required key(s): {', '.join(missing)}")
+    return sec
+
+
 def prepare_outdir(out: str | Path, force: bool) -> Path:
     root = os.environ.get(OUT_ROOT_ENV)
     out = Path(out)
@@ -276,7 +308,12 @@ def cmd_run(args, replay: bool = False) -> int:
     out = prepare_outdir(args.out, args.force)
     profile = build_profile(cfg)
     obj = build_objective(cfg, profile)
-    schedule = load_trace_csv(args.trace) if replay else None
+    schedule = None
+    if replay:
+        try:
+            schedule = load_trace_csv(args.trace)
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"bad participation trace {args.trace}: {exc}") from exc
     tc = build_train_config(cfg, profile, obj.dim, replay_schedule=schedule)
     result = run(tc, obj)
     write_metrics_csv(result, out / "metrics.csv")
@@ -312,29 +349,16 @@ def cmd_repeat(args) -> int:
 def cmd_grid(args) -> int:
     cfg = load_config(args.config, args.set)
     out = prepare_outdir(args.out, args.force)
-    g = cfg.get("grid")
-    if not g:
-        raise ConfigError("grid mode requires a [grid] section")
+    g = _section(cfg, "grid", ("ratios", "swap_fractions", "betas"))
     seeds = _parse_ints(args.seeds or g.get("seeds", "1"))
     profile = build_profile(cfg)
     o = cfg["objective"]
     n_clients = int(cfg["participation"]["n_clients"])
-
-    def obj_factory(swap, group2, seed):
-        ds = build_label_swap_dataset(
-            n_clients, int(o["samples_per_client"]), swap,
-            (int(o["class_a"]), int(o["class_b"])),
-            np.random.default_rng(int(o["data_seed"])),
-            class_count=int(o["class_count"]), feature_dim=int(o["feature_dim"]),
-            cluster_std=float(o["cluster_std"]), group2=group2,
-        )
-        return SoftmaxObjective(ds, float(o["holdout_fraction"]))
-
     tc = build_train_config(cfg, profile, 1)
     tc = replace(tc, init_point=np.zeros(1))
     lr_grid = _parse_floats(g["client_lr_grid"]) if "client_lr_grid" in g else None
     grid = run_grid(
-        tc, obj_factory,
+        tc, lambda swap, group2, seed: _softmax_objective(o, n_clients, swap, group2),
         _parse_floats(g["ratios"]), _parse_floats(g["swap_fractions"]),
         _parse_floats(g["betas"]), seeds,
         n_clients=n_clients, metric_mode=g.get("metric", "accuracy"),
@@ -354,9 +378,9 @@ def cmd_grid(args) -> int:
 def cmd_theory(args) -> int:
     cfg = load_config(args.config, args.set)
     out = prepare_outdir(args.out, args.force)
-    t = cfg.get("theory")
-    if not t:
-        raise ConfigError("theory mode requires a [theory] section")
+    t = _section(
+        cfg, "theory", ("smoothness", "sigma_sq", "sg_sq", "p_avg", "p_min", "n_clients")
+    )
     l = cfg["local"]
     betas = _parse_floats(t.get("betas", "0,0.2,0.5,0.8,1"))
     rows = []
@@ -387,9 +411,7 @@ def cmd_theory(args) -> int:
 def cmd_lowerbound(args) -> int:
     cfg = load_config(args.config, args.set)
     out = prepare_outdir(args.out, args.force)
-    lb = cfg.get("lowerbound")
-    if not lb:
-        raise ConfigError("lowerbound mode requires a [lowerbound] section")
+    lb = _section(cfg, "lowerbound", ("dim", "horizon", "smoothness"))
     dim, horizon = int(lb["dim"]), int(lb["horizon"])
     smoothness = float(lb["smoothness"])
     taus = _parse_ints(lb.get("taus", "2,3,4,5,6,7,8,9,10"))
@@ -417,8 +439,13 @@ def cmd_lowerbound(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stalefl",
         description="Deterministic federated-averaging simulator with fresh/stale aggregation",
     )
@@ -429,19 +456,22 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-        p.add_argument("--seeds", default=None)
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
         p.add_argument("--force", action="store_true")
-        p.add_argument("--comparability", action="store_true")
+        if name in ("repeat", "grid"):
+            p.add_argument("--seeds", default=None)
+        if name == "repeat":
+            p.add_argument("--comparability", action="store_true")
+        if name == "grid":
+            p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
         if name == "replay":
             p.add_argument("--trace", required=True)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = make_parser().parse_args(argv)
     out_path: Path | None = None
     try:
+        args = make_parser().parse_args(argv)
         out_path = Path(args.out)
         if args.command == "run":
             return cmd_run(args)

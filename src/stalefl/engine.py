@@ -5,14 +5,14 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import aggregation as agg
-from .aggregation import AggregatorConfig, MemoryBank, NoParticipantsError
-from .local_solver import ClientUpdate, LocalConfig, local_train
+from .aggregation import AggregatorConfig, MemoryBank
+from .local_solver import LocalConfig, local_train
 from .objectives import GLOBAL, Objective, SoftmaxObjective, check_param
 from .participation import (
     ParticipationProfile,
@@ -47,6 +47,14 @@ class TrainConfig:
         if not (self.server_lr > 0 and math.isfinite(self.server_lr)):
             raise ValueError("server_lr must be finite and positive")
         object.__setattr__(self, "init_point", np.asarray(self.init_point, dtype=float))
+        if self.replay_schedule is not None:
+            shape = np.shape(self.replay_schedule)
+            n = self.profile.n_clients
+            if len(shape) != 2 or shape[0] < self.rounds or shape[1] != n:
+                raise ValueError(
+                    f"replay trace has shape {shape}; it needs at least {self.rounds} "
+                    f"rounds and exactly {n} client columns"
+                )
 
     def effective_participation_seed(self) -> int:
         return self.master_seed if self.participation_seed is None else self.participation_seed
@@ -96,23 +104,6 @@ def default_weight_cap(rounds: int) -> float:
     return max(2.0 * rounds / 10.0, 2.0)
 
 
-def _aggregate(
-    cfg: AggregatorConfig,
-    updates: list[ClientUpdate],
-    bank: MemoryBank,
-    weights: np.ndarray,
-    n_clients: int,
-    dim: int,
-) -> agg.GlobalUpdate:
-    if cfg.rule == "fedavg_biased":
-        return agg.fedavg_biased(updates)
-    if cfg.rule == "u_fedavg":
-        return agg.u_fedavg(updates, weights, n_clients, dim)
-    if cfg.rule == "u_fedvarp":
-        return agg.u_fedvarp(updates, bank, weights, n_clients)
-    return agg.fedstale(updates, bank, weights, n_clients, cfg.beta)
-
-
 def run(cfg: TrainConfig, obj: Objective) -> RunResult:
     """Execute the full round loop; bit-deterministic for a fixed config."""
     w = check_param(cfg.init_point, obj.dim).copy()
@@ -127,6 +118,8 @@ def run(cfg: TrainConfig, obj: Objective) -> RunResult:
         cap = cfg.aggregator.weight_cap or default_weight_cap(cfg.rounds)
         estimator = ProbabilityEstimator(n, cap)
 
+    biased = cfg.aggregator.rule == "fedavg_biased"
+    beta = cfg.aggregator.staleness_weight
     noisy = obj.uses_rng
     records: list[RoundRecord] = []
     trajectory = [w.copy()] if cfg.record_trajectory else None
@@ -159,10 +152,11 @@ def run(cfg: TrainConfig, obj: Objective) -> RunResult:
         h_t = agg.memory_error(bank, obj, w)
         min_grad = min(min_grad, grad_sq)
 
-        try:
-            update = _aggregate(cfg.aggregator, updates, bank, weights, n, obj.dim)
-            delta = update.delta
-        except NoParticipantsError:
+        if not biased:
+            delta = agg.fedstale(updates, bank, weights, n, beta).delta
+        elif updates:
+            delta = agg.fedavg_biased(updates).delta
+        else:
             delta = np.zeros(obj.dim)
         w = w - cfg.server_lr * delta
         if not np.isfinite(w).all():
@@ -198,13 +192,6 @@ class RepeatedResult:
     @property
     def mean_final_loss(self) -> float:
         return float(np.mean([r.final_loss for r in self.runs]))
-
-    @property
-    def mean_test_accuracy(self) -> float | None:
-        accs = [r.test_accuracy for r in self.runs]
-        if any(a is None for a in accs):
-            return None
-        return float(np.mean(accs))
 
 
 def run_repeated(
@@ -298,7 +285,9 @@ def run_grid(
     threads: int = 1,
 ) -> GridResult:
     """Sweep (participation ratio x swap fraction x beta), pick beta_opt per
-    cell by the best mean evaluation metric (ties go to the smaller beta).
+    cell by the best mean evaluation metric (ties go to the smaller beta; means
+    within a relative 1e-12 of the best count as tied, so an exact tie in the
+    underlying scores is not broken by the rounding of their mean).
 
     `obj_factory(swap_fraction, group2, seed)` builds the cell objective. When
     `client_lr_grid` is given, the client lr is tuned independently per
@@ -353,7 +342,7 @@ def run_grid(
             best_val = max(v for _, v, _ in rows)
         else:
             best_val = min(v for _, v, _ in rows)
-        beta_opt = min(b for b, v, _ in rows if v == best_val)
+        beta_opt = min(b for b, v, _ in rows if math.isclose(v, best_val, rel_tol=1e-12))
         return [
             GridCellSummary(ratio, swap, b, v, se, b == beta_opt) for b, v, se in rows
         ]

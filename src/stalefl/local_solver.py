@@ -36,7 +36,6 @@ class ClientUpdate:
     client: int
     round: int
     delta: np.ndarray                  # w_global - local iterate after K steps
-    step_gradients: tuple[np.ndarray, ...] = ()
 
 
 def local_train(
@@ -58,14 +57,12 @@ def local_train(
     """
     w = check_param(w_global, obj.dim).copy()
     obj._check_client(client)
-    grads = []
     for k in range(cfg.local_steps):
         g = obj._stochastic_gradient(client, w, cfg.batch_size, rng)
         w -= cfg.client_lr * g
         if not np.isfinite(w).all():
             raise DivergenceError(client, k)
-        grads.append(g)
-    return ClientUpdate(client, rnd, w_global - w, tuple(grads))
+    return ClientUpdate(client, rnd, w_global - w)
 
 
 def pseudo_gradient(update: ClientUpdate, cfg: LocalConfig) -> np.ndarray:

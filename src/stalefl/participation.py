@@ -180,18 +180,11 @@ class ProbabilityEstimator:
             raise ValueError("no rounds observed yet")
         return max(int(self.counts[client]), 1) / self.rounds_seen
 
-    def estimated_weight(self, client: int) -> float:
-        return min(1.0 / self.estimated_prob(client), self.weight_cap)
-
     def weights(self) -> np.ndarray:
         if self.rounds_seen < 1:
             raise ValueError("no rounds observed yet")
         p_hat = np.maximum(self.counts, 1) / self.rounds_seen
         return np.minimum(1.0 / p_hat, self.weight_cap)
-
-
-def update_estimator(est: ProbabilityEstimator, rp: RoundParticipation) -> ProbabilityEstimator:
-    return est.update(rp)
 
 
 def inverse_prob_weights(profile: ParticipationProfile) -> np.ndarray:

@@ -10,10 +10,8 @@ the least participating one.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -136,19 +134,6 @@ def beta_star(inp: BoundInputs) -> float:
     return min(max((inp.sg_sq / inp.n_clients) / denom, 0.0), 1.0)
 
 
-def bound_inputs_from(
-    stats, pstats, *, n_clients, local_steps, client_lr, server_lr, rounds,
-    beta, f_init_gap=1.0, h_init=0.0, a1=1.0, a2=1.0,
-) -> BoundInputs:
-    """Assemble BoundInputs from ObjectiveStats and ParticipationStats."""
-    return BoundInputs(
-        stats.smoothness_L, stats.sigma_sq, stats.sg_sq,
-        pstats.p_var, pstats.p_avg, pstats.p_min,
-        n_clients, local_steps, client_lr, server_lr, rounds, beta,
-        f_init_gap, h_init, a1, a2,
-    )
-
-
 class HardInstance(Objective):
     """Tridiagonal quadratic split between two clients.
 
@@ -267,10 +252,6 @@ class HardInstance(Objective):
         return -self.loss(self.global_minimizer())
 
 
-def build_hard_instance(dim: int, horizon: int, smoothness_L: float, n_clients: int) -> HardInstance:
-    return HardInstance(dim, horizon, smoothness_L, n_clients)
-
-
 def track_frontier(instance: HardInstance, schedule: np.ndarray) -> np.ndarray:
     """Largest discoverable nonzero coordinate index per round.
 
@@ -359,13 +340,3 @@ def expected_frontier_cap(p_min: float, t: int) -> float:
     """Bernoulli-participation cap E[k^(t)] <= 3(1 - p) + 2 p t."""
     return 3.0 * (1.0 - p_min) + 2.0 * p_min * t
 
-
-def export_beta_table_csv(rows: list[dict], path: str | Path) -> None:
-    """Write bound/beta evaluations (list of flat dicts) as CSV."""
-    if not rows:
-        raise ValueError("nothing to export")
-    with open(path, "w", newline="") as f:
-        wr = csv.DictWriter(f, fieldnames=list(rows[0].keys()), lineterminator="\n")
-        wr.writeheader()
-        for row in rows:
-            wr.writerow({k: (f"{v:.17g}" if isinstance(v, float) else v) for k, v in row.items()})

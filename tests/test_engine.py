@@ -1,9 +1,11 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import stalefl.engine
 from stalefl.aggregation import AggregatorConfig
 from stalefl.engine import (
     METRICS_HEADER,
@@ -243,3 +245,21 @@ def test_grid_beta_tie_breaks_to_smaller(tmp_path):
     assert path.read_text().splitlines()[0] == (
         "ratio,swap_fraction,beta,metric_mean,metric_stderr,beta_opt_flag"
     )
+
+
+def test_grid_tie_rule_ignores_rounding_of_the_mean(monkeypatch):
+    # Both betas score 1278 of 3 x 480 held-out samples, but np.mean rounds
+    # the per-seed accuracies to 0.8874999999999998 and 0.8875000000000001.
+    hits = {0.5: (424, 421, 433), 0.8: (425, 419, 434)}
+
+    def fake_run_repeated(cfg, obj, seeds, comparability=False):
+        runs = [SimpleNamespace(test_accuracy=h / 480) for h in hits[cfg.aggregator.beta]]
+        return SimpleNamespace(runs=runs)
+
+    monkeypatch.setattr(stalefl.engine, "run_repeated", fake_run_repeated)
+    grid = run_grid(
+        grid_base_cfg(), lambda swap, group2, seed: SimpleNamespace(dim=1),
+        [10.0], [1.0], [0.5, 0.8], [1, 2, 3], n_clients=4, metric_mode="accuracy",
+    )
+    assert [c.metric_mean for c in grid.cells] == [0.8874999999999998, 0.8875000000000001]
+    assert grid.beta_opt(10.0, 1.0) == 0.5

@@ -30,8 +30,9 @@ def test_single_step_is_single_gradient():
     u = local_train(obj, 0, w, LocalConfig(local_steps=1, client_lr=0.5),
                     np.random.default_rng(1))
     np.testing.assert_array_equal(u.delta, 0.5 * obj.gradient(w, 0))
-    assert len(u.step_gradients) == 1
-    np.testing.assert_array_equal(u.step_gradients[0], obj.gradient(w, 0))
+    # the one step's gradient, replayed from the same rng seed
+    g = obj.stochastic_gradient(0, w, 1, np.random.default_rng(1))
+    np.testing.assert_array_equal(g, obj.gradient(w, 0))
 
 
 def test_pseudo_gradient_hand_value():
@@ -51,8 +52,14 @@ def test_telescoping_identity():
     rng = np.random.default_rng(5)
     obj = QuadraticObjective.isotropic([rng.normal(size=3)], noise_var=0.5)
     cfg = LocalConfig(local_steps=7, client_lr=0.03)
-    u = local_train(obj, 0, rng.normal(size=3), cfg, np.random.default_rng(9))
-    total = cfg.client_lr * np.sum(u.step_gradients, axis=0)
+    w0 = rng.normal(size=3)
+    u = local_train(obj, 0, w0, cfg, np.random.default_rng(9))
+    # replay the K step gradients from the same rng seed
+    step_rng, w, grads = np.random.default_rng(9), w0.copy(), []
+    for _ in range(cfg.local_steps):
+        grads.append(obj.stochastic_gradient(0, w, cfg.batch_size, step_rng))
+        w -= cfg.client_lr * grads[-1]
+    total = cfg.client_lr * np.sum(grads, axis=0)
     np.testing.assert_allclose(u.delta, total, atol=1e-12)
 
 

@@ -147,7 +147,7 @@ def test_estimator_hand_values():
     est = ProbabilityEstimator(1, weight_cap=50.0)
     feed(est, [[c < 5] for c in range(10)])  # 5 of 10 rounds
     assert est.estimated_prob(0) == pytest.approx(0.5)
-    assert est.estimated_weight(0) == pytest.approx(2.0)
+    assert est.weights()[0] == pytest.approx(2.0)
 
 
 def test_estimator_never_present_floor_and_cap():
@@ -155,13 +155,13 @@ def test_estimator_never_present_floor_and_cap():
     feed(est, [[False]] * 10)
     assert est.counts[0] == 0
     assert est.estimated_prob(0) == pytest.approx(0.1)  # floored count 1 over t=10
-    assert est.estimated_weight(0) == pytest.approx(5.0)  # raw 10 capped
+    assert est.weights()[0] == pytest.approx(5.0)  # raw 10 capped
 
 
 def test_estimator_always_present_weight_one():
     est = ProbabilityEstimator(1, weight_cap=10.0)
     feed(est, [[True]] * 7)
-    assert est.estimated_weight(0) == pytest.approx(1.0)
+    assert est.weights()[0] == pytest.approx(1.0)
 
 
 def test_estimator_out_of_order_rejected():
