@@ -354,6 +354,13 @@ def cmd_grid(args) -> int:
     profile = build_profile(cfg)
     o = cfg["objective"]
     n_clients = int(cfg["participation"]["n_clients"])
+    if o["kind"] != "softmax":
+        raise ConfigError(f"grid mode needs objective.kind = softmax, not {o['kind']!r}")
+    if int(o["n_clients"]) != n_clients:
+        raise ConfigError(
+            f"the objective has {o['n_clients']} clients but the participation "
+            f"profile has {n_clients}"
+        )
     tc = build_train_config(cfg, profile, 1)
     tc = replace(tc, init_point=np.zeros(1))
     lr_grid = _parse_floats(g["client_lr_grid"]) if "client_lr_grid" in g else None

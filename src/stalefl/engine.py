@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -104,8 +103,14 @@ def default_weight_cap(rounds: int) -> float:
     return max(2.0 * rounds / 10.0, 2.0)
 
 
-def run(cfg: TrainConfig, obj: Objective) -> RunResult:
-    """Execute the full round loop; bit-deterministic for a fixed config."""
+def run(cfg: TrainConfig, obj: Objective, *, metrics: bool = True) -> RunResult:
+    """Execute the full round loop; bit-deterministic for a fixed config.
+
+    With `metrics` off, the per-round global loss, gradient norm and H are
+    not computed: `records` is empty and `min_grad_norm_sq` is nan. The
+    iterates, the participation trace, `final_loss`, `test_accuracy` and
+    every divergence check are the same either way.
+    """
     w = check_param(cfg.init_point, obj.dim).copy()
     n = obj.n_clients
     if cfg.profile.n_clients != n:
@@ -124,55 +129,60 @@ def run(cfg: TrainConfig, obj: Objective) -> RunResult:
     records: list[RoundRecord] = []
     trajectory = [w.copy()] if cfg.record_trajectory else None
     trace = np.zeros((cfg.rounds, n), dtype=bool)
-    min_grad = math.inf
-    for t in range(1, cfg.rounds + 1):
-        if cfg.replay_schedule is not None:
-            rp = RoundParticipation(t, cfg.replay_schedule[t - 1])
-        else:
-            rp = sample_round(cfg.profile, t, part_seed)
-        trace[t - 1] = rp.present
-        participants = rp.participants()
+    min_grad = math.inf if metrics else math.nan
+    # A diverging run overflows before the finiteness checks below catch it;
+    # those checks raise, so the overflow warnings would only be noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, cfg.rounds + 1):
+            if cfg.replay_schedule is not None:
+                rp = RoundParticipation(t, cfg.replay_schedule[t - 1])
+            else:
+                rp = sample_round(cfg.profile, t, part_seed)
+            trace[t - 1] = rp.present
+            participants = rp.participants()
 
-        updates = [
-            local_train(
-                obj, int(i), w, cfg.local,
-                _noise_rng(cfg.master_seed, int(i), t) if noisy else None, t,
-            )
-            for i in participants
-        ]
+            updates = [
+                local_train(
+                    obj, int(i), w, cfg.local,
+                    _noise_rng(cfg.master_seed, int(i), t) if noisy else None, t,
+                )
+                for i in participants
+            ]
 
-        if estimator is not None:
-            estimator.update(rp)
-            weights = estimator.weights()
-        else:
-            weights = exact_weights
+            if estimator is not None:
+                estimator.update(rp)
+                weights = estimator.weights()
+            else:
+                weights = exact_weights
 
-        loss = obj.loss(w, GLOBAL)
-        grad_sq = float(np.sum(obj.gradient(w, GLOBAL) ** 2))
-        h_t = agg.memory_error(bank, obj, w)
-        min_grad = min(min_grad, grad_sq)
+            if metrics:
+                loss = obj.loss(w, GLOBAL)
+                grad_sq = float(np.sum(obj.gradient(w, GLOBAL) ** 2))
+                h_t = agg.memory_error(bank, obj, w)
+                min_grad = min(min_grad, grad_sq)
 
-        if not biased:
-            delta = agg.fedstale(updates, bank, weights, n, beta).delta
-        elif updates:
-            delta = agg.fedavg_biased(updates).delta
-        else:
-            delta = np.zeros(obj.dim)
-        w = w - cfg.server_lr * delta
-        if not np.isfinite(w).all():
-            raise FloatingPointError(f"global iterate diverged at round {t}")
-        agg.refresh_memory(bank, updates, t)
+            if not biased:
+                delta = agg.fedstale(updates, bank, weights, n, beta).delta
+            elif updates:
+                delta = agg.fedavg_biased(updates).delta
+            else:
+                delta = np.zeros(obj.dim)
+            w = w - cfg.server_lr * delta
+            if not np.isfinite(w).all():
+                raise FloatingPointError(f"global iterate diverged at round {t}")
+            agg.refresh_memory(bank, updates, t)
 
-        if trajectory is not None:
-            trajectory.append(w.copy())
-        records.append(
-            RoundRecord(
-                t, loss, grad_sq, h_t, len(participants),
-                tuple(int(i) for i in participants),
-                float(np.linalg.norm(delta)),
-                len(participants) * cfg.local.local_steps * cfg.local.batch_size,
-            )
-        )
+            if trajectory is not None:
+                trajectory.append(w.copy())
+            if metrics:
+                records.append(
+                    RoundRecord(
+                        t, loss, grad_sq, h_t, len(participants),
+                        tuple(int(i) for i in participants),
+                        float(np.linalg.norm(delta)),
+                        len(participants) * cfg.local.local_steps * cfg.local.batch_size,
+                    )
+                )
 
     acc = obj.test_accuracy(w) if isinstance(obj, SoftmaxObjective) else None
     return RunResult(
@@ -199,9 +209,12 @@ def run_repeated(
     obj: Objective,
     seeds: list[int],
     comparability: bool = False,
+    *,
+    metrics: bool = True,
 ) -> RepeatedResult:
     """One run per seed. With comparability on, the participation sub-seed is
-    pinned to each run seed so every aggregation rule sees the same trace."""
+    pinned to each run seed so every aggregation rule sees the same trace.
+    `metrics` goes to `run`; with it off the mean and stderr curves are empty."""
     if not seeds:
         raise ValueError("need at least one seed")
     runs = []
@@ -211,7 +224,7 @@ def run_repeated(
             master_seed=seed,
             participation_seed=seed if comparability else cfg.participation_seed,
         )
-        runs.append(run(run_cfg, obj))
+        runs.append(run(run_cfg, obj, metrics=metrics))
     curves = np.array([r.loss_curve() for r in runs])
     mean = curves.mean(axis=0)
     stderr = (
@@ -291,8 +304,13 @@ def run_grid(
 
     `obj_factory(swap_fraction, group2, seed)` builds the cell objective. When
     `client_lr_grid` is given, the client lr is tuned independently per
-    (cell, beta) by the same metric. Cells are independent and may fan out to
-    a thread pool; results are assembled in deterministic cell order.
+    (cell, beta) by the same metric. Runs compute no per-round metrics, since
+    only their final loss or accuracy is read.
+
+    Cells are independent. With `threads > 1` they fan out to
+    `min(threads, cells)` worker processes, forked so that `obj_factory` may
+    be a closure; results are assembled in cell order, so they do not depend
+    on `threads`. An exception raised in a worker is raised here.
     """
     if not participation_axis or not heterogeneity_axis or not beta_axis:
         raise ValueError("all grid axes must be nonempty")
@@ -322,7 +340,7 @@ def run_grid(
                     aggregator=replace(base_cfg.aggregator, rule="fedstale", beta=beta),
                     init_point=np.zeros(obj.dim),
                 )
-                rep = run_repeated(cfg, obj, seeds, comparability=True)
+                rep = run_repeated(cfg, obj, seeds, comparability=True, metrics=False)
                 if metric_mode == "accuracy":
                     vals = [r.test_accuracy for r in rep.runs]
                 else:
@@ -348,13 +366,36 @@ def run_grid(
         ]
 
     cell_keys = [(r, s) for r in participation_axis for s in heterogeneity_axis]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda k: eval_cell(*k), cell_keys))
+    workers = min(threads, len(cell_keys))
+    if workers > 1:
+        # Imported here so that importing stalefl does not pay for them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            workers, multiprocessing.get_context("fork"),
+            initializer=_set_worker_cell, initargs=(eval_cell,),
+        ) as pool:
+            results = list(pool.map(_worker_cell, cell_keys))
     else:
         results = [eval_cell(*k) for k in cell_keys]
     cells = [row for block in results for row in block]
     return GridResult(cells, metric_mode)
+
+
+# The cell function of a grid worker process, set only in the worker by the
+# pool initializer. Fork hands the initializer's arguments over unpickled, so
+# only the cell key and the cell's summaries cross the process boundary.
+_cell_fn = None
+
+
+def _set_worker_cell(fn) -> None:
+    global _cell_fn
+    _cell_fn = fn
+
+
+def _worker_cell(key: tuple[float, float]) -> list[GridCellSummary]:
+    return _cell_fn(*key)
 
 
 def write_metrics_csv(result: RunResult, path: str | Path) -> None:

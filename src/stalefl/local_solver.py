@@ -13,9 +13,14 @@ class DivergenceError(RuntimeError):
     """A local iterate became non-finite; carries the offending step index."""
 
     def __init__(self, client: int, step: int):
-        super().__init__(f"non-finite iterate at client {client}, local step {step}")
+        # args are the constructor's arguments, so the error pickles (and
+        # crosses from a grid worker process) as itself
+        super().__init__(client, step)
         self.client = client
         self.step = step
+
+    def __str__(self) -> str:
+        return f"non-finite iterate at client {self.client}, local step {self.step}"
 
 
 @dataclass(frozen=True)

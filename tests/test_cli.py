@@ -121,6 +121,7 @@ def test_nonempty_outdir_requires_force(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(out), "--force"]) == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergence_exit_code_and_failed_sentinel(tmp_path, capsys):
     path = write(tmp_path, QUAD_RUN.replace("client_lr = 0.02", "client_lr = 50.0")
                  .replace("rounds = 30", "rounds = 500"))
@@ -270,6 +271,16 @@ BAD_INPUTS = {
         "replay", "cfg.ini", QUAD_RUN, [], "round,client_id\n1,0\n",
     ),
     "flag_of_another_subcommand": ("run", "cfg.ini", QUAD_RUN, ["--seeds", "5"], None),
+    "grid_of_a_quadratic": (
+        "grid", "cfg.ini",
+        QUAD_RUN.replace("n_clients = 2", "n_clients = 4")
+        + "\n[grid]\nratios = 3\nswap_fractions = 0\nbetas = 0, 1\n", [], None,
+    ),
+    "grid_client_count_mismatch": (
+        "grid", "cfg.ini",
+        "[objective]\nkind = softmax\n\n[participation]\nn_clients = 4\n"
+        "\n[grid]\nratios = 3\nswap_fractions = 0\nbetas = 0, 1\n", [], None,
+    ),
 }
 
 

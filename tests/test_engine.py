@@ -18,7 +18,7 @@ from stalefl.engine import (
     two_group_prob_for_ratio,
     write_metrics_csv,
 )
-from stalefl.local_solver import LocalConfig
+from stalefl.local_solver import DivergenceError, LocalConfig
 from stalefl.objectives import (
     GLOBAL,
     QuadraticObjective,
@@ -155,7 +155,7 @@ def test_estimator_mode_runs_and_tracks():
 def test_divergence_guard():
     obj = two_client_objective()
     cfg = base_config(server_lr=1.0, local=LocalConfig(5, 50.0), rounds=500)
-    with pytest.raises((FloatingPointError, Exception)):
+    with pytest.raises((FloatingPointError, DivergenceError)):
         run(cfg, obj)
 
 
@@ -251,8 +251,10 @@ def test_grid_tie_rule_ignores_rounding_of_the_mean(monkeypatch):
     # Both betas score 1278 of 3 x 480 held-out samples, but np.mean rounds
     # the per-seed accuracies to 0.8874999999999998 and 0.8875000000000001.
     hits = {0.5: (424, 421, 433), 0.8: (425, 419, 434)}
+    calls = []
 
-    def fake_run_repeated(cfg, obj, seeds, comparability=False):
+    def fake_run_repeated(cfg, obj, seeds, comparability=False, *, metrics=True):
+        calls.append(cfg.aggregator.beta)
         runs = [SimpleNamespace(test_accuracy=h / 480) for h in hits[cfg.aggregator.beta]]
         return SimpleNamespace(runs=runs)
 
@@ -261,5 +263,56 @@ def test_grid_tie_rule_ignores_rounding_of_the_mean(monkeypatch):
         grid_base_cfg(), lambda swap, group2, seed: SimpleNamespace(dim=1),
         [10.0], [1.0], [0.5, 0.8], [1, 2, 3], n_clients=4, metric_mode="accuracy",
     )
+    assert calls == [0.5, 0.8]
     assert [c.metric_mean for c in grid.cells] == [0.8874999999999998, 0.8875000000000001]
     assert grid.beta_opt(10.0, 1.0) == 0.5
+
+
+def diverging_quadratic_factory(swap, group2, seed):
+    return QuadraticObjective.isotropic([np.array([float(i), -1.0]) for i in range(4)])
+
+
+def test_grid_worker_divergence_is_raised_as_itself():
+    # Two cells, so threads=2 runs them in two worker processes.
+    cfg = replace(grid_base_cfg(), local=LocalConfig(5, 50.0))
+    args = (cfg, diverging_quadratic_factory, [3.0], [0.0, 0.5], [0.0, 1.0], [1, 2])
+    raised = []
+    for threads in (1, 2):
+        with pytest.raises(DivergenceError) as info:
+            run_grid(*args, n_clients=4, threads=threads)
+        raised.append((type(info.value), info.value.client, info.value.step))
+    assert raised[0] == raised[1]
+
+
+METRICS_OFF_CASES = {
+    "fedavg_biased": (two_client_objective, dict(rule="fedavg_biased")),
+    "u_fedavg": (two_client_objective, dict(rule="u_fedavg", beta=0.0)),
+    "u_fedvarp": (two_client_objective, dict(rule="u_fedvarp", beta=1.0)),
+    "fedstale": (two_client_objective, dict(rule="fedstale", beta=0.5)),
+    "fedstale_noisy": (lambda: two_client_objective(noise=0.3), dict(rule="fedstale", beta=0.8)),
+    "u_fedavg_estimator": (
+        lambda: two_client_objective(noise=0.3),
+        dict(rule="u_fedavg", weights_source="estimator"),
+    ),
+    "fedstale_softmax": (
+        lambda: small_softmax_factory()(0.5, None, 1), dict(rule="fedstale", beta=0.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(METRICS_OFF_CASES))
+def test_metrics_off_changes_no_output_but_the_records(name):
+    make_obj, agg_kw = METRICS_OFF_CASES[name]
+    obj = make_obj()
+    cfg = base_config(
+        rounds=30, aggregator=AggregatorConfig(**agg_kw),
+        profile=ParticipationProfile(np.linspace(1.0, 0.4, obj.n_clients)),
+        init_point=np.full(obj.dim, -1.0),
+    )
+    full, lean = run(cfg, obj), run(cfg, obj, metrics=False)
+    assert len(full.records) == 30 and lean.records == []
+    assert math.isnan(lean.min_grad_norm_sq)
+    assert lean.final_w.tobytes() == full.final_w.tobytes()
+    assert lean.participation_trace.tobytes() == full.participation_trace.tobytes()
+    assert repr(lean.final_loss) == repr(full.final_loss)
+    assert repr(lean.test_accuracy) == repr(full.test_accuracy)
