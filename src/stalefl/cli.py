@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -65,73 +66,86 @@ class ConfigError(ValueError):
     pass
 
 
-_SCHEMA: dict[str, dict[str, type]] = {
+def float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.replace(";", ",").split(",") if v.strip())
+
+
+def int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(",") if v.strip())
+
+
+def float_rows(text: str) -> tuple[tuple[float, ...], ...]:
+    return tuple(float_list(row) for row in text.split(";"))
+
+
+def zeros_or_floats(text: str) -> str | tuple[float, ...]:
+    return text if text == "zeros" else float_list(text)
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+# A key whose section is in use must be set; it has no default.
+_REQUIRED = object()
+
+# section -> key -> (parser, default). A default of None means "unset": no
+# hessians (identity), no weight cap (the engine's), no client-lr sweep, and
+# theory.rounds falling back to run.rounds. A section with a _REQUIRED key
+# exists only if the config names it.
+_SCHEMA: dict[str, dict[str, tuple]] = {
     "objective": {
-        "kind": str, "noise_var": float, "centers": str, "hessians": str,
-        "n_clients": int, "samples_per_client": int, "swap_fraction": float,
-        "class_a": int, "class_b": int, "feature_dim": int, "class_count": int,
-        "holdout_fraction": float, "data_seed": int, "cluster_std": float,
-        "dim": int, "horizon": int, "smoothness": float,
+        "kind": (str, "quadratic2d"), "noise_var": (float, 0.0),
+        "centers": (float_rows, ((5.0, 0.0), (0.0, 5.0))), "hessians": (float_rows, None),
+        "n_clients": (int, 24), "samples_per_client": (int, 200),
+        "swap_fraction": (float, 0.0), "class_a": (int, 0), "class_b": (int, 1),
+        "feature_dim": (int, 10), "class_count": (int, 10),
+        "holdout_fraction": (float, 0.2), "data_seed": (int, 1),
+        "cluster_std": (float, 1.0), "dim": (int, 201), "horizon": (int, 100),
+        "smoothness": (float, 1.0),
     },
     "participation": {
-        "kind": str, "n_clients": int, "p_min_group": float,
-        "group2_size": int, "seed": int, "probs": str,
+        "kind": (str, "two_group"), "n_clients": (int, 2), "p_min_group": (float, 0.01),
+        "group2_size": (int, 1), "seed": (int, 0), "probs": (float_list, None),
     },
-    "local": {"local_steps": int, "client_lr": float, "batch_size": int},
+    "local": {
+        "local_steps": (int, 5), "client_lr": (float, 0.01), "batch_size": (int, 32),
+    },
     "aggregator": {
-        "rule": str, "beta": float, "weights_source": str, "weight_cap": float,
+        "rule": (str, "fedstale"), "beta": (float, 0.5),
+        "weights_source": (str, "exact"), "weight_cap": (float, None),
     },
     "run": {
-        "rounds": int, "server_lr": float, "master_seed": int, "init": str,
-        "seeds": str,
+        "rounds": (int, 100), "server_lr": (float, 1.0), "master_seed": (int, 1),
+        "init": (zeros_or_floats, "zeros"), "seeds": (int_list, (1,)),
     },
     "grid": {
-        "ratios": str, "swap_fractions": str, "betas": str, "seeds": str,
-        "metric": str, "client_lr_grid": str,
+        "ratios": (float_list, _REQUIRED), "swap_fractions": (float_list, _REQUIRED),
+        "betas": (float_list, _REQUIRED), "seeds": (int_list, (1,)),
+        "metric": (str, "accuracy"), "client_lr_grid": (float_list, None),
     },
     "theory": {
-        "smoothness": float, "sigma_sq": float, "sg_sq": float,
-        "p_var": float, "p_avg": float, "p_min": float, "n_clients": int,
-        "f_init_gap": float, "h_init": float, "a1": float, "a2": float,
-        "betas": str, "rounds": int,
+        "smoothness": (float, _REQUIRED), "sigma_sq": (float, _REQUIRED),
+        "sg_sq": (float, _REQUIRED), "p_var": (float, math.inf),
+        "p_avg": (float, _REQUIRED), "p_min": (float, _REQUIRED),
+        "n_clients": (int, _REQUIRED), "f_init_gap": (float, 1.0), "h_init": (float, 0.0),
+        "a1": (float, 1.0), "a2": (float, 1.0),
+        "betas": (float_list, (0.0, 0.2, 0.5, 0.8, 1.0)), "rounds": (int, None),
     },
     "lowerbound": {
-        "dim": int, "horizon": int, "smoothness": float, "taus": str,
-        "rounds": int, "p_min": float,
-    },
-}
-
-_DEFAULTS: dict[str, dict[str, str]] = {
-    "objective": {
-        "kind": "quadratic2d", "noise_var": "0", "centers": "5,0; 0,5",
-        "n_clients": "24", "samples_per_client": "200", "swap_fraction": "0",
-        "class_a": "0", "class_b": "1", "feature_dim": "10", "class_count": "10",
-        "holdout_fraction": "0.2", "data_seed": "1", "cluster_std": "1.0",
-        "dim": "201", "horizon": "100", "smoothness": "1.0",
-    },
-    "participation": {
-        "kind": "two_group", "n_clients": "2", "p_min_group": "0.01",
-        "group2_size": "1", "seed": "0",
-    },
-    "local": {"local_steps": "5", "client_lr": "0.01", "batch_size": "32"},
-    "aggregator": {"rule": "fedstale", "beta": "0.5", "weights_source": "exact"},
-    "run": {
-        "rounds": "100", "server_lr": "1.0", "master_seed": "1",
-        "init": "zeros", "seeds": "1",
+        "dim": (int, _REQUIRED), "horizon": (int, _REQUIRED), "smoothness": (float, _REQUIRED),
+        "taus": (int_list, tuple(range(2, 11))), "rounds": (int, 200),
+        "p_min": (float, 0.1),
     },
 }
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.replace(";", ",").split(",") if v.strip()]
-
-
-def _parse_ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
-
-
-def load_config(path: str | Path, overrides: list[str] | None = None) -> dict[str, dict[str, str]]:
-    """Read INI or JSON config, apply --set overrides, validate keys/types."""
+def load_config(path: str | Path, overrides: list[str] | None = None) -> dict[str, dict]:
+    """Read INI or JSON config, apply --set overrides, and parse every value
+    by its key's parser; keys left out get their defaults."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -158,19 +172,28 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> dict[st
             section, name = _find_section(key)
         raw.setdefault(section, {})[name] = value
 
-    cfg: dict[str, dict[str, str]] = {s: dict(v) for s, v in _DEFAULTS.items()}
     for section, kv in raw.items():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        cfg.setdefault(section, {})
-        for key, value in kv.items():
+        for key in kv:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {section}.{key}")
-            try:
-                _SCHEMA[section][key](value)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {section}.{key}: {value!r}") from exc
-            cfg[section][key] = value
+    cfg: dict[str, dict] = {}
+    for section, keys in _SCHEMA.items():
+        given = raw.get(section)
+        if given is None and any(d is _REQUIRED for _, d in keys.values()):
+            continue
+        cfg[section] = sec = {}
+        for key, (parse, default) in keys.items():
+            if given and key in given:
+                try:
+                    sec[key] = parse(given[key])
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"bad value for {section}.{key}: {given[key]!r}"
+                    ) from exc
+            elif default is not _REQUIRED:
+                sec[key] = default
     return cfg
 
 
@@ -182,41 +205,33 @@ def _find_section(key: str) -> tuple[str, str]:
 
 
 def _softmax_objective(
-    o: dict[str, str], n_clients: int, swap_fraction: float, group2: tuple[int, ...] | None,
+    o: dict, n_clients: int, swap_fraction: float, group2: tuple[int, ...] | None,
 ) -> SoftmaxObjective:
     ds = build_label_swap_dataset(
-        n_clients, int(o["samples_per_client"]), swap_fraction,
-        (int(o["class_a"]), int(o["class_b"])),
-        np.random.default_rng(int(o["data_seed"])),
-        class_count=int(o["class_count"]), feature_dim=int(o["feature_dim"]),
-        cluster_std=float(o["cluster_std"]), group2=group2,
+        n_clients, o["samples_per_client"], swap_fraction, (o["class_a"], o["class_b"]),
+        np.random.default_rng(o["data_seed"]),
+        class_count=o["class_count"], feature_dim=o["feature_dim"],
+        cluster_std=o["cluster_std"], group2=group2,
     )
-    return SoftmaxObjective(ds, float(o["holdout_fraction"]))
+    return SoftmaxObjective(ds, o["holdout_fraction"])
 
 
-def build_objective(cfg: dict[str, dict[str, str]], profile: ParticipationProfile):
+def build_objective(cfg: dict[str, dict], profile: ParticipationProfile):
     o = cfg["objective"]
     kind = o["kind"]
-    if kind not in ("quadratic2d", "softmax", "hard_instance"):
-        raise ConfigError(f"unknown objective.kind {kind!r}")
-    try:
-        if kind == "quadratic2d":
-            centers = [np.array(_parse_floats(c)) for c in o["centers"].split(";")]
-            if "hessians" in o:
-                hessians = [np.diag(_parse_floats(h)) for h in o["hessians"].split(";")]
-            else:
-                hessians = [np.eye(len(centers[0]))] * len(centers)
-            obj = QuadraticObjective(hessians, centers, float(o["noise_var"]))
-        elif kind == "softmax":
-            obj = _softmax_objective(
-                o, int(o["n_clients"]), float(o["swap_fraction"]), profile.group2
-            )
+    if kind == "quadratic2d":
+        centers = [np.array(c) for c in o["centers"]]
+        if o["hessians"] is None:
+            hessians = [np.eye(len(centers[0]))] * len(centers)
         else:
-            obj = HardInstance(
-                int(o["dim"]), int(o["horizon"]), float(o["smoothness"]), profile.n_clients
-            )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+            hessians = [np.diag(h) for h in o["hessians"]]
+        obj = QuadraticObjective(hessians, centers, o["noise_var"])
+    elif kind == "softmax":
+        obj = _softmax_objective(o, o["n_clients"], o["swap_fraction"], profile.group2)
+    elif kind == "hard_instance":
+        obj = HardInstance(o["dim"], o["horizon"], o["smoothness"], profile.n_clients)
+    else:
+        raise ConfigError(f"unknown objective.kind {kind!r}")
     if obj.n_clients != profile.n_clients:
         raise ConfigError(
             f"the objective has {obj.n_clients} clients but the participation "
@@ -225,68 +240,59 @@ def build_objective(cfg: dict[str, dict[str, str]], profile: ParticipationProfil
     return obj
 
 
-def build_profile(cfg: dict[str, dict[str, str]]) -> ParticipationProfile:
+def build_profile(cfg: dict[str, dict]) -> ParticipationProfile:
     p = cfg["participation"]
-    if p["kind"] == "explicit" and "probs" not in p:
-        raise ConfigError("participation.probs required for kind=explicit")
-    try:
-        if p["kind"] == "explicit":
-            return ParticipationProfile(np.array(_parse_floats(p["probs"])))
-        if p["kind"] == "two_group":
-            if float(p["p_min_group"]) >= 1.0:
-                return ParticipationProfile(np.ones(int(p["n_clients"])))
-            return make_two_group_profile(
-                int(p["n_clients"]), float(p["p_min_group"]),
-                int(p["group2_size"]), int(p["seed"]),
-            )
-    except ValueError as exc:
-        raise ConfigError(f"participation: {exc}") from exc
+    if p["kind"] == "explicit":
+        if p["probs"] is None:
+            raise ConfigError("participation.probs required for kind=explicit")
+        return ParticipationProfile(np.array(p["probs"]))
+    if p["kind"] == "two_group":
+        if p["p_min_group"] >= 1.0:
+            return ParticipationProfile(np.ones(p["n_clients"]))
+        return make_two_group_profile(
+            p["n_clients"], p["p_min_group"], p["group2_size"], p["seed"]
+        )
     raise ConfigError(f"unknown participation.kind {p['kind']!r}")
 
 
 def build_train_config(
-    cfg: dict[str, dict[str, str]], profile: ParticipationProfile, dim: int,
+    cfg: dict[str, dict], profile: ParticipationProfile, dim: int,
     replay_schedule: np.ndarray | None = None,
 ) -> TrainConfig:
     r, l, a = cfg["run"], cfg["local"], cfg["aggregator"]
-    init = r["init"]
-    init_point = (
-        np.zeros(dim) if init == "zeros" else np.array(_parse_floats(init))
+    return TrainConfig(
+        r["rounds"], r["server_lr"],
+        LocalConfig(l["local_steps"], l["client_lr"], l["batch_size"]),
+        AggregatorConfig(a["rule"], a["beta"], a["weights_source"], a["weight_cap"]),
+        profile, r["master_seed"],
+        np.zeros(dim) if r["init"] == "zeros" else np.array(r["init"]),
+        replay_schedule=replay_schedule,
     )
-    try:
-        local = LocalConfig(int(l["local_steps"]), float(l["client_lr"]), int(l["batch_size"]))
-        aggregator = AggregatorConfig(
-            a["rule"], float(a["beta"]), a["weights_source"],
-            float(a["weight_cap"]) if "weight_cap" in a else None,
-        )
-        return TrainConfig(
-            int(r["rounds"]), float(r["server_lr"]), local, aggregator, profile,
-            int(r["master_seed"]), init_point, replay_schedule=replay_schedule,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
-def write_manifest(cfg: dict[str, dict[str, str]], out: Path, extra: dict | None = None) -> None:
+def _format(value) -> str:
+    """A typed config value as config text that parses back to it."""
+    if isinstance(value, tuple):
+        sep = "; " if value and isinstance(value[0], tuple) else ", "
+        return sep.join(map(_format, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def write_manifest(cfg: dict[str, dict], out: Path) -> None:
     cp = configparser.ConfigParser()
     for section, kv in cfg.items():
-        cp[section] = {k: str(v) for k, v in kv.items()}
+        cp[section] = {k: _format(v) for k, v in kv.items() if v is not None}
     with open(out / "manifest.txt", "w") as f:
         f.write(f"# stalefl {__version__} run manifest; reusable as --config\n")
-        if extra:
-            for k, v in extra.items():
-                f.write(f"# {k}: {v}\n")
         cp.write(f)
 
 
-def _section(
-    cfg: dict[str, dict[str, str]], name: str, required: tuple[str, ...]
-) -> dict[str, str]:
+def _section(cfg: dict[str, dict], name: str) -> dict:
     """The [name] section of a subcommand, with its required keys present."""
     sec = cfg.get(name)
-    if not sec:
+    if sec is None:
         raise ConfigError(f"{name} mode requires a [{name}] section")
-    missing = [k for k in required if k not in sec]
+    missing = [k for k, (_, d) in _SCHEMA[name].items() if d is _REQUIRED and k not in sec]
     if missing:
         raise ConfigError(f"[{name}] lacks required key(s): {', '.join(missing)}")
     return sec
@@ -303,13 +309,11 @@ def prepare_outdir(out: str | Path, force: bool) -> Path:
     return out
 
 
-def cmd_run(args, replay: bool = False) -> int:
-    cfg = load_config(args.config, args.set)
-    out = prepare_outdir(args.out, args.force)
+def cmd_run(args, cfg: dict[str, dict], out: Path) -> int:
     profile = build_profile(cfg)
     obj = build_objective(cfg, profile)
     schedule = None
-    if replay:
+    if args.command == "replay":
         try:
             schedule = load_trace_csv(args.trace)
         except (KeyError, ValueError) as exc:
@@ -327,52 +331,49 @@ def cmd_run(args, replay: bool = False) -> int:
     return EXIT_OK
 
 
-def cmd_repeat(args) -> int:
-    cfg = load_config(args.config, args.set)
-    out = prepare_outdir(args.out, args.force)
-    seeds = _parse_ints(args.seeds or cfg["run"]["seeds"])
+def cmd_repeat(args, cfg: dict[str, dict], out: Path) -> int:
+    if args.seeds:
+        cfg["run"]["seeds"] = args.seeds
+    seeds = cfg["run"]["seeds"]
     profile = build_profile(cfg)
     obj = build_objective(cfg, profile)
     tc = build_train_config(cfg, profile, obj.dim)
-    rep = run_repeated(tc, obj, seeds, comparability=args.comparability)
+    rep = run_repeated(tc, obj, seeds)
     for seed, one in zip(rep.seeds, rep.runs):
         write_metrics_csv(one, out / f"metrics_seed{seed}.csv")
     with open(out / "mean_curve.csv", "w") as f:
         f.write("round,loss_mean,loss_stderr\n")
         for t, (m, se) in enumerate(zip(rep.mean_loss_curve, rep.stderr_loss_curve), start=1):
             f.write(f"{t},{m:.17g},{se:.17g}\n")
-    write_manifest(cfg, out, {"seeds": ",".join(map(str, seeds))})
+    write_manifest(cfg, out)
     print(f"mean_final_loss={rep.mean_final_loss:.6g} seeds={len(seeds)}")
     return EXIT_OK
 
 
-def cmd_grid(args) -> int:
-    cfg = load_config(args.config, args.set)
-    out = prepare_outdir(args.out, args.force)
-    g = _section(cfg, "grid", ("ratios", "swap_fractions", "betas"))
-    seeds = _parse_ints(args.seeds or g.get("seeds", "1"))
+def cmd_grid(args, cfg: dict[str, dict], out: Path) -> int:
+    g = _section(cfg, "grid")
+    if args.seeds:
+        g["seeds"] = args.seeds
     profile = build_profile(cfg)
     o = cfg["objective"]
-    n_clients = int(cfg["participation"]["n_clients"])
+    n_clients = cfg["participation"]["n_clients"]
     if o["kind"] != "softmax":
         raise ConfigError(f"grid mode needs objective.kind = softmax, not {o['kind']!r}")
-    if int(o["n_clients"]) != n_clients:
+    if o["n_clients"] != n_clients:
         raise ConfigError(
             f"the objective has {o['n_clients']} clients but the participation "
             f"profile has {n_clients}"
         )
     tc = build_train_config(cfg, profile, 1)
     tc = replace(tc, init_point=np.zeros(1))
-    lr_grid = _parse_floats(g["client_lr_grid"]) if "client_lr_grid" in g else None
     grid = run_grid(
         tc, lambda swap, group2, seed: _softmax_objective(o, n_clients, swap, group2),
-        _parse_floats(g["ratios"]), _parse_floats(g["swap_fractions"]),
-        _parse_floats(g["betas"]), seeds,
-        n_clients=n_clients, metric_mode=g.get("metric", "accuracy"),
-        client_lr_grid=lr_grid, threads=args.threads,
+        g["ratios"], g["swap_fractions"], g["betas"], g["seeds"],
+        n_clients=n_clients, metric_mode=g["metric"],
+        client_lr_grid=g["client_lr_grid"], threads=args.threads,
     )
     grid.export_csv(out / "grid.csv")
-    write_manifest(cfg, out, {"seeds": ",".join(map(str, seeds))})
+    write_manifest(cfg, out)
     opts = {
         (c.ratio, c.swap_fraction): c.beta for c in grid.cells if c.beta_opt_flag
     }
@@ -382,23 +383,15 @@ def cmd_grid(args) -> int:
     return EXIT_OK
 
 
-def cmd_theory(args) -> int:
-    cfg = load_config(args.config, args.set)
-    out = prepare_outdir(args.out, args.force)
-    t = _section(
-        cfg, "theory", ("smoothness", "sigma_sq", "sg_sq", "p_avg", "p_min", "n_clients")
-    )
-    l = cfg["local"]
-    betas = _parse_floats(t.get("betas", "0,0.2,0.5,0.8,1"))
+def cmd_theory(args, cfg: dict[str, dict], out: Path) -> int:
+    t, l, r = _section(cfg, "theory"), cfg["local"], cfg["run"]
+    rounds = r["rounds"] if t["rounds"] is None else t["rounds"]
     rows = []
-    for beta in betas:
+    for beta in t["betas"]:
         inp = BoundInputs(
-            float(t["smoothness"]), float(t["sigma_sq"]), float(t["sg_sq"]),
-            float(t.get("p_var", "inf")), float(t["p_avg"]), float(t["p_min"]),
-            int(t["n_clients"]), int(l["local_steps"]), float(l["client_lr"]),
-            float(cfg["run"]["server_lr"]), int(t.get("rounds", cfg["run"]["rounds"])),
-            beta, float(t.get("f_init_gap", "1")), float(t.get("h_init", "0")),
-            float(t.get("a1", "1")), float(t.get("a2", "1")),
+            t["smoothness"], t["sigma_sq"], t["sg_sq"], t["p_var"], t["p_avg"], t["p_min"],
+            t["n_clients"], l["local_steps"], l["client_lr"], r["server_lr"], rounds,
+            beta, t["f_init_gap"], t["h_init"], t["a1"], t["a2"],
         )
         report = check_lr_constraints(inp)
         bb = theorem1_bound(inp, override_constraints=True)
@@ -411,22 +404,17 @@ def cmd_theory(args) -> int:
         f.write("beta,constraints_ok,iterate_init,memory_init,stochastic,heterogeneity,total,beta_star\n")
         f.write("\n".join(rows) + "\n")
     write_manifest(cfg, out)
-    print(f"wrote bound table for {len(betas)} beta values (unit-constant convention)")
+    print(f"wrote bound table for {len(t['betas'])} beta values (unit-constant convention)")
     return EXIT_OK
 
 
-def cmd_lowerbound(args) -> int:
-    cfg = load_config(args.config, args.set)
-    out = prepare_outdir(args.out, args.force)
-    lb = _section(cfg, "lowerbound", ("dim", "horizon", "smoothness"))
-    dim, horizon = int(lb["dim"]), int(lb["horizon"])
-    smoothness = float(lb["smoothness"])
-    taus = _parse_ints(lb.get("taus", "2,3,4,5,6,7,8,9,10"))
-    rounds = int(lb.get("rounds", "200"))
-    inst = HardInstance(dim, horizon, smoothness, 2)
+def cmd_lowerbound(args, cfg: dict[str, dict], out: Path) -> int:
+    lb = _section(cfg, "lowerbound")
+    rounds, smoothness, p_min = lb["rounds"], lb["smoothness"], lb["p_min"]
+    inst = HardInstance(lb["dim"], lb["horizon"], smoothness, 2)
     lines = ["tau,t,k,k_bound,violation"]
     violations = 0
-    for tau in taus:
+    for tau in lb["taus"]:
         ks = track_frontier(inst, fastest_schedule(rounds, tau))
         for t, k in enumerate(ks):
             bound = frontier_bound(t, tau)
@@ -435,7 +423,6 @@ def cmd_lowerbound(args) -> int:
             lines.append(f"{tau},{t},{k},{bound},{bad}")
     with open(out / "frontier.csv", "w") as f:
         f.write("\n".join(lines) + "\n")
-    p_min = float(lb.get("p_min", "0.1"))
     env = lower_bound_curve(p_min, rounds, inst.f_gap(), smoothness)
     with open(out / "envelope.csv", "w") as f:
         f.write("t,envelope,expected_frontier_cap\n")
@@ -444,6 +431,12 @@ def cmd_lowerbound(args) -> int:
     write_manifest(cfg, out)
     print(f"frontier table written; bound violations={violations}")
     return EXIT_OK
+
+
+_COMMANDS = {
+    "run": cmd_run, "replay": cmd_run, "repeat": cmd_repeat, "grid": cmd_grid,
+    "theory": cmd_theory, "lowerbound": cmd_lowerbound,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -458,18 +451,22 @@ def make_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "repeat", "grid", "theory", "lowerbound", "replay"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
         p.add_argument("--force", action="store_true")
         if name in ("repeat", "grid"):
-            p.add_argument("--seeds", default=None)
+            p.add_argument("--seeds", type=int_list, default=None)
         if name == "repeat":
-            p.add_argument("--comparability", action="store_true")
+            p.add_argument(
+                "--comparability", action="store_true",
+                help="no effect: runs with the same seed share one participation "
+                "trace across rules by construction",
+            )
         if name == "grid":
-            p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+            p.add_argument("--threads", type=positive_int, default=os.cpu_count() or 1)
         if name == "replay":
             p.add_argument("--trace", required=True)
     return parser
@@ -480,20 +477,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = make_parser().parse_args(argv)
         out_path = Path(args.out)
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "replay":
-            return cmd_run(args, replay=True)
-        if args.command == "repeat":
-            return cmd_repeat(args)
-        if args.command == "grid":
-            return cmd_grid(args)
-        if args.command == "theory":
-            return cmd_theory(args)
-        if args.command == "lowerbound":
-            return cmd_lowerbound(args)
-        raise ConfigError(f"unknown command {args.command}")
-    except ConfigError as exc:
+        cfg = load_config(args.config, args.set)
+        out_path = prepare_outdir(args.out, args.force)
+        return _COMMANDS[args.command](args, cfg, out_path)
+    except ValueError as exc:   # ConfigError and every value a constructor rejects
         print(f"config error: {exc}", file=sys.stderr)
         _write_failed(out_path, str(exc))
         return EXIT_CONFIG

@@ -34,9 +34,6 @@ class TrainConfig:
     profile: ParticipationProfile
     master_seed: int
     init_point: np.ndarray
-    # Fixing participation_seed across aggregator variants gives them
-    # byte-identical participation traces (comparability mode).
-    participation_seed: int | None = None
     record_trajectory: bool = False
     replay_schedule: np.ndarray | None = None
 
@@ -55,9 +52,6 @@ class TrainConfig:
                     f"rounds and exactly {n} client columns"
                 )
 
-    def effective_participation_seed(self) -> int:
-        return self.master_seed if self.participation_seed is None else self.participation_seed
-
 
 @dataclass(frozen=True)
 class RoundRecord:
@@ -66,7 +60,6 @@ class RoundRecord:
     grad_norm_sq: float
     memory_error_H: float
     participant_count: int
-    participant_ids: tuple[int, ...]
     update_norm: float
     # Deterministic work counter (local gradient evaluations this round);
     # stands in for wall time so exported metrics are byte-reproducible.
@@ -116,7 +109,6 @@ def run(cfg: TrainConfig, obj: Objective, *, metrics: bool = True) -> RunResult:
     if cfg.profile.n_clients != n:
         raise ValueError("participation profile and objective disagree on client count")
     bank = MemoryBank(n, obj.dim)
-    part_seed = cfg.effective_participation_seed()
     exact_weights = inverse_prob_weights(cfg.profile)
     estimator = None
     if cfg.aggregator.weights_source == "estimator":
@@ -137,7 +129,7 @@ def run(cfg: TrainConfig, obj: Objective, *, metrics: bool = True) -> RunResult:
             if cfg.replay_schedule is not None:
                 rp = RoundParticipation(t, cfg.replay_schedule[t - 1])
             else:
-                rp = sample_round(cfg.profile, t, part_seed)
+                rp = sample_round(cfg.profile, t, cfg.master_seed)
             trace[t - 1] = rp.present
             participants = rp.participants()
 
@@ -178,7 +170,6 @@ def run(cfg: TrainConfig, obj: Objective, *, metrics: bool = True) -> RunResult:
                 records.append(
                     RoundRecord(
                         t, loss, grad_sq, h_t, len(participants),
-                        tuple(int(i) for i in participants),
                         float(np.linalg.norm(delta)),
                         len(participants) * cfg.local.local_steps * cfg.local.batch_size,
                     )
@@ -208,23 +199,15 @@ def run_repeated(
     cfg: TrainConfig,
     obj: Objective,
     seeds: list[int],
-    comparability: bool = False,
     *,
     metrics: bool = True,
 ) -> RepeatedResult:
-    """One run per seed. With comparability on, the participation sub-seed is
-    pinned to each run seed so every aggregation rule sees the same trace.
-    `metrics` goes to `run`; with it off the mean and stderr curves are empty."""
+    """One run per seed. Participation is keyed by the run seed, so every
+    aggregation rule sees the same trace for the same seed. `metrics` goes to
+    `run`; with it off the mean and stderr curves are empty."""
     if not seeds:
         raise ValueError("need at least one seed")
-    runs = []
-    for seed in seeds:
-        run_cfg = replace(
-            cfg,
-            master_seed=seed,
-            participation_seed=seed if comparability else cfg.participation_seed,
-        )
-        runs.append(run(run_cfg, obj, metrics=metrics))
+    runs = [run(replace(cfg, master_seed=seed), obj, metrics=metrics) for seed in seeds]
     curves = np.array([r.loss_curve() for r in runs])
     mean = curves.mean(axis=0)
     stderr = (
@@ -340,7 +323,7 @@ def run_grid(
                     aggregator=replace(base_cfg.aggregator, rule="fedstale", beta=beta),
                     init_point=np.zeros(obj.dim),
                 )
-                rep = run_repeated(cfg, obj, seeds, comparability=True, metrics=False)
+                rep = run_repeated(cfg, obj, seeds, metrics=False)
                 if metric_mode == "accuracy":
                     vals = [r.test_accuracy for r in rep.runs]
                 else:

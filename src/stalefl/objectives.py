@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -232,7 +232,6 @@ def build_label_swap_dataset(
     class_count: int = 10,
     feature_dim: int = 10,
     cluster_std: float = 1.0,
-    center_seed: int = DEFAULT_CENTER_SEED,
     group2: np.ndarray | list[int] | None = None,
 ) -> SyntheticDataset:
     """Gaussian cluster per class with fixed shared centers; group-2 clients get
@@ -251,7 +250,7 @@ def build_label_swap_dataset(
 
     # Centers are drawn once from the fixed master seed so that only
     # swap_fraction varies heterogeneity across experiments.
-    center_rng = np.random.default_rng(center_seed)
+    center_rng = np.random.default_rng(DEFAULT_CENTER_SEED)
     centers = center_rng.normal(0.0, 3.0, size=(class_count, feature_dim))
 
     groups = np.ones(n_clients, dtype=int)

@@ -2,10 +2,9 @@
 
 The upper-bound breakdown and the optimal staleness weight are evaluated with
 all hidden constants set to 1 (a1 = a2 = 1 unless overridden), so outputs are
-for qualitative/trend use; `BoundBreakdown.unit_constant_convention` records
-this. The hard instance splits a tridiagonal quadratic between the most- and
-least-participating clients so that coordinate discovery is rate-limited by
-the least participating one.
+for qualitative/trend use. The hard instance splits a tridiagonal quadratic
+between the most- and least-participating clients so that coordinate
+discovery is rate-limited by the least participating one.
 """
 
 from __future__ import annotations
@@ -45,6 +44,10 @@ class BoundInputs:
                 raise ValueError(f"{name} must be >= 0")
         if self.a1 <= 0 or self.a2 <= 0:
             raise ValueError("a1 and a2 must be positive")
+        if not (self.p_var > 0 and self.p_avg > 0 and self.p_min > 0):
+            raise ValueError("p_var, p_avg and p_min must be positive")
+        if min(self.n_clients, self.local_steps, self.rounds) < 1:
+            raise ValueError("n_clients, local_steps and rounds must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,6 @@ class BoundBreakdown:
     memory_init_term: float
     stochastic_term: float
     heterogeneity_term: float
-    unit_constant_convention: bool = True
 
     @property
     def total(self) -> float:
@@ -286,6 +288,8 @@ def frontier_bound(t: int, tau: int) -> int:
 
 def fastest_schedule(rounds: int, tau: int, n_clients: int = 2) -> np.ndarray:
     """i0 participates every round; i1 at rounds t = 1, 1+tau, 1+2*tau, ..."""
+    if tau < 1:
+        raise ValueError("tau must be >= 1")
     sched = np.zeros((rounds, n_clients), dtype=bool)
     sched[:, 0] = True
     sched[1::tau, 1] = True

@@ -146,7 +146,7 @@ def test_criterion_03_two_client_convergence():
             4000, 1.0, LocalConfig(5, 0.0025),
             AggregatorConfig(rule=rule, beta=beta), profile, 1, w0,
         )
-        rep = run_repeated(cfg, obj, seeds, comparability=True)
+        rep = run_repeated(cfg, obj, seeds)
         finals[rule] = rep.mean_final_loss
         assert rep.mean_final_loss - f_star < 0.1 * (f_init - f_star), rule
     assert finals["fedstale"] <= 1.1 * min(finals["u_fedavg"], finals["u_fedvarp"])

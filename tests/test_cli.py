@@ -45,6 +45,64 @@ master_seed = 3
 init = -10,-10
 """
 
+GRID_SMALL = """\
+[objective]
+kind = softmax
+n_clients = 4
+samples_per_client = 20
+class_count = 3
+feature_dim = 2
+holdout_fraction = 0.2
+data_seed = 1
+
+[participation]
+n_clients = 4
+
+[local]
+local_steps = 2
+client_lr = 0.05
+batch_size = 4
+
+[run]
+server_lr = 1.0
+
+[grid]
+ratios = 1, 3
+swap_fractions = 0, 0.5
+betas = 0, 1
+seeds = 1
+metric = accuracy
+"""
+
+THEORY = """\
+[local]
+local_steps = 5
+client_lr = 0.02
+
+[run]
+rounds = 100
+server_lr = 0.1
+
+[theory]
+smoothness = 1
+sigma_sq = 1
+sg_sq = 4
+p_var = 0.5
+p_avg = 0.6
+p_min = 0.2
+n_clients = 4
+"""
+
+LOWERBOUND = """\
+[lowerbound]
+dim = 201
+horizon = 100
+smoothness = 1
+taus = 2,3,4,5,6,7,8,9,10
+rounds = 100
+p_min = 0.1
+"""
+
 
 def write(tmp_path, text, name="cfg.ini"):
     path = tmp_path / name
@@ -55,8 +113,8 @@ def write(tmp_path, text, name="cfg.ini"):
 def test_minimal_config_valid_with_defaults(tmp_path):
     cfg = load_config(write(tmp_path, MINIMAL))
     assert cfg["aggregator"]["rule"] == "fedstale"
-    assert cfg["run"]["rounds"] == "100"  # documented default
-    assert cfg["local"]["local_steps"] == "5"
+    assert cfg["run"]["rounds"] == 100  # documented default
+    assert cfg["local"]["local_steps"] == 5
 
 
 def test_bad_beta_rejected_with_key_name(tmp_path, capsys):
@@ -93,13 +151,35 @@ def test_set_override_supersedes_and_is_echoed(tmp_path):
     assert len((out / "metrics.csv").read_text().splitlines()) == 11
 
 
-def test_manifest_rerun_byte_identical(tmp_path):
-    path = write(tmp_path, QUAD_RUN)
+# name: (subcommand, config text, extra arguments of the first run only)
+MANIFEST_RERUNS = {
+    "run": ("run", QUAD_RUN, []),
+    "repeat": ("repeat", QUAD_RUN, ["--seeds", "2,3"]),
+    "grid": (
+        "grid", GRID_SMALL.replace("betas = 0, 1", "betas = 0, 0.3, 1")
+        + "client_lr_grid = 0.05, 1e-1\n", ["--seeds", "2", "--threads", "1"],
+    ),
+    "theory": ("theory", THEORY + "betas = 0, 0.10, 1\nh_init = 0.3\n", []),
+    "theory_rounds": (
+        "theory", THEORY.replace("p_var = 0.5", "p_var = inf") + "rounds = 50\n", [],
+    ),
+    "lowerbound": (
+        "lowerbound", LOWERBOUND.replace("taus = 2,3,4,5,6,7,8,9,10", "taus = 2, 5"), [],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(MANIFEST_RERUNS))
+def test_manifest_rerun_byte_identical(tmp_path, name):
+    command, text, extra = MANIFEST_RERUNS[name]
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["run", "--config", str(path), "--out", str(out1)]) == 0
-    assert main(["run", "--config", str(out1 / "manifest.txt"), "--out", str(out2)]) == 0
-    assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
-    assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
+    path = write(tmp_path, text)
+    assert main([command, "--config", str(path), "--out", str(out1), *extra]) == 0
+    assert main([command, "--config", str(out1 / "manifest.txt"), "--out", str(out2)]) == 0
+    files = sorted(p.name for p in out1.iterdir())
+    assert files == sorted(p.name for p in out2.iterdir())
+    for f in files:   # manifest.txt included: it reproduces itself
+        assert (out1 / f).read_bytes() == (out2 / f).read_bytes(), f
 
 
 def test_replay_reproduces_run(tmp_path):
@@ -155,24 +235,7 @@ def test_repeat_writes_mean_curve(tmp_path):
 
 
 def test_theory_subcommand(tmp_path):
-    path = write(tmp_path, """\
-[local]
-local_steps = 5
-client_lr = 0.02
-
-[run]
-rounds = 100
-server_lr = 0.1
-
-[theory]
-smoothness = 1
-sigma_sq = 1
-sg_sq = 4
-p_var = 0.5
-p_avg = 0.6
-p_min = 0.2
-n_clients = 4
-""")
+    path = write(tmp_path, THEORY)
     out = tmp_path / "o"
     assert main(["theory", "--config", str(path), "--out", str(out)]) == 0
     lines = (out / "theory.csv").read_text().splitlines()
@@ -181,15 +244,7 @@ n_clients = 4
 
 
 def test_lowerbound_zero_violations(tmp_path):
-    path = write(tmp_path, """\
-[lowerbound]
-dim = 201
-horizon = 100
-smoothness = 1
-taus = 2,3,4,5,6,7,8,9,10
-rounds = 100
-p_min = 0.1
-""")
+    path = write(tmp_path, LOWERBOUND)
     out = tmp_path / "o"
     assert main(["lowerbound", "--config", str(path), "--out", str(out)]) == 0
     rows = (out / "frontier.csv").read_text().splitlines()[1:]
@@ -200,34 +255,7 @@ p_min = 0.1
 
 
 def test_grid_subcommand_small(tmp_path):
-    path = write(tmp_path, """\
-[objective]
-kind = softmax
-n_clients = 4
-samples_per_client = 20
-class_count = 3
-feature_dim = 2
-holdout_fraction = 0.2
-data_seed = 1
-
-[participation]
-n_clients = 4
-
-[local]
-local_steps = 2
-client_lr = 0.05
-batch_size = 4
-
-[run]
-server_lr = 1.0
-
-[grid]
-ratios = 1, 3
-swap_fractions = 0, 0.5
-betas = 0, 1
-seeds = 1
-metric = accuracy
-""")
+    path = write(tmp_path, GRID_SMALL)
     out = tmp_path / "o"
     assert main(["grid", "--config", str(path), "--out", str(out), "--threads", "2"]) == 0
     lines = (out / "grid.csv").read_text().splitlines()
@@ -242,6 +270,15 @@ def test_out_root_env_var(tmp_path, monkeypatch):
     path = write(tmp_path, QUAD_RUN)
     assert main(["run", "--config", str(path), "--out", "rel"]) == 0
     assert (tmp_path / "root" / "rel" / "metrics.csv").exists()
+
+
+def test_failed_sentinel_lands_under_out_root(tmp_path, monkeypatch):
+    monkeypatch.setenv("STALEFL_OUT_ROOT", str(tmp_path / "root"))
+    monkeypatch.chdir(tmp_path)
+    path = write(tmp_path, QUAD_RUN.replace("client_lr = 0.02", "client_lr = 50.0")
+                 .replace("rounds = 30", "rounds = 500"))
+    assert main(["run", "--config", str(path), "--out", "rel"]) == EXIT_DIVERGENCE
+    assert (tmp_path / "root" / "rel" / "FAILED").exists()
 
 
 def trace_csv(rounds, clients):
@@ -281,6 +318,45 @@ BAD_INPUTS = {
         "[objective]\nkind = softmax\n\n[participation]\nn_clients = 4\n"
         "\n[grid]\nratios = 3\nswap_fractions = 0\nbetas = 0, 1\n", [], None,
     ),
+    "theory_betas_malformed": ("theory", "cfg.ini", THEORY + "betas = 0, x\n", [], None),
+    "theory_beta_out_of_range": ("theory", "cfg.ini", THEORY + "betas = 2\n", [], None),
+    "theory_zero_clients": (
+        "theory", "cfg.ini", THEORY.replace("n_clients = 4", "n_clients = 0"), [], None,
+    ),
+    "theory_zero_p_min": (
+        "theory", "cfg.ini", THEORY.replace("p_min = 0.2", "p_min = 0"), [], None,
+    ),
+    "theory_zero_rounds": ("theory", "cfg.ini", THEORY + "rounds = 0\n", [], None),
+    "lowerbound_tau_zero": ("lowerbound", "cfg.ini", LOWERBOUND.replace(
+        "taus = 2,3,4,5,6,7,8,9,10", "taus = 0"), [], None),
+    "lowerbound_horizon_too_long": (
+        "lowerbound", "cfg.ini", LOWERBOUND.replace("dim = 201", "dim = 11"), [], None,
+    ),
+    "run_init_malformed": (
+        "run", "cfg.ini", QUAD_RUN.replace("init = -10,-10", "init = a,b"), [], None,
+    ),
+    "grid_ratio_below_one": (
+        "grid", "cfg.ini", GRID_SMALL.replace("ratios = 1, 3", "ratios = 0.5"),
+        ["--threads", "1"], None,
+    ),
+    "grid_ratio_below_one_in_a_worker": (
+        "grid", "cfg.ini", GRID_SMALL.replace("ratios = 1, 3", "ratios = 0.5"),
+        ["--threads", "2"], None,
+    ),
+    "grid_beta_out_of_range": (
+        "grid", "cfg.ini", GRID_SMALL.replace("betas = 0, 1", "betas = 2"),
+        ["--threads", "1"], None,
+    ),
+    "grid_metric_unknown": (
+        "grid", "cfg.ini", GRID_SMALL.replace("metric = accuracy", "metric = nonsense"),
+        ["--threads", "1"], None,
+    ),
+    "grid_batch_larger_than_a_client": (
+        "grid", "cfg.ini", GRID_SMALL.replace("batch_size = 4", "batch_size = 50"),
+        ["--threads", "1"], None,
+    ),
+    "repeat_seeds_malformed": ("repeat", "cfg.ini", QUAD_RUN, ["--seeds", "a"], None),
+    "grid_zero_threads": ("grid", "cfg.ini", GRID_SMALL, ["--threads", "0"], None),
 }
 
 

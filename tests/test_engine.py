@@ -121,8 +121,7 @@ def test_comparability_traces_identical_across_rules():
     obj = two_client_objective(noise=0.1)
     traces = []
     for rule, beta in (("u_fedavg", 0.0), ("u_fedvarp", 1.0), ("fedstale", 0.5)):
-        rep = run_repeated(base_config(rule=rule, beta=beta), obj, [11, 12],
-                           comparability=True)
+        rep = run_repeated(base_config(rule=rule, beta=beta), obj, [11, 12])
         traces.append([r.participation_trace for r in rep.runs])
     for other in traces[1:]:
         for a, b in zip(traces[0], other):
@@ -213,7 +212,7 @@ def test_degenerate_grid_equals_run_repeated():
         grid_base_cfg(), rounds=horizon_for(0.2), profile=profile,
         init_point=np.zeros(obj.dim),
     )
-    rep = run_repeated(cfg, obj, [4], comparability=True)
+    rep = run_repeated(cfg, obj, [4])
     assert cell.metric_mean == rep.runs[0].test_accuracy
     assert cell.metric_stderr == 0.0
 
@@ -253,7 +252,7 @@ def test_grid_tie_rule_ignores_rounding_of_the_mean(monkeypatch):
     hits = {0.5: (424, 421, 433), 0.8: (425, 419, 434)}
     calls = []
 
-    def fake_run_repeated(cfg, obj, seeds, comparability=False, *, metrics=True):
+    def fake_run_repeated(cfg, obj, seeds, *, metrics=True):
         calls.append(cfg.aggregator.beta)
         runs = [SimpleNamespace(test_accuracy=h / 480) for h in hits[cfg.aggregator.beta]]
         return SimpleNamespace(runs=runs)
