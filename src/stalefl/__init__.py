@@ -24,6 +24,7 @@ from .engine import (
     TrainConfig,
     horizon_for,
     run,
+    run_batch,
     run_grid,
     run_repeated,
     two_group_prob_for_ratio,

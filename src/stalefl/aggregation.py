@@ -88,10 +88,10 @@ def fedavg_biased(updates: list[ClientUpdate]) -> GlobalUpdate:
     for u in updates:
         delta += u.delta
     delta /= len(updates)
-    return GlobalUpdate(delta, fresh_norm=float(np.linalg.norm(delta)))
+    return GlobalUpdate(delta, fresh_norm=vector_norm(delta))
 
 
-def _norm(x: np.ndarray) -> float:
+def vector_norm(x: np.ndarray) -> float:
     # float(np.linalg.norm(x)) for a 1-D float array, bit for bit, at a
     # fraction of its per-call cost.
     return math.sqrt(x.dot(x))
@@ -121,9 +121,11 @@ def fedstale(
         fresh += weights[u.client] * d
     fresh /= n_clients
     if not beta:
-        return GlobalUpdate(fresh, fresh_norm=_norm(fresh))
+        return GlobalUpdate(fresh, fresh_norm=vector_norm(fresh))
     stale = beta * bank.slots.sum(axis=0) / n_clients
-    return GlobalUpdate(stale + fresh, fresh_norm=_norm(fresh), stale_norm=_norm(stale))
+    return GlobalUpdate(
+        stale + fresh, fresh_norm=vector_norm(fresh), stale_norm=vector_norm(stale),
+    )
 
 
 def u_fedavg(
@@ -155,7 +157,7 @@ def memory_error(bank: MemoryBank, obj: Objective, w: np.ndarray) -> float:
     total = 0.0
     for i in range(bank.n_clients):
         obj._check_client(i)
-        total += float(np.sum((obj._gradient(w, i) - bank.slots[i]) ** 2))
+        total += float(((obj._gradient(w, i) - bank.slots[i]) ** 2).sum())
     return total / bank.n_clients
 
 

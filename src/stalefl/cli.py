@@ -161,7 +161,8 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> dict[st
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not (isinstance(data, dict) and all(isinstance(kv, dict) for kv in data.values())):
         raise ConfigError(f"{path} must map each section to its key/value pairs")
-    raw = {section: {k: str(v) for k, v in kv.items()} for section, kv in data.items()}
+    # JSON numbers and arrays become the config text they stand for
+    raw = {section: {k: _format(v) for k, v in kv.items()} for section, kv in data.items()}
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override must be KEY=VALUE, got {item!r}")
@@ -271,9 +272,10 @@ def build_train_config(
 
 
 def _format(value) -> str:
-    """A typed config value as config text that parses back to it."""
-    if isinstance(value, tuple):
-        sep = "; " if value and isinstance(value[0], tuple) else ", "
+    """A typed config value, or a JSON value (lists for tuples), as config
+    text that parses back to it."""
+    if isinstance(value, (tuple, list)):
+        sep = "; " if value and isinstance(value[0], (tuple, list)) else ", "
         return sep.join(map(_format, value))
     return repr(value) if isinstance(value, float) else str(value)
 

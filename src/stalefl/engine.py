@@ -1,4 +1,10 @@
-"""Round-loop orchestration, metric recording, repetitions, and grids."""
+"""Round-loop orchestration, metric recording, repetitions, and grids.
+
+There is one round loop, in `run`. Through `run_batch` it runs a batch of
+configs that share the participation trace and the per-(client, round)
+minibatch stream in lockstep; a single run is the batch of one. The grid runs
+the betas and client lrs of a cell this way, one batch per seed.
+"""
 
 from __future__ import annotations
 
@@ -11,8 +17,8 @@ import numpy as np
 
 from . import aggregation as agg
 from .aggregation import AggregatorConfig, MemoryBank
-from .local_solver import LocalConfig, local_train
-from .objectives import GLOBAL, Objective, SoftmaxObjective, check_param
+from .local_solver import ClientUpdate, LocalConfig, local_train
+from .objectives import GLOBAL, Objective, SoftmaxObjective, all_finite, check_param
 from .participation import (
     ParticipationProfile,
     ProbabilityEstimator,
@@ -96,34 +102,65 @@ def default_weight_cap(rounds: int) -> float:
     return max(2.0 * rounds / 10.0, 2.0)
 
 
-def run(cfg: TrainConfig, obj: Objective, *, metrics: bool = True) -> RunResult:
+def run(
+    cfg: TrainConfig,
+    obj: Objective,
+    *,
+    metrics: bool = True,
+    lockstep: list[TrainConfig] | None = None,
+    return_errors: bool = False,
+) -> RunResult | list:
     """Execute the full round loop; bit-deterministic for a fixed config.
 
     With `metrics` off, the per-round global loss, gradient norm and H are
     not computed: `records` is empty and `min_grad_norm_sq` is nan. The
     iterates, the participation trace, `final_loss`, `test_accuracy` and
     every divergence check are the same either way.
+
+    This is the one round loop. `run_batch(cfgs, obj)` enters it as
+    `run(cfgs[0], obj, lockstep=cfgs[1:])`, and it then returns the list of
+    the batch's outcomes (see `run_batch`) instead of one result. Every
+    batch thus runs inside a call of `run`, the layer a profiler that wraps
+    `engine.run` (perfbench/tracer.py) times and counts rounds by.
     """
-    w = check_param(cfg.init_point, obj.dim).copy()
+    cfgs = [cfg] if lockstep is None else [cfg, *lockstep]
+    shared = _shared_fields(cfg)
+    for other in cfgs[1:]:
+        for name, value in _shared_fields(other).items():
+            if not np.array_equal(value, shared[name]):
+                raise ValueError(f"the configs of a batch must share {name}")
     n = obj.n_clients
     if cfg.profile.n_clients != n:
         raise ValueError("participation profile and objective disagree on client count")
-    bank = MemoryBank(n, obj.dim)
+    # Row r of w (and of client_lrs) is config live[r]; a dropped config's
+    # row is deleted. One client lr for all configs goes in as a scalar.
+    live = list(range(len(cfgs)))
+    w = np.array([check_param(c.init_point, obj.dim) for c in cfgs])
+    client_lrs = np.array([c.local.client_lr for c in cfgs])
+    if (client_lrs == cfg.local.client_lr).all():
+        client_lrs = None
+    # fedstale's beta per config, None for plain averaging
+    betas = [
+        None if c.aggregator.rule == "fedavg_biased" else c.aggregator.staleness_weight
+        for c in cfgs
+    ]
+    server_lrs = [c.server_lr for c in cfgs]
+    banks = [MemoryBank(n, obj.dim) for _ in cfgs]
     exact_weights = inverse_prob_weights(cfg.profile)
     estimator = None
     if cfg.aggregator.weights_source == "estimator":
         cap = cfg.aggregator.weight_cap or default_weight_cap(cfg.rounds)
         estimator = ProbabilityEstimator(n, cap)
 
-    biased = cfg.aggregator.rule == "fedavg_biased"
-    beta = cfg.aggregator.staleness_weight
+    records: list[list[RoundRecord]] = [[] for _ in cfgs]
+    trajectories = [[w[c].copy()] if cfgs[c].record_trajectory else None for c in live]
+    min_grads = [math.inf if metrics else math.nan] * len(cfgs)
+    errors: list[Exception | None] = [None] * len(cfgs)
     noisy = obj.uses_rng
-    records: list[RoundRecord] = []
-    trajectory = [w.copy()] if cfg.record_trajectory else None
+    work = cfg.local.local_steps * cfg.local.batch_size
     trace = np.zeros((cfg.rounds, n), dtype=bool)
-    min_grad = math.inf if metrics else math.nan
     # A diverging run overflows before the finiteness checks below catch it;
-    # those checks raise, so the overflow warnings would only be noise.
+    # those checks drop the run, so the overflow warnings would only be noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, cfg.rounds + 1):
             if cfg.replay_schedule is not None:
@@ -131,15 +168,13 @@ def run(cfg: TrainConfig, obj: Objective, *, metrics: bool = True) -> RunResult:
             else:
                 rp = sample_round(cfg.profile, t, cfg.master_seed)
             trace[t - 1] = rp.present
-            participants = rp.participants()
+            participants = rp.participants().tolist()
 
-            updates = [
-                local_train(
-                    obj, int(i), w, cfg.local,
-                    _noise_rng(cfg.master_seed, int(i), t) if noisy else None, t,
+            if participants:
+                rngs = (
+                    [_noise_rng(cfg.master_seed, i, t) for i in participants] if noisy else None
                 )
-                for i in participants
-            ]
+                deltas, diverged = local_train(obj, participants, w, cfg.local, rngs, client_lrs)
 
             if estimator is not None:
                 estimator.update(rp)
@@ -147,39 +182,112 @@ def run(cfg: TrainConfig, obj: Objective, *, metrics: bool = True) -> RunResult:
             else:
                 weights = exact_weights
 
-            if metrics:
-                loss = obj.loss(w, GLOBAL)
-                grad_sq = float(np.sum(obj.gradient(w, GLOBAL) ** 2))
-                h_t = agg.memory_error(bank, obj, w)
-                min_grad = min(min_grad, grad_sq)
+            dropped = []
+            for row, c in enumerate(live):
+                if participants and diverged[row] is not None:
+                    errors[c] = diverged[row]
+                    dropped.append(row)
+                    continue
+                updates = [
+                    ClientUpdate(i, t, deltas[row, j]) for j, i in enumerate(participants)
+                ]
+                wc = w[row]
+                if metrics:
+                    loss = obj.loss(wc, GLOBAL)
+                    grad_sq = float((obj.gradient(wc, GLOBAL) ** 2).sum())
+                    h_t = agg.memory_error(banks[c], obj, wc)
+                    min_grads[c] = min(min_grads[c], grad_sq)
 
-            if not biased:
-                delta = agg.fedstale(updates, bank, weights, n, beta).delta
-            elif updates:
-                delta = agg.fedavg_biased(updates).delta
-            else:
-                delta = np.zeros(obj.dim)
-            w = w - cfg.server_lr * delta
-            if not np.isfinite(w).all():
-                raise FloatingPointError(f"global iterate diverged at round {t}")
-            agg.refresh_memory(bank, updates, t)
+                if betas[c] is not None:
+                    delta = agg.fedstale(updates, banks[c], weights, n, betas[c]).delta
+                elif updates:
+                    delta = agg.fedavg_biased(updates).delta
+                else:
+                    delta = np.zeros(obj.dim)
+                # in place, so a diverged config's row changes too; it is dropped
+                wc -= server_lrs[c] * delta
+                if not all_finite(wc):
+                    errors[c] = FloatingPointError(f"global iterate diverged at round {t}")
+                    dropped.append(row)
+                    continue
+                agg.refresh_memory(banks[c], updates, t)
 
-            if trajectory is not None:
-                trajectory.append(w.copy())
-            if metrics:
-                records.append(
-                    RoundRecord(
-                        t, loss, grad_sq, h_t, len(participants),
-                        float(np.linalg.norm(delta)),
-                        len(participants) * cfg.local.local_steps * cfg.local.batch_size,
+                if trajectories[c] is not None:
+                    trajectories[c].append(wc.copy())
+                if metrics:
+                    records[c].append(
+                        RoundRecord(
+                            t, loss, grad_sq, h_t, len(participants),
+                            agg.vector_norm(delta), len(participants) * work,
+                        )
                     )
-                )
+            if dropped:
+                live = [c for c in live if errors[c] is None]
+                w = np.delete(w, dropped, axis=0)
+                if client_lrs is not None:
+                    client_lrs = np.delete(client_lrs, dropped)
+                if not live:
+                    break
 
-    acc = obj.test_accuracy(w) if isinstance(obj, SoftmaxObjective) else None
-    return RunResult(
-        records, w, obj.loss(w, GLOBAL), min_grad, acc,
-        np.array(trajectory) if trajectory is not None else None,
-        trace, estimator,
+    first_error = next((e for e in errors if e is not None), None)
+    if first_error is not None and not return_errors:
+        raise first_error
+    results: list = errors.copy()
+    for row, c in enumerate(live):
+        wc = w[row].copy()
+        acc = obj.test_accuracy(wc) if isinstance(obj, SoftmaxObjective) else None
+        results[c] = RunResult(
+            records[c], wc, obj.loss(wc, GLOBAL), min_grads[c], acc,
+            np.array(trajectories[c]) if trajectories[c] is not None else None,
+            trace, estimator,
+        )
+    return results[0] if lockstep is None else results
+
+
+def _shared_fields(cfg: TrainConfig) -> dict:
+    return {
+        "rounds": cfg.rounds,
+        "master_seed": cfg.master_seed,
+        "local_steps": cfg.local.local_steps,
+        "batch_size": cfg.local.batch_size,
+        "weights_source": cfg.aggregator.weights_source,
+        "weight_cap": cfg.aggregator.weight_cap,
+        "profile": cfg.profile.probs,
+        "replay_schedule": cfg.replay_schedule,
+    }
+
+
+def run_batch(
+    cfgs: list[TrainConfig],
+    obj: Objective,
+    *,
+    metrics: bool = True,
+    return_errors: bool = False,
+) -> list:
+    """Run several configs in lockstep; each result equals `run(cfg, obj)`
+    bit for bit.
+
+    The configs must share the rounds, the master seed, the participation
+    profile or replay trace, the weight source and cap, and the local steps
+    and batch size (a ValueError names the first field that differs). They
+    may differ in the aggregation rule and beta, the client and server lrs
+    and the initial point. Then every round draws one participation vector,
+    builds each participant's noise stream once, and steps all (config,
+    participant) iterates together through one `local_train` call on the
+    shared minibatches; aggregation, the memory refresh and the metrics then
+    run per config. The results share one participation trace array and,
+    with estimated weights, one estimator.
+
+    A config whose iterate goes non-finite is dropped from the batch at that
+    point and the others run on. At the end the error of the first such
+    config in list order is raised, so a batch raises what
+    `[run(c, obj) for c in cfgs]` would. With `return_errors` on, nothing is
+    raised: a dropped config's entry is its error instead of a result.
+    """
+    if not cfgs:
+        raise ValueError("run_batch needs at least one config")
+    return run(
+        cfgs[0], obj, metrics=metrics, lockstep=list(cfgs[1:]), return_errors=return_errors,
     )
 
 
@@ -290,6 +398,11 @@ def run_grid(
     (cell, beta) by the same metric. Runs compute no per-round metrics, since
     only their final loss or accuracy is read.
 
+    Within a cell, the runs of one seed share the participation trace and the
+    minibatches, so each seed's (beta, lr) runs go through `run_batch` as one
+    lockstep batch. If any run diverges, the error raised is the one the
+    sequential loop over beta, lr and seed (in that nesting) would meet first.
+
     Cells are independent. With `threads > 1` they fan out to
     `min(threads, cells)` worker processes, forked so that `obj_factory` may
     be a closure; results are assembled in cell order, so they do not depend
@@ -311,23 +424,39 @@ def run_grid(
             profile = make_two_group_profile(n_clients, p_low, n_clients // 2)
         rounds = horizon_for(p_low)
         obj = obj_factory(swap, profile.group2, seeds[0])
+        cfgs = [
+            replace(
+                base_cfg,
+                rounds=rounds,
+                profile=profile,
+                local=replace(base_cfg.local, client_lr=lr),
+                aggregator=replace(base_cfg.aggregator, rule="fedstale", beta=beta),
+                init_point=np.zeros(obj.dim),
+            )
+            for beta in beta_axis for lr in lr_grid
+        ]
+        # One batch per seed over every (beta, lr) pair; the error raised is
+        # the one of the first pair and seed in (beta, lr, seed) order.
+        per_seed = [
+            run_batch(
+                [replace(cfg, master_seed=seed) for cfg in cfgs], obj,
+                metrics=False, return_errors=True,
+            )
+            for seed in seeds
+        ]
+        runs = list(zip(*per_seed))   # runs[k]: pair k's outcome for each seed
+        for pair_runs in runs:
+            for r in pair_runs:
+                if isinstance(r, Exception):
+                    raise r
         rows = []
-        for beta in beta_axis:
+        for b, beta in enumerate(beta_axis):
             best = None
-            for lr in lr_grid:
-                cfg = replace(
-                    base_cfg,
-                    rounds=rounds,
-                    profile=profile,
-                    local=replace(base_cfg.local, client_lr=lr),
-                    aggregator=replace(base_cfg.aggregator, rule="fedstale", beta=beta),
-                    init_point=np.zeros(obj.dim),
-                )
-                rep = run_repeated(cfg, obj, seeds, metrics=False)
+            for pair_runs in runs[b * len(lr_grid):(b + 1) * len(lr_grid)]:
                 if metric_mode == "accuracy":
-                    vals = [r.test_accuracy for r in rep.runs]
+                    vals = [r.test_accuracy for r in pair_runs]
                 else:
-                    vals = [r.final_loss for r in rep.runs]
+                    vals = [r.final_loss for r in pair_runs]
                 mean = float(np.mean(vals))
                 stderr = (
                     float(np.std(vals, ddof=1) / math.sqrt(len(vals)))

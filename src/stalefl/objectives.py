@@ -31,9 +31,9 @@ def check_param(w: np.ndarray, dim: int) -> np.ndarray:
     """Return `w` as a float array of shape (dim,) with finite entries, or raise.
 
     Public entry points (the oracle methods `loss`, `gradient` and
-    `stochastic_gradient`, and `local_train`, `run` and `memory_error`) call
-    this once on the vector they are given. The internal paths under them
-    reuse the validated vector without checking it again.
+    `stochastic_gradient`, and `run` and `memory_error`) call this once on
+    the vector they are given. The internal paths under them reuse the
+    validated vector without checking it again.
     """
     w = np.asarray(w, dtype=float)
     if w.shape != (dim,):
@@ -41,6 +41,17 @@ def check_param(w: np.ndarray, dim: int) -> np.ndarray:
     if not np.isfinite(w).all():
         raise ValueError("parameter vector contains non-finite entries")
     return w
+
+
+def all_finite(x: np.ndarray) -> bool:
+    """`np.isfinite(x).all()` for a float array, at half its per-call cost.
+
+    x.0 is 0 when every entry of x is finite and nan otherwise, and unlike
+    x.x it cannot overflow. An inf entry raises numpy's invalid-value
+    warning, so the round loop calls this under np.errstate(invalid="ignore").
+    """
+    flat = x.ravel()
+    return not math.isnan(flat.dot(np.zeros(flat.size)))
 
 
 @dataclass(frozen=True)
@@ -59,10 +70,17 @@ class Objective:
     `gradient(w, client)` and `stochastic_gradient(client, w, batch_size,
     rng)` in its own class body (perfbench/tracer.py wraps them per class).
     They validate `w` (`check_param`) and the client index once and then call
-    the matching kernel `_loss`, `_gradient` or `_stochastic_gradient`, which
-    takes the validated vector as it is. Callers that already hold a validated
-    vector (the per-client terms of the global objective, local SGD steps, the
-    memory error) call the kernels directly.
+    the matching kernel, which takes the validated vector as it is. Callers
+    that already hold a validated vector (the per-client terms of the global
+    objective, local SGD steps, the memory error) call the kernels directly.
+
+    The stochastic oracle is split in two kernels. `_draw(client,
+    batch_size, rng)` makes one step's draw from the client's noise stream
+    (a sorted minibatch, a noise vector, or None for an exact oracle).
+    `_stochastic_gradients(clients, w, samples)` is batched: `w` has shape
+    (configs, len(clients), dim), row (c, j) is config c's iterate at client
+    `clients[j]`, and `samples[j]` is that client's draw, shared by every
+    config. Each row's gradient has the same bits as the row computed alone.
     """
 
     n_clients: int
@@ -78,14 +96,16 @@ class Objective:
     def _gradient(self, w: np.ndarray, client: int | None) -> np.ndarray:
         raise NotImplementedError
 
-    def _stochastic_gradient(
-        self,
-        client: int,
-        w: np.ndarray,
-        batch_size: int,
-        rng: np.random.Generator | None,
-    ) -> np.ndarray:
+    def _draw(self, client: int, batch_size: int, rng: np.random.Generator | None):
+        return None
+
+    def _stochastic_gradients(self, clients, w: np.ndarray, samples) -> np.ndarray:
         raise NotImplementedError
+
+    def _one_stochastic_gradient(self, client, w, batch_size, rng) -> np.ndarray:
+        """`stochastic_gradient` on a validated vector: a batch of one."""
+        sample = self._draw(client, batch_size, rng)
+        return self._stochastic_gradients([client], w[None, None], [sample])[0, 0]
 
     def _validated(self, w: np.ndarray, client: int | None) -> np.ndarray:
         w = check_param(w, self.dim)
@@ -148,7 +168,7 @@ class QuadraticObjective(Objective):
         return self._gradient(self._validated(w, client), client)
 
     def stochastic_gradient(self, client, w, batch_size, rng):
-        return self._stochastic_gradient(client, self._validated(w, client), batch_size, rng)
+        return self._one_stochastic_gradient(client, self._validated(w, client), batch_size, rng)
 
     def _loss(self, w, client):
         if client is GLOBAL:
@@ -164,12 +184,22 @@ class QuadraticObjective(Objective):
             return g / self.n_clients
         return self.hessians[client] @ (w - self.centers[client])
 
-    def _stochastic_gradient(self, client, w, batch_size, rng):
-        g = self._gradient(w, client)
+    def _draw(self, client, batch_size, rng):
         if self.noise_var == 0.0:
-            return g
-        scale = math.sqrt(self.noise_var / self.dim)
-        return g + rng.normal(0.0, scale, size=self.dim)
+            return None
+        return rng.normal(0.0, math.sqrt(self.noise_var / self.dim), size=self.dim)
+
+    def _stochastic_gradients(self, clients, w, samples):
+        # One matvec per row, as `_gradient` makes it: BLAS computes a stacked
+        # product with other kernels, whose bits may differ.
+        g = np.empty_like(w)
+        for j, i in enumerate(clients):
+            a, c = self.hessians[i], self.centers[i]
+            for row in range(len(w)):
+                g[row, j] = a @ (w[row, j] - c)
+        if self.noise_var != 0.0:
+            g += np.stack(samples)
+        return g
 
     def global_minimizer(self) -> np.ndarray:
         a_bar = np.mean(self.hessians, axis=0)
@@ -285,6 +315,7 @@ class SoftmaxObjective(Objective):
         self.n_classes = dataset.class_count
         self.n_features = dataset.feature_dim
         self.dim = self.n_classes * (self.n_features + 1)
+        self._classes = np.arange(self.n_classes)
         self.train_x: list[np.ndarray] = []
         self.train_y: list[np.ndarray] = []
         self.test_x: list[np.ndarray] = []
@@ -304,18 +335,21 @@ class SoftmaxObjective(Objective):
 
     @staticmethod
     def _log_softmax(z: np.ndarray) -> np.ndarray:
-        z = z - z.max(axis=1, keepdims=True)
-        return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        z = z - z.max(axis=-1, keepdims=True)
+        return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
     def _client_loss(self, w_mat: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
         logp = self._log_softmax(x @ w_mat.T)
         return float(-logp[np.arange(len(y)), y].mean())
 
     def _client_grad(self, w_mat: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        logp = self._log_softmax(x @ w_mat.T)
-        p = np.exp(logp)
-        p[np.arange(len(y)), y] -= 1.0
-        return (p.T @ x) / len(y)
+        """Mean cross-entropy gradient over the samples (x, y). Leading axes
+        of `w_mat`, `x` and `y` are batch axes and broadcast; np.matmul
+        computes each batch element with the bits of the 2-D product."""
+        p = np.exp(self._log_softmax(x @ w_mat.swapaxes(-1, -2)))
+        # p - 1 at each sample's label and p - 0 elsewhere: p's bits then.
+        p -= y[..., None] == self._classes
+        return (p.swapaxes(-1, -2) @ x) / y.shape[-1]
 
     def loss(self, w: np.ndarray, client: int | None = GLOBAL) -> float:
         return self._loss(self._validated(w, client), client)
@@ -324,7 +358,7 @@ class SoftmaxObjective(Objective):
         return self._gradient(self._validated(w, client), client)
 
     def stochastic_gradient(self, client, w, batch_size, rng):
-        return self._stochastic_gradient(client, self._validated(w, client), batch_size, rng)
+        return self._one_stochastic_gradient(client, self._validated(w, client), batch_size, rng)
 
     def _loss(self, w, client):
         w_mat = self._unpack(w)
@@ -343,15 +377,19 @@ class SoftmaxObjective(Objective):
             return (g / self.n_clients).ravel()
         return self._client_grad(w_mat, self.train_x[client], self.train_y[client]).ravel()
 
-    def _stochastic_gradient(self, client, w, batch_size, rng):
-        x, y = self.train_x[client], self.train_y[client]
-        n = len(y)
+    def _draw(self, client, batch_size, rng):
+        n = len(self.train_y[client])
         if n == 0:
             raise ValueError(f"client {client} has an empty dataset")
         if not 1 <= batch_size <= n:
             raise ValueError(f"batch_size must be in [1, {n}]")
-        idx = np.sort(rng.choice(n, size=batch_size, replace=False))
-        return self._client_grad(self._unpack(w), x[idx], y[idx]).ravel()
+        return np.sort(rng.choice(n, size=batch_size, replace=False))
+
+    def _stochastic_gradients(self, clients, w, samples):
+        x = np.stack([self.train_x[i][idx] for i, idx in zip(clients, samples)])
+        y = np.stack([self.train_y[i][idx] for i, idx in zip(clients, samples)])
+        w_mat = w.reshape(*w.shape[:-1], self.n_classes, self.n_features + 1)
+        return self._client_grad(w_mat, x, y).reshape(w.shape)
 
     def test_accuracy(self, w: np.ndarray) -> float:
         w_mat = self._unpack(check_param(w, self.dim))

@@ -10,8 +10,8 @@ participation trace.
 from __future__ import annotations
 
 import csv
+import functools
 import math
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -83,25 +83,30 @@ def make_two_group_profile(
     return ParticipationProfile(probs, tuple(int(i) for i in group2))
 
 
-# One Philox bit generator per thread, re-keyed for every draw: building a
-# fresh Generator(Philox(key)) per draw costs several times more. Each draw
-# overwrites its whole state (key, zero counter, empty buffer), so no draw
-# depends on an earlier one. It is never shared across threads, so concurrent
-# grid cells cannot interleave a re-keying and a draw.
-_philox = threading.local()
+@functools.cache
+def _rekeyed_philox() -> tuple[np.random.Philox, dict, np.ndarray]:
+    """The one Philox bit generator that every draw re-keys, with its state
+    dict and that dict's key array.
+
+    Building a fresh Generator(Philox(key)) per draw costs several times
+    more. Each draw overwrites the whole state (key, zero counter, empty
+    buffer), so no draw depends on an earlier one. Rounds run on one thread
+    per process (grid cells run in forked processes), so no two draws
+    interleave. It is made on first use: importing numpy.random costs
+    importing stalefl about 20 ms.
+    """
+    bitgen = np.random.Philox(key=0)
+    state = bitgen.state   # counter 0, empty buffer
+    return bitgen, state, state["state"]["key"]
 
 
 def _stream_uniform(master_seed: int, client: int, rnd: int) -> float:
     """The first double of Generator(Philox(key)).random() for the
-    (master_seed, client, rnd) key, from this thread's re-keyed Philox."""
-    hi = ((master_seed * _MIX_A) ^ (client * _MIX_B)) & _MASK64
-    try:
-        bitgen, state = _philox.bitgen, _philox.state
-    except AttributeError:
-        bitgen = _philox.bitgen = np.random.Philox(key=0)
-        state = _philox.state = bitgen.state   # counter 0, empty buffer
+    (master_seed, client, rnd) key, from the re-keyed Philox."""
+    bitgen, state, key = _rekeyed_philox()
     # key words little-endian: key = hi << 64 | (rnd mod 2^64)
-    state["state"]["key"][:] = (rnd & _MASK64, hi)
+    key[0] = rnd & _MASK64
+    key[1] = ((master_seed * _MIX_A) ^ (client * _MIX_B)) & _MASK64
     bitgen.state = state
     # numpy's double: the top 53 bits of the next 64-bit output, scaled.
     return (bitgen.random_raw() >> 11) * (1.0 / 9007199254740992.0)

@@ -221,7 +221,7 @@ class HardInstance(Objective):
         return self._gradient(self._validated(w, client), client)
 
     def stochastic_gradient(self, client, w, batch_size, rng):
-        return self._stochastic_gradient(client, self._validated(w, client), batch_size, rng)
+        return self._one_stochastic_gradient(client, self._validated(w, client), batch_size, rng)
 
     def _loss(self, w, client):
         if client is GLOBAL:
@@ -237,8 +237,16 @@ class HardInstance(Objective):
             return self._quad[client] @ w + self._lin[client]
         return np.zeros(self.dim)
 
-    def _stochastic_gradient(self, client, w, batch_size, rng):
-        return self._gradient(w, client)
+    def _stochastic_gradients(self, clients, w, samples):
+        # One matvec per row, as `_gradient` makes it: BLAS computes a stacked
+        # product with other kernels, whose bits may differ.
+        g = np.zeros_like(w)
+        for j, i in enumerate(clients):
+            if i in self._quad:
+                a, b = self._quad[i], self._lin[i]
+                for row in range(len(w)):
+                    g[row, j] = a @ w[row, j] + b
+        return g
 
     def global_minimizer(self) -> np.ndarray:
         m = 2 * self.horizon + 1
@@ -290,6 +298,8 @@ def fastest_schedule(rounds: int, tau: int, n_clients: int = 2) -> np.ndarray:
     """i0 participates every round; i1 at rounds t = 1, 1+tau, 1+2*tau, ..."""
     if tau < 1:
         raise ValueError("tau must be >= 1")
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
     sched = np.zeros((rounds, n_clients), dtype=bool)
     sched[:, 0] = True
     sched[1::tau, 1] = True
@@ -336,6 +346,8 @@ def lower_bound_curve(p_min: float, rounds: int, f_gap: float, smoothness_L: flo
     t = 0..rounds."""
     if not 0 < p_min <= 1:
         raise ValueError("p_min must lie in (0, 1]")
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
     t = np.arange(rounds + 1, dtype=float)
     return 3.0 * smoothness_L * f_gap / ((p_min * t + 2.0) * (4.0 * p_min * t + 9.0) ** 2)
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,21 @@ def test_json_config_equivalent(tmp_path):
     ini = load_config(write(tmp_path, MINIMAL))
     js = write(tmp_path, '{"aggregator": {"rule": "fedstale", "beta": 0.5}}', "c.json")
     assert load_config(js) == ini | {"objective": load_config(js)["objective"]}
+
+
+def test_json_arrays_give_list_keys(tmp_path):
+    js = write(tmp_path, json.dumps({"lowerbound": {
+        "dim": 201, "horizon": 100, "smoothness": 1, "taus": [2, 3, 5], "rounds": 40,
+    }}), "lb.json")
+    ini = write(tmp_path, "[lowerbound]\ndim = 201\nhorizon = 100\nsmoothness = 1\n"
+                "taus = 2, 3, 5\nrounds = 40\n")
+    for name, path in (("js", js), ("ini", ini)):
+        assert main(["lowerbound", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+    frontier = (tmp_path / "js" / "frontier.csv").read_bytes()
+    assert frontier == (tmp_path / "ini" / "frontier.csv").read_bytes()
+    assert {row.split(b",")[0] for row in frontier.splitlines()[1:]} == {b"2", b"3", b"5"}
+    rows = write(tmp_path, json.dumps({"objective": {"centers": [[5, 0], [0, 5.5]]}}), "c.json")
+    assert load_config(rows)["objective"]["centers"] == ((5.0, 0.0), (0.0, 5.5))
 
 
 def test_set_override_supersedes_and_is_echoed(tmp_path):
@@ -329,6 +346,12 @@ BAD_INPUTS = {
     "theory_zero_rounds": ("theory", "cfg.ini", THEORY + "rounds = 0\n", [], None),
     "lowerbound_tau_zero": ("lowerbound", "cfg.ini", LOWERBOUND.replace(
         "taus = 2,3,4,5,6,7,8,9,10", "taus = 0"), [], None),
+    "lowerbound_zero_rounds": (
+        "lowerbound", "cfg.ini", LOWERBOUND.replace("rounds = 100", "rounds = 0"), [], None,
+    ),
+    "lowerbound_negative_rounds": (
+        "lowerbound", "cfg.ini", LOWERBOUND.replace("rounds = 100", "rounds = -1"), [], None,
+    ),
     "lowerbound_horizon_too_long": (
         "lowerbound", "cfg.ini", LOWERBOUND.replace("dim = 201", "dim = 11"), [], None,
     ),

@@ -13,6 +13,7 @@ from stalefl.engine import (
     default_weight_cap,
     horizon_for,
     run,
+    run_batch,
     run_grid,
     run_repeated,
     two_group_prob_for_ratio,
@@ -26,6 +27,7 @@ from stalefl.objectives import (
     build_label_swap_dataset,
 )
 from stalefl.participation import ParticipationProfile, make_two_group_profile
+from stalefl.theory import HardInstance
 
 
 def two_client_objective(noise=0.0):
@@ -252,19 +254,43 @@ def test_grid_tie_rule_ignores_rounding_of_the_mean(monkeypatch):
     hits = {0.5: (424, 421, 433), 0.8: (425, 419, 434)}
     calls = []
 
-    def fake_run_repeated(cfg, obj, seeds, *, metrics=True):
-        calls.append(cfg.aggregator.beta)
-        runs = [SimpleNamespace(test_accuracy=h / 480) for h in hits[cfg.aggregator.beta]]
-        return SimpleNamespace(runs=runs)
+    def fake_run_batch(cfgs, obj, *, metrics=True, return_errors=False):
+        seed = cfgs[0].master_seed
+        calls.append((seed, [cfg.aggregator.beta for cfg in cfgs]))
+        return [
+            SimpleNamespace(test_accuracy=hits[cfg.aggregator.beta][seed - 1] / 480)
+            for cfg in cfgs
+        ]
 
-    monkeypatch.setattr(stalefl.engine, "run_repeated", fake_run_repeated)
+    monkeypatch.setattr(stalefl.engine, "run_batch", fake_run_batch)
     grid = run_grid(
         grid_base_cfg(), lambda swap, group2, seed: SimpleNamespace(dim=1),
         [10.0], [1.0], [0.5, 0.8], [1, 2, 3], n_clients=4, metric_mode="accuracy",
     )
-    assert calls == [0.5, 0.8]
+    assert calls == [(1, [0.5, 0.8]), (2, [0.5, 0.8]), (3, [0.5, 0.8])]
     assert [c.metric_mean for c in grid.cells] == [0.8874999999999998, 0.8875000000000001]
     assert grid.beta_opt(10.0, 1.0) == 0.5
+
+
+def test_grid_raises_the_first_error_in_beta_lr_seed_order(monkeypatch):
+    # Seed 1 fails only at beta 0.8 and seed 2 only at beta 0.5. A loop over
+    # beta, then lr, then seed meets (0.5, seed 2) first.
+    failing = {(1, 0.8): DivergenceError(1, 0), (2, 0.5): DivergenceError(2, 3)}
+
+    def fake_run_batch(cfgs, obj, *, metrics=True, return_errors=False):
+        assert return_errors
+        return [
+            failing.get((cfg.master_seed, cfg.aggregator.beta), SimpleNamespace(test_accuracy=0.5))
+            for cfg in cfgs
+        ]
+
+    monkeypatch.setattr(stalefl.engine, "run_batch", fake_run_batch)
+    with pytest.raises(DivergenceError) as info:
+        run_grid(
+            grid_base_cfg(), lambda swap, group2, seed: SimpleNamespace(dim=1),
+            [3.0], [0.0], [0.5, 0.8], [1, 2], n_clients=4,
+        )
+    assert info.value is failing[(2, 0.5)]
 
 
 def diverging_quadratic_factory(swap, group2, seed):
@@ -315,3 +341,133 @@ def test_metrics_off_changes_no_output_but_the_records(name):
     assert lean.participation_trace.tobytes() == full.participation_trace.tobytes()
     assert repr(lean.final_loss) == repr(full.final_loss)
     assert repr(lean.test_accuracy) == repr(full.test_accuracy)
+
+
+def result_bytes(res):
+    """Everything a run exports, as exact bytes and reprs."""
+    return (
+        res.final_w.tobytes(),
+        [tuple(map(repr, vars(r).values())) for r in res.records],
+        res.participation_trace.tobytes(),
+        repr(res.final_loss),
+        repr(res.min_grad_norm_sq),
+        repr(res.test_accuracy),
+        None if res.trajectory is None else res.trajectory.tobytes(),
+    )
+
+
+def batch_case_configs(obj, rules, lrs, **kw):
+    base = base_config(**{
+        "rounds": 30,
+        "profile": ParticipationProfile(np.linspace(1.0, 0.3, obj.n_clients)),
+        "init_point": np.full(obj.dim, -1.0),
+        **kw,
+    })
+    return [
+        replace(
+            base, local=replace(base.local, client_lr=lr),
+            aggregator=replace(base.aggregator, rule=rule, beta=beta),
+        )
+        for rule, beta in rules for lr in lrs
+    ]
+
+
+BETAS = [("fedstale", 0.0), ("fedstale", 0.3), ("fedstale", 1.0)]
+MIXED_RULES = [
+    ("fedavg_biased", 0.5), ("u_fedavg", 0.5), ("u_fedvarp", 0.5), ("fedstale", 0.7),
+]
+BATCH_CASES = {
+    "softmax_betas_and_lrs": (
+        lambda: small_softmax_factory()(0.5, None, 1), BETAS, [0.05, 0.1], {},
+    ),
+    "noisy_quadratic_estimator": (
+        lambda: two_client_objective(noise=0.3), BETAS, [0.02, 0.04],
+        dict(aggregator=AggregatorConfig(weights_source="estimator"),
+             record_trajectory=True),
+    ),
+    "hard_instance": (
+        lambda: HardInstance(201, 100, 1.0, 3), BETAS, [0.1, 0.3],
+        dict(local=LocalConfig(2, 0.1)),
+    ),
+    "mixed_rules": (lambda: two_client_objective(noise=0.3), MIXED_RULES, [0.02], {}),
+    "mixed_rules_softmax": (
+        lambda: small_softmax_factory()(0.5, None, 1), MIXED_RULES, [0.05], {},
+    ),
+}
+
+
+@pytest.mark.parametrize("metrics", [True, False])
+@pytest.mark.parametrize("name", list(BATCH_CASES))
+def test_batch_equals_sequential_runs(name, metrics):
+    make_obj, rules, lrs, kw = BATCH_CASES[name]
+    obj = make_obj()
+    cfgs = batch_case_configs(obj, rules, lrs, **kw)
+    batch = run_batch(cfgs, obj, metrics=metrics)
+    alone = [run(cfg, obj, metrics=metrics) for cfg in cfgs]
+    assert [result_bytes(r) for r in batch] == [result_bytes(r) for r in alone]
+
+
+def test_batch_raises_the_first_config_error_not_the_earliest():
+    obj = two_client_objective()
+    slow, fast = batch_case_configs(obj, [("fedstale", 0.5)], [3.0, 50.0], rounds=400)
+    # `fast` diverges within 100 rounds, `slow` survives them but not 400.
+    run(replace(slow, rounds=100), obj)
+    with pytest.raises((DivergenceError, FloatingPointError)):
+        run(replace(fast, rounds=100), obj)
+    ok = batch_case_configs(obj, [("fedstale", 0.5)], [0.02], rounds=400)[0]
+
+    def raised(call):
+        with pytest.raises((DivergenceError, FloatingPointError)) as info:
+            call()
+        err = info.value
+        return type(err), getattr(err, "client", None), getattr(err, "step", None), str(err)
+
+    first = raised(lambda: run(slow, obj))
+    assert raised(lambda: run_batch([ok, slow, fast], obj)) == first
+    assert raised(lambda: run_batch([ok, fast, slow], obj)) == raised(lambda: run(fast, obj))
+
+    outs = run_batch([slow, ok, fast], obj, return_errors=True)
+    assert isinstance(outs[0], (DivergenceError, FloatingPointError))
+    assert isinstance(outs[2], (DivergenceError, FloatingPointError))
+    assert str(outs[0]) == first[3]
+    assert result_bytes(outs[1]) == result_bytes(run(ok, obj))
+
+
+SHARED_FIELD_CHANGES = {
+    "rounds": dict(rounds=31),
+    "master_seed": dict(master_seed=8),
+    "local_steps": dict(local=LocalConfig(4, 0.02)),
+    "batch_size": dict(local=LocalConfig(5, 0.02, batch_size=2)),
+    "weights_source": dict(aggregator=AggregatorConfig(weights_source="estimator")),
+    "weight_cap": dict(
+        aggregator=AggregatorConfig(weights_source="estimator", weight_cap=3.0)
+    ),
+    "profile": dict(profile=ParticipationProfile(np.array([1.0, 0.4]))),
+    "replay_schedule": dict(replay_schedule=np.ones((30, 2), dtype=bool)),
+}
+
+
+@pytest.mark.parametrize("field", list(SHARED_FIELD_CHANGES))
+def test_batch_rejects_configs_that_disagree_on_a_shared_field(field):
+    obj = two_client_objective()
+    cfg = base_config(rounds=30)
+    if field == "weight_cap":
+        cfg = replace(cfg, aggregator=AggregatorConfig(weights_source="estimator"))
+    other = replace(cfg, **SHARED_FIELD_CHANGES[field])
+    with pytest.raises(ValueError, match=f"must share {field}"):
+        run_batch([cfg, other], obj)
+
+
+def test_batch_configs_may_differ_in_rule_lrs_and_init():
+    obj = two_client_objective()
+    cfg = base_config(rounds=30)
+    other = replace(
+        cfg, server_lr=0.5, init_point=np.array([1.0, 2.0]),
+        local=LocalConfig(5, 0.05), aggregator=AggregatorConfig(rule="fedavg_biased"),
+    )
+    batch = run_batch([cfg, other], obj)
+    assert [result_bytes(r) for r in batch] == [
+        result_bytes(run(cfg, obj)), result_bytes(run(other, obj)),
+    ]
+    with pytest.raises(ValueError):
+        run_batch([], obj)

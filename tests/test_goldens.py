@@ -96,6 +96,41 @@ taus = 2, 3, 5, 10
 rounds = 150
 """
 
+# Criterion 11's grid scored by final loss, with the client lr tuned per beta.
+GRID_LOSS_CONFIG = (
+    GRID_CONFIG.replace("ratios = 1, 3", "ratios = 3, 10")
+    .replace("swap_fractions = 0, 0.5", "swap_fractions = 0.5")
+    .replace("metric = accuracy", "metric = loss\nclient_lr_grid = 0.02, 0.05")
+)
+
+# The d=201 hard instance: an exact oracle and dense per-client matvecs.
+HARD_RUN_CONFIG = """\
+[objective]
+kind = hard_instance
+dim = 201
+horizon = 100
+smoothness = 1
+
+[participation]
+kind = explicit
+n_clients = 2
+probs = 1, 0.25
+
+[local]
+local_steps = 2
+client_lr = 0.1
+batch_size = 1
+
+[aggregator]
+rule = fedstale
+beta = 0.5
+
+[run]
+rounds = 60
+server_lr = 0.5
+master_seed = 4
+"""
+
 REPEAT_ARGS = ("--seeds", "1,2", "--comparability")
 
 # name: (subcommand, config, extra arguments, {output file: sha256})
@@ -131,6 +166,12 @@ CASES = {
     ),
     "grid": ("grid", GRID_CONFIG, ("--threads", "1"), {
         "grid.csv": "23d67a3b1a214fb4006d6b6d6494de5c8d448a4ed92802f3b78dbd21ae9aef49",
+    }),
+    "grid_loss_lr_grid": ("grid", GRID_LOSS_CONFIG, ("--threads", "1"), {
+        "grid.csv": "8e3bc689fb0426d177ed51b9845388b62cdba1f9b349edb3325b091fb1d324d5",
+    }),
+    "run_hard_instance": ("run", HARD_RUN_CONFIG, (), {
+        "metrics.csv": "1a9b1885ed51a1e7c1cd55651ed7e72a35165ddb0f9601edca2efdd7ac7f1a43",
     }),
     "theory": ("theory", THEORY_CONFIG, (), {
         "theory.csv": "c85a3be180ee7e719d481bbdb4fad9068f512cb0dc02bba91bfcc36ee1541ff1",
