@@ -88,7 +88,7 @@ def fedavg_biased(updates: list[ClientUpdate]) -> GlobalUpdate:
     for u in updates:
         delta += u.delta
     delta /= len(updates)
-    return GlobalUpdate(delta, fresh_norm=vector_norm(delta))
+    return GlobalUpdate(delta, fresh_norm=float(np.linalg.norm(delta)))
 
 
 def vector_norm(x: np.ndarray) -> float:

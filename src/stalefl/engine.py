@@ -107,23 +107,20 @@ def run(
     obj: Objective,
     *,
     metrics: bool = True,
-    lockstep: list[TrainConfig] | None = None,
-    return_errors: bool = False,
-) -> RunResult | list:
+    _lockstep: list[TrainConfig] | None = None,
+) -> RunResult:
     """Execute the full round loop; bit-deterministic for a fixed config.
 
     With `metrics` off, the per-round global loss, gradient norm and H are
     not computed: `records` is empty and `min_grad_norm_sq` is nan. The
     iterates, the participation trace, `final_loss`, `test_accuracy` and
     every divergence check are the same either way.
-
-    This is the one round loop. `run_batch(cfgs, obj)` enters it as
-    `run(cfgs[0], obj, lockstep=cfgs[1:])`, and it then returns the list of
-    the batch's outcomes (see `run_batch`) instead of one result. Every
-    batch thus runs inside a call of `run`, the layer a profiler that wraps
-    `engine.run` (perfbench/tracer.py) times and counts rounds by.
     """
-    cfgs = [cfg] if lockstep is None else [cfg, *lockstep]
+    # This is the one round loop. `run_batch` enters it with the rest of its
+    # batch in `_lockstep` and gets back the list of outcomes, errors in their
+    # slots, so every batch runs inside a call of `run`: the layer a profiler
+    # that wraps `engine.run` (perfbench/tracer.py) times and counts rounds by.
+    cfgs = [cfg] if _lockstep is None else [cfg, *_lockstep]
     shared = _shared_fields(cfg)
     for other in cfgs[1:]:
         for name, value in _shared_fields(other).items():
@@ -133,12 +130,10 @@ def run(
     if cfg.profile.n_clients != n:
         raise ValueError("participation profile and objective disagree on client count")
     # Row r of w (and of client_lrs) is config live[r]; a dropped config's
-    # row is deleted. One client lr for all configs goes in as a scalar.
+    # row is deleted.
     live = list(range(len(cfgs)))
     w = np.array([check_param(c.init_point, obj.dim) for c in cfgs])
     client_lrs = np.array([c.local.client_lr for c in cfgs])
-    if (client_lrs == cfg.local.client_lr).all():
-        client_lrs = None
     # fedstale's beta per config, None for plain averaging
     betas = [
         None if c.aggregator.rule == "fedavg_biased" else c.aggregator.staleness_weight
@@ -224,14 +219,12 @@ def run(
             if dropped:
                 live = [c for c in live if errors[c] is None]
                 w = np.delete(w, dropped, axis=0)
-                if client_lrs is not None:
-                    client_lrs = np.delete(client_lrs, dropped)
+                client_lrs = np.delete(client_lrs, dropped)
                 if not live:
                     break
 
-    first_error = next((e for e in errors if e is not None), None)
-    if first_error is not None and not return_errors:
-        raise first_error
+    if _lockstep is None and errors[0] is not None:
+        raise errors[0]
     results: list = errors.copy()
     for row, c in enumerate(live):
         wc = w[row].copy()
@@ -241,7 +234,7 @@ def run(
             np.array(trajectories[c]) if trajectories[c] is not None else None,
             trace, estimator,
         )
-    return results[0] if lockstep is None else results
+    return results[0] if _lockstep is None else results
 
 
 def _shared_fields(cfg: TrainConfig) -> dict:
@@ -257,15 +250,9 @@ def _shared_fields(cfg: TrainConfig) -> dict:
     }
 
 
-def run_batch(
-    cfgs: list[TrainConfig],
-    obj: Objective,
-    *,
-    metrics: bool = True,
-    return_errors: bool = False,
-) -> list:
-    """Run several configs in lockstep; each result equals `run(cfg, obj)`
-    bit for bit.
+def run_batch(cfgs: list[TrainConfig], obj: Objective, *, metrics: bool = True) -> list:
+    """Run several configs in lockstep and return one outcome per config:
+    `run(cfg, obj)`'s result, bit for bit, or the exception it would raise.
 
     The configs must share the rounds, the master seed, the participation
     profile or replay trace, the weight source and cap, and the local steps
@@ -279,16 +266,12 @@ def run_batch(
     with estimated weights, one estimator.
 
     A config whose iterate goes non-finite is dropped from the batch at that
-    point and the others run on. At the end the error of the first such
-    config in list order is raised, so a batch raises what
-    `[run(c, obj) for c in cfgs]` would. With `return_errors` on, nothing is
-    raised: a dropped config's entry is its error instead of a result.
+    point and the others run on; its outcome is the error that `run` raises
+    for it alone.
     """
     if not cfgs:
         raise ValueError("run_batch needs at least one config")
-    return run(
-        cfgs[0], obj, metrics=metrics, lockstep=list(cfgs[1:]), return_errors=return_errors,
-    )
+    return run(cfgs[0], obj, metrics=metrics, _lockstep=list(cfgs[1:]))
 
 
 @dataclass
@@ -438,10 +421,7 @@ def run_grid(
         # One batch per seed over every (beta, lr) pair; the error raised is
         # the one of the first pair and seed in (beta, lr, seed) order.
         per_seed = [
-            run_batch(
-                [replace(cfg, master_seed=seed) for cfg in cfgs], obj,
-                metrics=False, return_errors=True,
-            )
+            run_batch([replace(cfg, master_seed=seed) for cfg in cfgs], obj, metrics=False)
             for seed in seeds
         ]
         runs = list(zip(*per_seed))   # runs[k]: pair k's outcome for each seed

@@ -54,13 +54,13 @@ def local_train(
     w_global: np.ndarray,
     cfg: LocalConfig,
     rngs: Sequence[np.random.Generator] | None,
-    client_lrs: np.ndarray | None = None,
+    client_lrs: Sequence[float],
 ) -> tuple[np.ndarray, list[DivergenceError | None]]:
     """Run K stochastic-gradient steps for every (config, client) pair in
     lockstep and return the updates.
 
     `w_global` holds one global iterate per config, shape (configs, dim), and
-    `client_lrs` one client lr per config (default: `cfg.client_lr` for all).
+    `client_lrs` one client lr per config (`cfg.client_lr` is not read).
     Every config starts each client from its own iterate; the configs share
     `cfg`'s K and batch size and, per client, one stream of samples.
     `rngs[j]` is client `clients[j]`'s noise stream. Its K draws
@@ -85,7 +85,7 @@ def local_train(
         raise ValueError("global iterates contain non-finite entries")
     for i in clients:
         obj._check_client(i)
-    lr = cfg.client_lr if client_lrs is None else np.asarray(client_lrs)[:, None, None]
+    lr = np.asarray(client_lrs, dtype=float)[:, None, None]
     w = np.empty((len(w_global), len(clients), obj.dim))
     w[...] = w_global[:, None, :]
     samples = [None] * len(clients)

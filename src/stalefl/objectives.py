@@ -46,9 +46,11 @@ def check_param(w: np.ndarray, dim: int) -> np.ndarray:
 def all_finite(x: np.ndarray) -> bool:
     """`np.isfinite(x).all()` for a float array, at half its per-call cost.
 
-    x.0 is 0 when every entry of x is finite and nan otherwise, and unlike
-    x.x it cannot overflow. An inf entry raises numpy's invalid-value
-    warning, so the round loop calls this under np.errstate(invalid="ignore").
+    x.0 is 0 when every entry of x is finite and nan otherwise (IEEE 754
+    gives inf * 0 = nan), and unlike x.x it cannot overflow. An inf entry
+    raises numpy's invalid-value warning, so callers on a path that may
+    diverge run it under np.errstate(invalid="ignore"); `check_param`, which
+    checks user input, keeps `np.isfinite`.
     """
     flat = x.ravel()
     return not math.isnan(flat.dot(np.zeros(flat.size)))

@@ -254,7 +254,7 @@ def test_grid_tie_rule_ignores_rounding_of_the_mean(monkeypatch):
     hits = {0.5: (424, 421, 433), 0.8: (425, 419, 434)}
     calls = []
 
-    def fake_run_batch(cfgs, obj, *, metrics=True, return_errors=False):
+    def fake_run_batch(cfgs, obj, *, metrics=True):
         seed = cfgs[0].master_seed
         calls.append((seed, [cfg.aggregator.beta for cfg in cfgs]))
         return [
@@ -277,8 +277,7 @@ def test_grid_raises_the_first_error_in_beta_lr_seed_order(monkeypatch):
     # beta, then lr, then seed meets (0.5, seed 2) first.
     failing = {(1, 0.8): DivergenceError(1, 0), (2, 0.5): DivergenceError(2, 3)}
 
-    def fake_run_batch(cfgs, obj, *, metrics=True, return_errors=False):
-        assert return_errors
+    def fake_run_batch(cfgs, obj, *, metrics=True):
         return [
             failing.get((cfg.master_seed, cfg.aggregator.beta), SimpleNamespace(test_accuracy=0.5))
             for cfg in cfgs
@@ -407,7 +406,7 @@ def test_batch_equals_sequential_runs(name, metrics):
     assert [result_bytes(r) for r in batch] == [result_bytes(r) for r in alone]
 
 
-def test_batch_raises_the_first_config_error_not_the_earliest():
+def test_batch_returns_each_configs_own_error():
     obj = two_client_objective()
     slow, fast = batch_case_configs(obj, [("fedstale", 0.5)], [3.0, 50.0], rounds=400)
     # `fast` diverges within 100 rounds, `slow` survives them but not 400.
@@ -416,21 +415,28 @@ def test_batch_raises_the_first_config_error_not_the_earliest():
         run(replace(fast, rounds=100), obj)
     ok = batch_case_configs(obj, [("fedstale", 0.5)], [0.02], rounds=400)[0]
 
+    def described(err):
+        return type(err), getattr(err, "client", None), getattr(err, "step", None), str(err)
+
     def raised(call):
         with pytest.raises((DivergenceError, FloatingPointError)) as info:
             call()
-        err = info.value
-        return type(err), getattr(err, "client", None), getattr(err, "step", None), str(err)
+        return described(info.value)
 
-    first = raised(lambda: run(slow, obj))
-    assert raised(lambda: run_batch([ok, slow, fast], obj)) == first
-    assert raised(lambda: run_batch([ok, fast, slow], obj)) == raised(lambda: run(fast, obj))
+    batch = [ok, slow, fast]
+    outs = run_batch(batch, obj)
+    assert result_bytes(outs[0]) == result_bytes(run(ok, obj))
+    assert described(outs[1]) == raised(lambda: run(slow, obj))
+    assert described(outs[2]) == raised(lambda: run(fast, obj))
 
-    outs = run_batch([slow, ok, fast], obj, return_errors=True)
-    assert isinstance(outs[0], (DivergenceError, FloatingPointError))
-    assert isinstance(outs[2], (DivergenceError, FloatingPointError))
-    assert str(outs[0]) == first[3]
-    assert result_bytes(outs[1]) == result_bytes(run(ok, obj))
+    def sequential():
+        for cfg in batch:
+            run(cfg, obj)
+
+    # The first error in list order is the one the sequential loop raises,
+    # though `fast` is the run that diverges first.
+    first = next(o for o in outs if isinstance(o, Exception))
+    assert described(first) == raised(sequential)
 
 
 SHARED_FIELD_CHANGES = {

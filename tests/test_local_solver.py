@@ -20,7 +20,7 @@ def origin_quadratic():
 def train_one(obj, client, w, cfg, rng):
     """local_train on a batch of one config and one client: its update and
     its divergence (None when every iterate stayed finite)."""
-    deltas, errors = local_train(obj, [client], np.asarray(w)[None], cfg, [rng])
+    deltas, errors = local_train(obj, [client], np.asarray(w)[None], cfg, [rng], [cfg.client_lr])
     assert deltas.shape == (1, 1, obj.dim)
     return ClientUpdate(client, 1, deltas[0, 0]), errors[0]
 
