@@ -10,15 +10,13 @@ ascending client-index order for bitwise reproducibility.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .local_solver import ClientUpdate
-from .objectives import Objective, check_param
+from .objectives import DimensionMismatchError, Objective, check_param
 
 
 class NoParticipantsError(RuntimeError):
@@ -151,35 +149,22 @@ def refresh_memory(bank: MemoryBank, updates: list[ClientUpdate], rnd: int) -> M
     return bank
 
 
-def memory_error(bank: MemoryBank, obj: Objective, w: np.ndarray) -> float:
-    """Mean squared deviation of memory slots from current local gradients."""
-    w = check_param(w, obj.dim)
-    total = 0.0
-    for i in range(bank.n_clients):
-        obj._check_client(i)
-        total += float(((obj._gradient(w, i) - bank.slots[i]) ** 2).sum())
-    return total / bank.n_clients
+def memory_error(slots: np.ndarray, obj: Objective, w: np.ndarray) -> float | np.ndarray:
+    """Mean squared deviation of the memory slots from the local gradients
+    at w: (1/N) sum_i ||grad F_i(w) - slots[i]||^2, summed in client order.
 
-
-def export_bank_csv(bank: MemoryBank, path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        wr = csv.writer(f, lineterminator="\n")
-        wr.writerow(["client_id", "last_refresh_round"] + [f"h_{j}" for j in range(bank.dim)])
-        for i in range(bank.n_clients):
-            wr.writerow(
-                [i, int(bank.last_refresh_round[i])]
-                + [f"{v:.17g}" for v in bank.slots[i]]
-            )
-
-
-def load_bank_csv(path: str | Path) -> MemoryBank:
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    header, body = rows[0], rows[1:]
-    dim = len(header) - 2
-    bank = MemoryBank(len(body), dim)
-    for row in body:
-        i = int(row[0])
-        bank.last_refresh_round[i] = int(row[1])
-        bank.slots[i] = [float(v) for v in row[2:]]
-    return bank
+    `slots` is a bank's (N, dim) slots array and `w` a point. Both may carry
+    the same leading axes, `slots` (..., N, dim) and `w` (..., dim), one bank
+    per point; the result then has shape (...), and each entry has the bits
+    of the call on its bank and point alone.
+    """
+    w = check_param(w, obj.dim, stacked=True)
+    slots = np.asarray(slots, dtype=float)
+    expected = (*w.shape[:-1], obj.n_clients, obj.dim)
+    if slots.shape != expected:
+        raise DimensionMismatchError(f"expected slots of shape {expected}, got {slots.shape}")
+    total = np.zeros(w.shape[:-1])
+    for i in range(obj.n_clients):
+        total += ((obj._gradient(w, i) - slots[..., i, :]) ** 2).sum(axis=-1)
+    total /= obj.n_clients
+    return float(total) if total.ndim == 0 else total

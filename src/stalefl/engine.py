@@ -4,6 +4,11 @@ There is one round loop, in `run`. Through `run_batch` it runs a batch of
 configs that share the participation trace and the per-(client, round)
 minibatch stream in lockstep; a single run is the batch of one. The grid runs
 the betas and client lrs of a cell this way, one batch per seed.
+
+The per-round metrics are evaluated a block of `METRIC_BLOCK` rounds at a
+time: the loop keeps the points they are taken at, and one call each of the
+broadcasting oracles `loss`, `gradient` and `memory_error` evaluates a whole
+block for every config of the batch.
 """
 
 from __future__ import annotations
@@ -29,6 +34,11 @@ from .participation import (
 )
 
 METRICS_HEADER = "round,loss,grad_norm_sq,H,participants,update_norm,wall_ns"
+
+# Rounds whose metrics `run` evaluates together. At small dim a metric call
+# costs its per-call overhead, which a block shares among its rounds; the
+# block buffers bound the memory this takes.
+METRIC_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -111,10 +121,22 @@ def run(
 ) -> RunResult:
     """Execute the full round loop; bit-deterministic for a fixed config.
 
-    With `metrics` off, the per-round global loss, gradient norm and H are
-    not computed: `records` is empty and `min_grad_norm_sq` is nan. The
-    iterates, the participation trace, `final_loss`, `test_accuracy` and
-    every divergence check are the same either way.
+    Round t's metrics (global loss, squared gradient norm and H) are taken
+    at the iterate before the round's update and at the memory before its
+    refresh. They are evaluated every `METRIC_BLOCK` rounds and at the end,
+    for the whole block at once, with the bits of a per-round evaluation.
+
+    A run raises DivergenceError when a local iterate goes non-finite and
+    FloatingPointError when the global iterate does. With `metrics` on it
+    also raises FloatingPointError, naming the round, when a round's metrics
+    or the final loss are non-finite; of these errors, it raises the one
+    that a round-by-round evaluation meets first.
+
+    With `metrics` off, the per-round metrics are not computed: `records` is
+    empty and `min_grad_norm_sq` is nan, and a non-finite final loss is
+    returned as it is. The iterates, the participation trace, `final_loss`,
+    `test_accuracy` and the divergence checks on the iterates are the same
+    either way.
     """
     # This is the one round loop. `run_batch` enters it with the rest of its
     # batch in `_lockstep` and gets back the list of outcomes, errors in their
@@ -154,6 +176,44 @@ def run(
     noisy = obj.uses_rng
     work = cfg.local.local_steps * cfg.local.batch_size
     trace = np.zeros((cfg.rounds, n), dtype=bool)
+    # The rounds whose metrics are pending form a block that starts at round
+    # t0; config c's pending round t0 + j is taken at w_block[c, j] and
+    # slot_block[c, j]. With metrics off nothing is pending.
+    counts: list[int] = []   # participants per pending round
+    if metrics:
+        w_block = np.empty((len(cfgs), METRIC_BLOCK, obj.dim))
+        slot_block = np.empty((len(cfgs), METRIC_BLOCK, n, obj.dim))
+        norms: list[list[float]] = [[] for _ in cfgs]   # update norm per pending round
+
+    def evaluate(cs: list[int], b: int, t0: int) -> list:
+        """The metrics of configs `cs`'s first `b` pending rounds: per
+        config, lists of the losses, squared gradient norms and H, or the
+        error of the first round whose metrics are non-finite."""
+        # a view while every config is live, which saves copying the block
+        sel = slice(None) if len(cs) == len(cfgs) else cs
+        wb, sb = w_block[sel, :b], slot_block[sel, :b]
+        loss = obj.loss(wb, GLOBAL)
+        grad_sq = (obj.gradient(wb, GLOBAL) ** 2).sum(axis=-1)
+        h = agg.memory_error(sb, obj, wb)
+        finite = np.isfinite(loss) & np.isfinite(grad_sq) & np.isfinite(h)
+        out = []
+        for r in range(len(cs)):
+            if finite[r].all():
+                out.append((loss[r].tolist(), grad_sq[r].tolist(), h[r].tolist()))
+            else:
+                bad = t0 + int(np.argmin(finite[r]))
+                out.append(FloatingPointError(f"metrics are non-finite at round {bad}"))
+        return out
+
+    def pending_error(c: int, b: int, t0: int) -> FloatingPointError | None:
+        """The metric error among config c's first b pending rounds, if any.
+        A round-by-round evaluation meets it before a divergence that comes
+        after those rounds' metrics, so it is the run's error."""
+        if not (metrics and b):
+            return None
+        (out,) = evaluate([c], b, t0)
+        return out if isinstance(out, Exception) else None
+
     # A diverging run overflows before the finiteness checks below catch it;
     # those checks drop the run, so the overflow warnings would only be noise.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -164,6 +224,8 @@ def run(
                 rp = sample_round(cfg.profile, t, cfg.master_seed)
             trace[t - 1] = rp.present
             participants = rp.participants().tolist()
+            j = len(counts)   # this round's row in the block buffers
+            t0 = t - j
 
             if participants:
                 rngs = (
@@ -180,18 +242,16 @@ def run(
             dropped = []
             for row, c in enumerate(live):
                 if participants and diverged[row] is not None:
-                    errors[c] = diverged[row]
+                    errors[c] = pending_error(c, j, t0) or diverged[row]
                     dropped.append(row)
                     continue
                 updates = [
-                    ClientUpdate(i, t, deltas[row, j]) for j, i in enumerate(participants)
+                    ClientUpdate(i, t, deltas[row, k]) for k, i in enumerate(participants)
                 ]
                 wc = w[row]
                 if metrics:
-                    loss = obj.loss(wc, GLOBAL)
-                    grad_sq = float((obj.gradient(wc, GLOBAL) ** 2).sum())
-                    h_t = agg.memory_error(banks[c], obj, wc)
-                    min_grads[c] = min(min_grads[c], grad_sq)
+                    w_block[c, j] = wc
+                    slot_block[c, j] = banks[c].slots
 
                 if betas[c] is not None:
                     delta = agg.fedstale(updates, banks[c], weights, n, betas[c]).delta
@@ -202,7 +262,9 @@ def run(
                 # in place, so a diverged config's row changes too; it is dropped
                 wc -= server_lrs[c] * delta
                 if not all_finite(wc):
-                    errors[c] = FloatingPointError(f"global iterate diverged at round {t}")
+                    errors[c] = pending_error(c, j + 1, t0) or FloatingPointError(
+                        f"global iterate diverged at round {t}"
+                    )
                     dropped.append(row)
                     continue
                 agg.refresh_memory(banks[c], updates, t)
@@ -210,12 +272,26 @@ def run(
                 if trajectories[c] is not None:
                     trajectories[c].append(wc.copy())
                 if metrics:
-                    records[c].append(
-                        RoundRecord(
-                            t, loss, grad_sq, h_t, len(participants),
-                            agg.vector_norm(delta), len(participants) * work,
+                    norms[c].append(agg.vector_norm(delta))
+            if metrics:
+                counts.append(len(participants))
+                if len(counts) == METRIC_BLOCK or t == cfg.rounds:
+                    rows = [row for row, c in enumerate(live) if errors[c] is None]
+                    cs = [live[row] for row in rows]
+                    outs = evaluate(cs, len(counts), t0) if cs else []
+                    for row, c, out in zip(rows, cs, outs):
+                        if isinstance(out, Exception):
+                            errors[c] = out
+                            dropped.append(row)
+                            continue
+                        losses, grad_sqs, hs = out
+                        records[c] += map(
+                            RoundRecord, range(t0, t + 1), losses, grad_sqs, hs,
+                            counts, norms[c], [m * work for m in counts],
                         )
-                    )
+                        min_grads[c] = min(min_grads[c], *grad_sqs)
+                        norms[c] = []
+                    counts = []
             if dropped:
                 live = [c for c in live if errors[c] is None]
                 w = np.delete(w, dropped, axis=0)
@@ -223,18 +299,26 @@ def run(
                 if not live:
                     break
 
-    if _lockstep is None and errors[0] is not None:
-        raise errors[0]
-    results: list = errors.copy()
-    for row, c in enumerate(live):
-        wc = w[row].copy()
-        acc = obj.test_accuracy(wc) if isinstance(obj, SoftmaxObjective) else None
-        results[c] = RunResult(
-            records[c], wc, obj.loss(wc, GLOBAL), min_grads[c], acc,
-            np.array(trajectories[c]) if trajectories[c] is not None else None,
-            trace, estimator,
-        )
-    return results[0] if _lockstep is None else results
+        results: list = errors.copy()
+        for row, c in enumerate(live):
+            wc = w[row].copy()
+            final_loss = obj.loss(wc, GLOBAL)
+            if metrics and not math.isfinite(final_loss):
+                results[c] = FloatingPointError(
+                    f"the final loss is non-finite after round {cfg.rounds}"
+                )
+                continue
+            acc = obj.test_accuracy(wc) if isinstance(obj, SoftmaxObjective) else None
+            results[c] = RunResult(
+                records[c], wc, final_loss, min_grads[c], acc,
+                np.array(trajectories[c]) if trajectories[c] is not None else None,
+                trace, estimator,
+            )
+    if _lockstep is None:
+        if isinstance(results[0], Exception):
+            raise results[0]
+        return results[0]
+    return results
 
 
 def _shared_fields(cfg: TrainConfig) -> dict:
@@ -261,9 +345,10 @@ def run_batch(cfgs: list[TrainConfig], obj: Objective, *, metrics: bool = True) 
     and the initial point. Then every round draws one participation vector,
     builds each participant's noise stream once, and steps all (config,
     participant) iterates together through one `local_train` call on the
-    shared minibatches; aggregation, the memory refresh and the metrics then
-    run per config. The results share one participation trace array and,
-    with estimated weights, one estimator.
+    shared minibatches; aggregation and the memory refresh then run per
+    config, and each block of metrics is evaluated for all configs at once.
+    The results share one participation trace array and, with estimated
+    weights, one estimator.
 
     A config whose iterate goes non-finite is dropped from the batch at that
     point and the others run on; its outcome is the error that `run` raises

@@ -2,16 +2,16 @@
 
 All objectives expose the same oracle interface (loss / gradient /
 stochastic_gradient), either per client or for the global average objective
-F(w) = (1/N) sum_i F_i(w). Objectives are immutable after construction and
-safe to query from concurrent workers.
+F(w) = (1/N) sum_i F_i(w). `loss` and `gradient` also take a stack of points,
+shape (..., dim), and evaluate each one with the bits of a call on it alone.
+Objectives are immutable after construction and safe to query from
+concurrent workers.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -27,17 +27,19 @@ class DimensionMismatchError(ValueError):
     pass
 
 
-def check_param(w: np.ndarray, dim: int) -> np.ndarray:
-    """Return `w` as a float array of shape (dim,) with finite entries, or raise.
+def check_param(w: np.ndarray, dim: int, *, stacked: bool = False) -> np.ndarray:
+    """Return `w` as a float array of shape (dim,), or of shape (..., dim)
+    when `stacked`, with finite entries, or raise.
 
     Public entry points (the oracle methods `loss`, `gradient` and
     `stochastic_gradient`, and `run` and `memory_error`) call this once on
-    the vector they are given. The internal paths under them reuse the
-    validated vector without checking it again.
+    the vector or stack they are given. The internal paths under them reuse
+    the validated array without checking it again.
     """
     w = np.asarray(w, dtype=float)
-    if w.shape != (dim,):
-        raise DimensionMismatchError(f"expected parameter of shape ({dim},), got {w.shape}")
+    if w.shape[-1:] != (dim,) or (w.ndim != 1 and not stacked):
+        expected = f"(..., {dim})" if stacked else f"({dim},)"
+        raise DimensionMismatchError(f"expected parameter of shape {expected}, got {w.shape}")
     if not np.isfinite(w).all():
         raise ValueError("parameter vector contains non-finite entries")
     return w
@@ -76,6 +78,15 @@ class Objective:
     that already hold a validated vector (the per-client terms of the global
     objective, local SGD steps, the memory error) call the kernels directly.
 
+    `loss` and `gradient` and their kernels `_loss` and `_gradient`
+    broadcast over leading axes: `w` of shape (..., dim) gives losses of
+    shape (...) and gradients of shape (..., dim). Every entry has the bits
+    of the call on its point alone, so the kernels keep each 1-D expression's
+    operand order and use only per-slice `np.matmul` (a stacked 2-D product
+    is one gemm, whose bits differ), and they reduce along a last axis only
+    on C-contiguous arrays. A single point gives a float loss and a 1-D
+    gradient.
+
     The stochastic oracle is split in two kernels. `_draw(client,
     batch_size, rng)` makes one step's draw from the client's noise stream
     (a sorted minibatch, a noise vector, or None for an exact oracle).
@@ -113,6 +124,14 @@ class Objective:
         w = check_param(w, self.dim)
         self._check_client(client)
         return w
+
+    def _oracle(self, kernel, w: np.ndarray, client: int | None):
+        """`kernel(w, client)` for the public `loss` or `gradient` on a
+        point or a stack of points; a single point's loss is a float."""
+        w = check_param(w, self.dim, stacked=True)
+        self._check_client(client)
+        out = kernel(w, client)
+        return float(out) if out.ndim == 0 else out
 
     def _check_client(self, client: int | None) -> None:
         if client is GLOBAL:
@@ -163,28 +182,29 @@ class QuadraticObjective(Objective):
     def uses_rng(self) -> bool:
         return self.noise_var != 0.0
 
-    def loss(self, w: np.ndarray, client: int | None = GLOBAL) -> float:
-        return self._loss(self._validated(w, client), client)
+    def loss(self, w: np.ndarray, client: int | None = GLOBAL) -> float | np.ndarray:
+        return self._oracle(self._loss, w, client)
 
     def gradient(self, w: np.ndarray, client: int | None = GLOBAL) -> np.ndarray:
-        return self._gradient(self._validated(w, client), client)
+        return self._oracle(self._gradient, w, client)
 
     def stochastic_gradient(self, client, w, batch_size, rng):
         return self._one_stochastic_gradient(client, self._validated(w, client), batch_size, rng)
 
     def _loss(self, w, client):
         if client is GLOBAL:
-            return float(np.mean([self._loss(w, i) for i in range(self.n_clients)]))
+            per_client = [self._loss(w, i) for i in range(self.n_clients)]
+            return np.stack(per_client, axis=-1).mean(axis=-1)
         r = w - self.centers[client]
-        return 0.5 * float(r @ self.hessians[client] @ r)
+        return 0.5 * (r[..., None, :] @ self.hessians[client] @ r[..., None])[..., 0, 0]
 
     def _gradient(self, w, client):
         if client is GLOBAL:
-            g = np.zeros(self.dim)
+            g = np.zeros(w.shape)
             for i in range(self.n_clients):
                 g += self._gradient(w, i)
             return g / self.n_clients
-        return self.hessians[client] @ (w - self.centers[client])
+        return (self.hessians[client] @ (w - self.centers[client])[..., None])[..., 0]
 
     def _draw(self, client, batch_size, rng):
         if self.noise_var == 0.0:
@@ -231,15 +251,6 @@ class SyntheticDataset:
     @property
     def feature_dim(self) -> int:
         return self.features[0].shape[1]
-
-    def export_csv(self, path: str | Path) -> None:
-        d = self.feature_dim
-        with open(path, "w", newline="") as f:
-            wr = csv.writer(f, lineterminator="\n")
-            wr.writerow(["client_id", "group"] + [f"feature_{j}" for j in range(d)] + ["label"])
-            for i, (x, y) in enumerate(zip(self.features, self.labels)):
-                for row, lab in zip(x, y):
-                    wr.writerow([i, int(self.groups[i])] + [f"{v:.17g}" for v in row] + [int(lab)])
 
 
 def _swap_labels(labels: np.ndarray, frac: float, pair: tuple[int, int]) -> np.ndarray:
@@ -333,16 +344,18 @@ class SoftmaxObjective(Objective):
             self.test_y.append(y[n_train:])
 
     def _unpack(self, w: np.ndarray) -> np.ndarray:
-        return w.reshape(self.n_classes, self.n_features + 1)
+        return w.reshape(*w.shape[:-1], self.n_classes, self.n_features + 1)
 
     @staticmethod
     def _log_softmax(z: np.ndarray) -> np.ndarray:
         z = z - z.max(axis=-1, keepdims=True)
         return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
-    def _client_loss(self, w_mat: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-        logp = self._log_softmax(x @ w_mat.T)
-        return float(-logp[np.arange(len(y)), y].mean())
+    def _client_loss(self, w_mat: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        logp = self._log_softmax(x @ w_mat.swapaxes(-1, -2))
+        # A stack's gathered log-probs are not C-contiguous, and the mean of
+        # a non-contiguous row need not have the bits of the 1-D mean.
+        return -np.ascontiguousarray(logp[..., np.arange(len(y)), y]).mean(axis=-1)
 
     def _client_grad(self, w_mat: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Mean cross-entropy gradient over the samples (x, y). Leading axes
@@ -353,11 +366,11 @@ class SoftmaxObjective(Objective):
         p -= y[..., None] == self._classes
         return (p.swapaxes(-1, -2) @ x) / y.shape[-1]
 
-    def loss(self, w: np.ndarray, client: int | None = GLOBAL) -> float:
-        return self._loss(self._validated(w, client), client)
+    def loss(self, w: np.ndarray, client: int | None = GLOBAL) -> float | np.ndarray:
+        return self._oracle(self._loss, w, client)
 
     def gradient(self, w: np.ndarray, client: int | None = GLOBAL) -> np.ndarray:
-        return self._gradient(self._validated(w, client), client)
+        return self._oracle(self._gradient, w, client)
 
     def stochastic_gradient(self, client, w, batch_size, rng):
         return self._one_stochastic_gradient(client, self._validated(w, client), batch_size, rng)
@@ -365,9 +378,10 @@ class SoftmaxObjective(Objective):
     def _loss(self, w, client):
         w_mat = self._unpack(w)
         if client is GLOBAL:
-            return float(np.mean([
+            per_client = [
                 self._client_loss(w_mat, x, y) for x, y in zip(self.train_x, self.train_y)
-            ]))
+            ]
+            return np.stack(per_client, axis=-1).mean(axis=-1)
         return self._client_loss(w_mat, self.train_x[client], self.train_y[client])
 
     def _gradient(self, w, client):
@@ -376,8 +390,9 @@ class SoftmaxObjective(Objective):
             g = np.zeros_like(w_mat)
             for x, y in zip(self.train_x, self.train_y):
                 g += self._client_grad(w_mat, x, y)
-            return (g / self.n_clients).ravel()
-        return self._client_grad(w_mat, self.train_x[client], self.train_y[client]).ravel()
+            return (g / self.n_clients).reshape(w.shape)
+        x, y = self.train_x[client], self.train_y[client]
+        return self._client_grad(w_mat, x, y).reshape(w.shape)
 
     def _draw(self, client, batch_size, rng):
         n = len(self.train_y[client])
@@ -390,8 +405,7 @@ class SoftmaxObjective(Objective):
     def _stochastic_gradients(self, clients, w, samples):
         x = np.stack([self.train_x[i][idx] for i, idx in zip(clients, samples)])
         y = np.stack([self.train_y[i][idx] for i, idx in zip(clients, samples)])
-        w_mat = w.reshape(*w.shape[:-1], self.n_classes, self.n_features + 1)
-        return self._client_grad(w_mat, x, y).reshape(w.shape)
+        return self._client_grad(self._unpack(w), x, y).reshape(w.shape)
 
     def test_accuracy(self, w: np.ndarray) -> float:
         w_mat = self._unpack(check_param(w, self.dim))

@@ -214,28 +214,38 @@ class HardInstance(Objective):
                 a[i + 1, i] = -1.0
         return a
 
-    def loss(self, w: np.ndarray, client: int | None = GLOBAL) -> float:
-        return self._loss(self._validated(w, client), client)
+    def loss(self, w: np.ndarray, client: int | None = GLOBAL) -> float | np.ndarray:
+        return self._oracle(self._loss, w, client)
 
     def gradient(self, w: np.ndarray, client: int | None = GLOBAL) -> np.ndarray:
-        return self._gradient(self._validated(w, client), client)
+        return self._oracle(self._gradient, w, client)
 
     def stochastic_gradient(self, client, w, batch_size, rng):
         return self._one_stochastic_gradient(client, self._validated(w, client), batch_size, rng)
 
-    def _loss(self, w, client):
+    def _form(self, client):
+        """The client's (or, for GLOBAL, the global) quadratic and linear
+        terms, or None for a client whose objective is zero."""
         if client is GLOBAL:
-            return 0.5 * float(w @ self._a_global @ w) + float(self._lin_global @ w)
+            return self._a_global, self._lin_global
         if client in self._quad:
-            return 0.5 * float(w @ self._quad[client] @ w) + float(self._lin[client] @ w)
-        return 0.0
+            return self._quad[client], self._lin[client]
+        return None
+
+    def _loss(self, w, client):
+        form = self._form(client)
+        if form is None:
+            return np.zeros(w.shape[:-1])
+        a, lin = form
+        col = w[..., None]
+        return 0.5 * (w[..., None, :] @ a @ col)[..., 0, 0] + (lin @ col)[..., 0]
 
     def _gradient(self, w, client):
-        if client is GLOBAL:
-            return self._a_global @ w + self._lin_global
-        if client in self._quad:
-            return self._quad[client] @ w + self._lin[client]
-        return np.zeros(self.dim)
+        form = self._form(client)
+        if form is None:
+            return np.zeros(w.shape)
+        a, lin = form
+        return (a @ w[..., None])[..., 0] + lin
 
     def _stochastic_gradients(self, clients, w, samples):
         # One matvec per row, as `_gradient` makes it: BLAS computes a stacked
@@ -270,16 +280,13 @@ def track_frontier(instance: HardInstance, schedule: np.ndarray) -> np.ndarray:
     grows by at most one per round.
     """
     schedule = np.asarray(schedule, dtype=bool)
-    ks = np.empty(schedule.shape[0], dtype=np.int64)
+    ks = []
     k = 0
-    for t in range(schedule.shape[0]):
-        bump = (schedule[t, instance.i0] and k % 2 == 0) or (
-            schedule[t, instance.i1] and k % 2 == 1
-        )
-        if bump and k < instance.dim:
+    for p0, p1 in zip(schedule[:, instance.i0].tolist(), schedule[:, instance.i1].tolist()):
+        if (p1 if k % 2 else p0) and k < instance.dim:
             k += 1
-        ks[t] = k
-    return ks
+        ks.append(k)
+    return np.array(ks, dtype=np.int64)
 
 
 def frontier_bound(t: int, tau: int) -> int:

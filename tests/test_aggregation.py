@@ -8,10 +8,8 @@ from stalefl.aggregation import (
     AggregatorConfig,
     MemoryBank,
     NoParticipantsError,
-    export_bank_csv,
     fedavg_biased,
     fedstale,
-    load_bank_csv,
     memory_error,
     refresh_memory,
     u_fedavg,
@@ -245,7 +243,7 @@ def test_memory_error_zero_when_exact():
     obj = QuadraticObjective.isotropic([np.zeros(2), np.ones(2)])
     w = np.array([0.5, -0.5])
     bank = bank_with(2, 2, {0: obj.gradient(w, 0), 1: obj.gradient(w, 1)})
-    assert memory_error(bank, obj, w) == 0.0
+    assert memory_error(bank.slots, obj, w) == 0.0
 
 
 def test_memory_error_hand_value():
@@ -253,14 +251,4 @@ def test_memory_error_hand_value():
     w = np.array([1.0, 1.0])
     bank = MemoryBank(2, 2)  # zeros
     # grads: (1,1) and (0,0); mean of ||g_i - 0||^2 = (2 + 0)/2 = 1.
-    assert memory_error(bank, obj, w) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_bank_csv_roundtrip(tmp_path):
-    bank = bank_with(3, 2, {0: [1.5, -2.5], 2: [0.25, 0.125]})
-    bank.last_refresh_round[:] = [4, 0, 9]
-    path = tmp_path / "bank.csv"
-    export_bank_csv(bank, path)
-    loaded = load_bank_csv(path)
-    np.testing.assert_array_equal(loaded.slots, bank.slots)
-    np.testing.assert_array_equal(loaded.last_refresh_round, bank.last_refresh_round)
+    assert memory_error(bank.slots, obj, w) == pytest.approx(1.0, abs=1e-15)

@@ -229,6 +229,38 @@ def test_divergence_exit_code_and_failed_sentinel(tmp_path, capsys):
     assert not (out / "metrics.csv").exists()
 
 
+# The iterate stays finite, but the loss overflows from round 216 on.
+METRIC_OVERFLOW_RUN = """\
+[objective]
+kind = quadratic2d
+centers = 5,0; 0,5
+
+[participation]
+kind = explicit
+n_clients = 2
+probs = 1, 0.3
+
+[local]
+local_steps = 5
+client_lr = 2.5
+batch_size = 1
+
+[run]
+rounds = 400
+init = -1,-1
+"""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_nonfinite_metrics_exit_as_divergence(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(write(tmp_path, METRIC_OVERFLOW_RUN)), "--out", str(out)])
+    assert code == EXIT_DIVERGENCE
+    assert (out / "FAILED").read_text() == "metrics are non-finite at round 216\n"
+    assert not (out / "metrics.csv").exists()
+    assert "divergence: metrics are non-finite at round 216" in capsys.readouterr().err
+
+
 def test_repeat_writes_mean_curve(tmp_path):
     path = write(tmp_path, QUAD_RUN)
     out = tmp_path / "o"

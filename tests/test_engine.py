@@ -22,6 +22,7 @@ from stalefl.engine import (
 from stalefl.local_solver import DivergenceError, LocalConfig
 from stalefl.objectives import (
     GLOBAL,
+    DimensionMismatchError,
     QuadraticObjective,
     SoftmaxObjective,
     build_label_swap_dataset,
@@ -477,3 +478,95 @@ def test_batch_configs_may_differ_in_rule_lrs_and_init():
     ]
     with pytest.raises(ValueError):
         run_batch([], obj)
+
+
+def outcome(out):
+    """A run's result as exact bytes, or its error's type and message."""
+    if isinstance(out, Exception):
+        return type(out), str(out)
+    return result_bytes(out)
+
+
+def test_metric_blocks_change_no_bit(monkeypatch):
+    # 2 full blocks and a partial one; rounds without participants included
+    rounds = 2 * stalefl.engine.METRIC_BLOCK + 9
+    obj = two_client_objective(noise=0.3)
+    cfgs = batch_case_configs(
+        obj, BETAS, [0.02, 0.04], rounds=rounds, record_trajectory=True,
+        profile=ParticipationProfile(np.array([0.6, 0.3])),
+        aggregator=AggregatorConfig(weights_source="estimator"),
+    )
+    blocked = [outcome(r) for r in run_batch(cfgs, obj)]
+    assert all(len(r[1]) == rounds for r in blocked)
+    for block in (1, 7):
+        monkeypatch.setattr(stalefl.engine, "METRIC_BLOCK", block)
+        assert [outcome(r) for r in run_batch(cfgs, obj)] == blocked
+
+
+def test_lockstep_batch_with_divergence_mid_block(monkeypatch):
+    # Nobody takes part in rounds 1-69; from round 70 on, both clients do.
+    # Round 70 is the sixth round of the second block.
+    obj = two_client_objective()
+    schedule = np.ones((150, 2), dtype=bool)
+    schedule[:69] = False
+    cfg = base_config(rounds=150, replay_schedule=schedule)
+    batch = [
+        cfg,
+        replace(cfg, local=LocalConfig(5, 1e200)),     # a local iterate overflows
+        replace(cfg, server_lr=1e308),                  # the global iterate overflows
+        replace(cfg, local=LocalConfig(5, 10.0)),       # the metrics overflow first
+        replace(cfg, aggregator=AggregatorConfig(rule="fedstale", beta=0.9)),
+        # w_70 is finite, but its loss (round 71's metric) overflows before
+        # round 71's update does
+        replace(cfg, server_lr=1e160),
+    ]
+    outs = run_batch(batch, obj)
+    assert [outcome(o) for o in outs] == [
+        outcome(run_batch([c], obj)[0]) for c in batch
+    ]
+    assert len(outs[0].records) == len(outs[4].records) == 150
+    assert isinstance(outs[1], DivergenceError) and outs[1].step == 1
+    assert str(outs[2]) == "global iterate diverged at round 70"
+    assert isinstance(outs[3], FloatingPointError)
+    assert str(outs[3]) == "metrics are non-finite at round 101"
+    assert str(outs[5]) == "metrics are non-finite at round 71"
+    for block in (1, 7, 1000):
+        monkeypatch.setattr(stalefl.engine, "METRIC_BLOCK", block)
+        assert [outcome(o) for o in run_batch(batch, obj)] == [outcome(o) for o in outs]
+
+
+def test_nonfinite_metrics_raise_at_their_first_round(monkeypatch):
+    # The iterate stays finite for 427 rounds, but the loss overflows at
+    # round 216; the metric error comes first, whatever the block size.
+    obj = QuadraticObjective.isotropic([np.array([5.0, 0.0]), np.array([0.0, 5.0])])
+    cfg = TrainConfig(
+        2000, 1.0, LocalConfig(5, 2.5), AggregatorConfig(),
+        ParticipationProfile(np.array([1.0, 0.3])), 1, np.array([-1.0, -1.0]),
+    )
+    with pytest.raises(FloatingPointError, match="global iterate diverged at round 428"):
+        run(cfg, obj, metrics=False)
+    assert math.isinf(run(replace(cfg, rounds=400), obj, metrics=False).final_loss)
+    for block in (1, 64, 4096):
+        monkeypatch.setattr(stalefl.engine, "METRIC_BLOCK", block)
+        with pytest.raises(FloatingPointError, match="^metrics are non-finite at round 216$"):
+            run(cfg, obj)
+
+
+def test_nonfinite_final_loss_raises_with_metrics_on():
+    # The only update, in the last round, leaves a finite iterate whose
+    # loss overflows.
+    schedule = np.zeros((70, 2), dtype=bool)
+    schedule[-1] = True
+    cfg = base_config(rounds=70, server_lr=1e160, replay_schedule=schedule)
+    obj = two_client_objective()
+    lean = run(cfg, obj, metrics=False)
+    assert np.isfinite(lean.final_w).all() and math.isinf(lean.final_loss)
+    with pytest.raises(FloatingPointError, match="^the final loss is non-finite after round 70$"):
+        run(cfg, obj)
+
+
+def test_init_point_must_be_a_single_point():
+    # the oracles take stacks of points, a run's initial point stays one
+    for bad in (np.zeros((1, 2)), np.zeros((3, 2)), np.zeros(3)):
+        with pytest.raises(DimensionMismatchError):
+            run(base_config(init_point=bad), two_client_objective())

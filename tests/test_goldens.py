@@ -131,6 +131,38 @@ server_lr = 0.5
 master_seed = 4
 """
 
+# Softmax with per-round metrics: 8 clients of 15 training samples.
+SOFTMAX_RUN_CONFIG = """\
+[objective]
+kind = softmax
+n_clients = 8
+samples_per_client = 20
+class_count = 4
+feature_dim = 3
+holdout_fraction = 0.25
+data_seed = 2
+swap_fraction = 0.5
+
+[participation]
+n_clients = 8
+p_min_group = 0.3
+group2_size = 4
+
+[local]
+local_steps = 2
+client_lr = 0.05
+batch_size = 5
+
+[aggregator]
+rule = fedstale
+beta = 0.5
+
+[run]
+rounds = 150
+server_lr = 1.0
+master_seed = 5
+"""
+
 REPEAT_ARGS = ("--seeds", "1,2", "--comparability")
 
 # name: (subcommand, config, extra arguments, {output file: sha256})
@@ -141,6 +173,22 @@ CASES = {
     "run_noisy_estimator": ("run", NOISY_ESTIMATOR_CONFIG, (), {
         "metrics.csv": "27261fc7a80c432fad3b096b321e2921e081b6c093d75ecce6c90601978cc14e",
         "trace.csv": "09059dfe1946822bc3654b7525243193c104d8b3d85d357608f040198cc0e5c8",
+    }),
+    # Runs whose per-round metrics span several blocks of engine.METRIC_BLOCK
+    # rounds; hashed before metrics were evaluated per block.
+    "run_noisy_estimator_1000_rounds": (
+        "run", NOISY_ESTIMATOR_CONFIG.replace("rounds = 60", "rounds = 1000"), (), {
+            "metrics.csv": "066d2131f80e6f2b84786c39287a3662546edbcb0f1c6d65257709a21f34dc7f",
+            "trace.csv": "71a082e03b6ff439cd875608a28f4645acf8a949e1414006331f143c50d08b13",
+        },
+    ),
+    "run_hard_instance_150_rounds": (
+        "run", HARD_RUN_CONFIG.replace("rounds = 60", "rounds = 150"), (), {
+            "metrics.csv": "892ec420c2bc1db162d08e11a05f48dc11f3c714d962c102df2d875ebcb6c67b",
+        },
+    ),
+    "run_softmax": ("run", SOFTMAX_RUN_CONFIG, (), {
+        "metrics.csv": "e3253808e6c6fcbef1a1864c6652bce55b36bca1d5dd150ba0b477257299607a",
     }),
     "repeat_u_fedavg": (
         "repeat", QUAD_REPEAT_CONFIG + "\n[aggregator]\nrule = u_fedavg\n", REPEAT_ARGS, {

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from stalefl.aggregation import memory_error
 from stalefl.objectives import (
     GLOBAL,
     DimensionMismatchError,
@@ -15,6 +16,7 @@ from stalefl.objectives import (
     build_label_swap_dataset,
     estimate_stats,
 )
+from stalefl.theory import HardInstance
 
 
 def two_quadratic():
@@ -136,17 +138,6 @@ def test_fixed_centers_shared_across_swap_fractions():
     np.testing.assert_array_equal(a.features[0], b.features[0])
 
 
-def test_dataset_export_csv(tmp_path):
-    ds = small_dataset(samples=5)
-    path = tmp_path / "data.csv"
-    ds.export_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "client_id,group," + ",".join(
-        f"feature_{j}" for j in range(3)
-    ) + ",label"
-    assert len(lines) == 1 + 2 * 5
-
-
 # --- softmax objective ------------------------------------------------------
 
 
@@ -231,3 +222,75 @@ def test_two_client_heterogeneity_matches_direct_formula():
     )
     assert stats.sg_sq == pytest.approx(expected, abs=1e-14)
     assert stats.smoothness_L == pytest.approx(1.0)
+
+
+# --- stacked oracles ---------------------------------------------------------
+
+
+def random_spd_quadratic(dim, n_clients, noise_var, seed):
+    rng = np.random.default_rng(seed)
+    hessians = []
+    for _ in range(n_clients):
+        m = rng.normal(size=(dim, dim))
+        hessians.append(m @ m.T + dim * np.eye(dim))
+    return QuadraticObjective(hessians, rng.normal(size=(n_clients, dim)), noise_var)
+
+
+STACKED_CASES = {
+    "quadratic_d2": lambda: QuadraticObjective(
+        [np.array([[1.0, 0.5], [0.5, 1.0]]), np.eye(2)],
+        [np.array([5.0, 0.0]), np.array([0.0, 5.0])],
+    ),
+    "noisy_quadratic_d7": lambda: random_spd_quadratic(7, 3, 0.5, seed=2),
+    # 9 clients and 9 training samples each, so that both means (over the
+    # samples and over the clients) are longer than numpy's 8-element
+    # unrolled block
+    "softmax": lambda: SoftmaxObjective(build_label_swap_dataset(
+        9, 12, 0.5, (0, 1), np.random.default_rng(5), class_count=4, feature_dim=3,
+    ), holdout_fraction=0.25),
+    "hard_instance_d201": lambda: HardInstance(201, 100, 1.0, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(STACKED_CASES))
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+def test_stacked_oracles_have_the_bits_of_single_calls(name, layout):
+    obj = STACKED_CASES[name]()
+    rng = np.random.default_rng(11)
+    points = rng.normal(size=(3, 10, obj.dim))
+    slots = rng.normal(size=(3, 10, obj.n_clients, obj.dim))
+    if layout == "strided":
+        points, slots = points[:, ::2], slots[:, ::2]
+    else:
+        points, slots = points[:, :5], slots[:, :5]
+    singles = list(itertools.product(range(3), range(5)))
+    for client in [GLOBAL, *range(obj.n_clients)]:
+        losses = obj.loss(points, client)
+        grads = obj.gradient(points, client)
+        assert losses.shape == (3, 5) and grads.shape == (3, 5, obj.dim)
+        for k in singles:
+            one = obj.loss(points[k], client)
+            assert type(one) is float
+            assert losses[k].tobytes() == np.float64(one).tobytes()
+            assert grads[k].tobytes() == obj.gradient(points[k], client).tobytes()
+    h = memory_error(slots, obj, points)
+    assert h.shape == (3, 5)
+    for k in singles:
+        one = memory_error(slots[k], obj, points[k])
+        assert type(one) is float
+        assert h[k].tobytes() == np.float64(one).tobytes()
+
+
+def test_stacked_oracles_check_shapes():
+    obj = two_quadratic()
+    with pytest.raises(DimensionMismatchError):
+        obj.loss(np.zeros((4, 3)))
+    with pytest.raises(DimensionMismatchError):
+        obj.gradient(np.zeros(()))
+    with pytest.raises(ValueError, match="non-finite"):
+        obj.gradient(np.array([[0.0, 0.0], [np.inf, 0.0]]))
+    # the stochastic oracle and memory_error's slots keep their own shapes
+    with pytest.raises(DimensionMismatchError):
+        obj.stochastic_gradient(0, np.zeros((1, 2)), 1, np.random.default_rng(0))
+    with pytest.raises(DimensionMismatchError, match="slots"):
+        memory_error(np.zeros((3, 2, 2)), obj, np.zeros((4, 2)))
