@@ -54,7 +54,6 @@ from .participation import (
     inverse_prob_weights,
     make_two_group_profile,
     sample_round,
-    sample_schedule,
 )
 from .theory import (
     BoundBreakdown,

@@ -28,15 +28,16 @@ class DimensionMismatchError(ValueError):
 
 
 def check_param(w: np.ndarray, dim: int, *, stacked: bool = False) -> np.ndarray:
-    """Return `w` as a float array of shape (dim,), or of shape (..., dim)
-    when `stacked`, with finite entries, or raise.
+    """Return `w` as a C-contiguous float array of shape (dim,), or of shape
+    (..., dim) when `stacked`, with finite entries, or raise. C order is
+    what lets a kernel reduce a stack's rows with the bits of the 1-D call.
 
     Public entry points (the oracle methods `loss`, `gradient` and
     `stochastic_gradient`, and `run` and `memory_error`) call this once on
     the vector or stack they are given. The internal paths under them reuse
     the validated array without checking it again.
     """
-    w = np.asarray(w, dtype=float)
+    w = np.asarray(w, dtype=float, order="C")
     if w.shape[-1:] != (dim,) or (w.ndim != 1 and not stacked):
         expected = f"(..., {dim})" if stacked else f"({dim},)"
         raise DimensionMismatchError(f"expected parameter of shape {expected}, got {w.shape}")

@@ -113,23 +113,19 @@ def _stream_uniform(master_seed: int, client: int, rnd: int) -> float:
 
 
 def sample_round(profile: ParticipationProfile, rnd: int, master_seed: int) -> RoundParticipation:
-    """Draw the round-`rnd` indicator vector; repeatable bit-for-bit."""
+    """Draw the round-`rnd` indicator vector; repeatable bit-for-bit.
+
+    A client with p = 1 is present without a draw: every draw is at most
+    1 - 2^-53 < 1, and no draw depends on another, so skipping it changes
+    no indicator.
+    """
     if rnd < 1:
         raise ValueError("round must be >= 1")
     present = np.array([
-        _stream_uniform(master_seed, i, rnd) < p for i, p in enumerate(profile.probs.tolist())
+        p == 1.0 or _stream_uniform(master_seed, i, rnd) < p
+        for i, p in enumerate(profile.probs.tolist())
     ], dtype=bool)
     return RoundParticipation(rnd, present)
-
-
-def sample_schedule(
-    profile: ParticipationProfile, rounds: int, master_seed: int
-) -> np.ndarray:
-    """Full (rounds, n_clients) boolean schedule, identical to per-round sampling."""
-    out = np.empty((rounds, profile.n_clients), dtype=bool)
-    for t in range(1, rounds + 1):
-        out[t - 1] = sample_round(profile, t, master_seed).present
-    return out
 
 
 def export_trace_csv(schedule: np.ndarray, path: str | Path) -> None:

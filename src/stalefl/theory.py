@@ -136,6 +136,16 @@ def beta_star(inp: BoundInputs) -> float:
     return min(max((inp.sg_sq / inp.n_clients) / denom, 0.0), 1.0)
 
 
+def _tridiagonal_product(diag: np.ndarray, off: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """A w over the last axis of `w`, for the symmetric tridiagonal A with
+    main diagonal `diag` and off-diagonal `off`. Every op is elementwise, so
+    each point of a stack gets the bits of its call alone."""
+    aw = diag * w
+    aw[..., 1:] += off * w[..., :-1]
+    aw[..., :-1] += off * w[..., 1:]
+    return aw
+
+
 class HardInstance(Objective):
     """Tridiagonal quadratic split between two clients.
 
@@ -146,6 +156,13 @@ class HardInstance(Objective):
     boundary term; every other client's objective is identically zero. Any
     first-order method starting at 0 can only make a new coordinate nonzero
     when the client owning its parity participates.
+
+    Every form, each client's and the global one, is a symmetric tridiagonal
+    matrix and is stored as its main diagonal and its off-diagonal (the sub-
+    and superdiagonal coincide), so the instance holds O(dim) numbers and
+    every oracle costs O(dim) per point. Only `tridiagonal_matrix` builds a
+    dense A, for the linear solves of `global_minimizer` and
+    `minimize_gradient_norm_in_span`.
     """
 
     uses_rng = False  # the oracle is exact
@@ -167,39 +184,41 @@ class HardInstance(Objective):
         t, L, N = horizon, self.smoothness_L, n_clients
         m = 2 * t + 1
         scale = N * L / 4.0
-        b0 = np.zeros((dim, dim))
-        b0[0, 0] += scale
-        for j in range(1, t + 1):      # (w_{2j} - w_{2j+1})^2 pairs, 1-based
-            lo, hi = 2 * j - 1, 2 * j  # 0-based indices
-            b0[lo, lo] += scale
-            b0[hi, hi] += scale
-            b0[lo, hi] -= scale
-            b0[hi, lo] -= scale
+        # Client i0: w'B w = scale (w_1^2 + sum_j (w_{2j} - w_{2j+1})^2), 1-based;
+        # its pairs couple 0-based coordinates (1, 2), (3, 4), ...
+        diag0 = np.zeros(dim)
+        diag0[:m] = scale
+        off0 = np.zeros(dim - 1)
+        off0[1:m - 1:2] = -scale
         lin0 = np.zeros(dim)
         lin0[0] = -scale
-        b1 = np.zeros((dim, dim))
-        for j in range(1, t + 1):      # (w_{2j-1} - w_{2j})^2 pairs
-            lo, hi = 2 * j - 2, 2 * j - 1
-            b1[lo, lo] += scale
-            b1[hi, hi] += scale
-            b1[lo, hi] -= scale
-            b1[hi, lo] -= scale
-        b1[m - 1, m - 1] += scale
-        self._quad = {i0: b0, i1: b1}
-        self._lin = {i0: lin0, i1: np.zeros(dim)}
-
-        # Global quadratic form: (L/4) A on the active block, linear -(L/4)e_1.
-        self._a_global = (b0 + b1) / N
-        self._lin_global = lin0 / N
+        # Client i1: w'B w = scale (sum_j (w_{2j-1} - w_{2j})^2 + w_m^2); its
+        # pairs couple 0-based coordinates (0, 1), (2, 3), ...
+        diag1 = np.zeros(dim)
+        diag1[:m] = scale
+        off1 = np.zeros(dim - 1)
+        off1[0:m - 1:2] = -scale
+        # (main diagonal, off-diagonal, linear term) per client, and under
+        # GLOBAL the global form: (L/4) A on the active block, linear
+        # -(L/4) e_1. A client absent here has a zero objective.
+        self._forms = {
+            i0: (diag0, off0, lin0),
+            i1: (diag1, off1, np.zeros(dim)),
+            GLOBAL: ((diag0 + diag1) / N, (off0 + off1) / N, lin0 / N),
+        }
 
         self._verify_split()
 
     def _verify_split(self, n_probes: int = 8) -> None:
+        """Check that the clients' mean loss is the definition
+        L/8 (w' A w - 2 w_1), computed here from A's entries alone."""
         rng = np.random.default_rng(12345)
-        a_ref = self.tridiagonal_matrix() * self.smoothness_L / 4.0
+        m = 2 * self.horizon + 1
         for _ in range(n_probes):
             w = rng.normal(size=self.dim)
-            direct = 0.5 * w @ a_ref @ w - (self.smoothness_L / 4.0) * w[0]
+            v = w[:m]
+            quad = 2.0 * (v @ v) - 2.0 * (v[:-1] @ v[1:])   # w' A w
+            direct = self.smoothness_L / 8.0 * (quad - 2.0 * w[0])
             split = np.mean([self.loss(w, i) for i in range(self.n_clients)])
             if not math.isclose(direct, split, rel_tol=1e-9, abs_tol=1e-9):
                 raise AssertionError("client split does not reproduce the global objective")
@@ -223,39 +242,28 @@ class HardInstance(Objective):
     def stochastic_gradient(self, client, w, batch_size, rng):
         return self._one_stochastic_gradient(client, self._validated(w, client), batch_size, rng)
 
-    def _form(self, client):
-        """The client's (or, for GLOBAL, the global) quadratic and linear
-        terms, or None for a client whose objective is zero."""
-        if client is GLOBAL:
-            return self._a_global, self._lin_global
-        if client in self._quad:
-            return self._quad[client], self._lin[client]
-        return None
-
     def _loss(self, w, client):
-        form = self._form(client)
+        form = self._forms.get(client)
         if form is None:
             return np.zeros(w.shape[:-1])
-        a, lin = form
-        col = w[..., None]
-        return 0.5 * (w[..., None, :] @ a @ col)[..., 0, 0] + (lin @ col)[..., 0]
+        diag, off, lin = form
+        # `w` is C-contiguous (check_param), so both products are too, and
+        # their rows reduce with the bits of the 1-D sum.
+        return 0.5 * (w * _tridiagonal_product(diag, off, w)).sum(-1) + (lin * w).sum(-1)
 
     def _gradient(self, w, client):
-        form = self._form(client)
+        form = self._forms.get(client)
         if form is None:
             return np.zeros(w.shape)
-        a, lin = form
-        return (a @ w[..., None])[..., 0] + lin
+        diag, off, lin = form
+        return _tridiagonal_product(diag, off, w) + lin
 
     def _stochastic_gradients(self, clients, w, samples):
-        # One matvec per row, as `_gradient` makes it: BLAS computes a stacked
-        # product with other kernels, whose bits may differ.
         g = np.zeros_like(w)
         for j, i in enumerate(clients):
-            if i in self._quad:
-                a, b = self._quad[i], self._lin[i]
-                for row in range(len(w)):
-                    g[row, j] = a @ w[row, j] + b
+            if i in self._forms:
+                diag, off, lin = self._forms[i]
+                g[:, j] = _tridiagonal_product(diag, off, w[:, j]) + lin
         return g
 
     def global_minimizer(self) -> np.ndarray:

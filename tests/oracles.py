@@ -1,8 +1,10 @@
-"""Reference loops for the unbiased aggregation rules.
+"""Reference implementations that share no code with stalefl's kernels.
 
 stalefl computes u_fedavg and u_fedvarp as fedstale at beta=0 and beta=1.
 These loops spell out the two formulas on their own, so that tests can check
-fedstale's algebra against code that shares none of it.
+fedstale's algebra against code that shares none of it. `hard_instance_forms`
+builds the hard instance's client and global forms as dense matrices, one
+squared-difference term at a time, to check its banded oracles against.
 """
 
 import numpy as np
@@ -35,3 +37,34 @@ def u_fedvarp(updates, bank, weights, n_clients):
         fresh += weights[u.client] * (u.delta - bank.slots[u.client])
     fresh /= n_clients
     return GlobalUpdate(delta + fresh, fresh_norm=float(np.linalg.norm(fresh)), stale_norm=stale_norm)
+
+
+def hard_instance_forms(dim, horizon, smoothness_L, n_clients, i0=0, i1=1):
+    """Dense (quadratic, linear) forms {client: (B, b)} of the hard instance,
+    with F_i(w) = 1/2 w'B w + b'w, plus the global form under the key None.
+    Clients other than i0 and i1 are absent: their objective is zero."""
+    t, m = horizon, 2 * horizon + 1
+    scale = n_clients * smoothness_L / 4.0
+    b0 = np.zeros((dim, dim))
+    b0[0, 0] += scale
+    for j in range(1, t + 1):      # (w_{2j} - w_{2j+1})^2 pairs, 1-based
+        lo, hi = 2 * j - 1, 2 * j  # 0-based indices
+        b0[lo, lo] += scale
+        b0[hi, hi] += scale
+        b0[lo, hi] -= scale
+        b0[hi, lo] -= scale
+    lin0 = np.zeros(dim)
+    lin0[0] = -scale
+    b1 = np.zeros((dim, dim))
+    for j in range(1, t + 1):      # (w_{2j-1} - w_{2j})^2 pairs
+        lo, hi = 2 * j - 2, 2 * j - 1
+        b1[lo, lo] += scale
+        b1[hi, hi] += scale
+        b1[lo, hi] -= scale
+        b1[hi, lo] -= scale
+    b1[m - 1, m - 1] += scale
+    return {
+        i0: (b0, lin0),
+        i1: (b1, np.zeros(dim)),
+        None: ((b0 + b1) / n_clients, lin0 / n_clients),
+    }

@@ -253,7 +253,7 @@ STACKED_CASES = {
 
 
 @pytest.mark.parametrize("name", list(STACKED_CASES))
-@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+@pytest.mark.parametrize("layout", ["contiguous", "strided", "fortran"])
 def test_stacked_oracles_have_the_bits_of_single_calls(name, layout):
     obj = STACKED_CASES[name]()
     rng = np.random.default_rng(11)
@@ -263,6 +263,8 @@ def test_stacked_oracles_have_the_bits_of_single_calls(name, layout):
         points, slots = points[:, ::2], slots[:, ::2]
     else:
         points, slots = points[:, :5], slots[:, :5]
+    if layout == "fortran":
+        points, slots = np.asfortranarray(points), np.asfortranarray(slots)
     singles = list(itertools.product(range(3), range(5)))
     for client in [GLOBAL, *range(obj.n_clients)]:
         losses = obj.loss(points, client)

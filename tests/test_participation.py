@@ -14,8 +14,12 @@ from stalefl.participation import (
     load_trace_csv,
     make_two_group_profile,
     sample_round,
-    sample_schedule,
 )
+
+
+def schedule(profile, rounds, master_seed):
+    """The (rounds, n_clients) indicator matrix of rounds 1..rounds."""
+    return np.array([sample_round(profile, t, master_seed).present for t in range(1, rounds + 1)])
 
 
 def test_stats_hand_values():
@@ -69,18 +73,17 @@ def test_two_group_full_participation_sentinel():
 
 def test_always_present_client():
     prof = ParticipationProfile(np.array([1.0, 0.3]))
-    sched = sample_schedule(prof, 500, master_seed=1)
-    assert np.all(sched[:, 0])
+    for t in range(1, 501):
+        assert sample_round(prof, t, master_seed=1).present[0]
 
 
 def test_schedule_determinism_and_per_round_equality():
     prof = ParticipationProfile(np.array([0.7, 0.2, 1.0]))
-    a = sample_schedule(prof, 100, master_seed=42)
-    b = sample_schedule(prof, 100, master_seed=42)
+    a = [sample_round(prof, t, 42).present for t in range(1, 101)]
+    b = [sample_round(prof, t, 42).present for t in range(1, 101)]
     assert np.array_equal(a, b)
-    for t in (1, 50, 100):
-        assert np.array_equal(a[t - 1], sample_round(prof, t, 42).present)
-    assert not np.array_equal(a, sample_schedule(prof, 100, master_seed=43))
+    other = [sample_round(prof, t, 43).present for t in range(1, 101)]
+    assert not np.array_equal(a, other)
 
 
 # The documented stream key: ((seed*A ^ client*B) mod 2^64) << 64 | (round mod 2^64).
@@ -96,23 +99,29 @@ def philox_uniform(seed, client, rnd):
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**63 - 1, 2**64 + 7, 3**80])
 def test_sample_round_matches_fresh_philox_oracle(seed):
     # Saved traces stay valid only while every indicator equals a fresh
-    # Generator(Philox(key)).random() < p_i on the documented key.
-    probs = np.linspace(0.025, 1.0, 40)
-    prof = ParticipationProfile(probs)
-    for rnd in (1, 2, 999, 2**64 - 1, 2**64, 2**64 + 3):
-        expected = np.array([philox_uniform(seed, i, rnd) < p for i, p in enumerate(probs)])
-        assert np.array_equal(sample_round(prof, rnd, seed).present, expected), rnd
+    # Generator(Philox(key)).random() < p_i on the documented key. The second
+    # profile puts p = 1 clients, which sample_round sets without a draw,
+    # between and around clients that draw.
+    profiles = [
+        np.linspace(0.025, 1.0, 40),
+        np.array([1.0, 1.0, 0.3, 1.0, 0.999, 0.05, 1.0, 1.0, 0.5, 1.0]),
+    ]
+    for probs in profiles:
+        prof = ParticipationProfile(probs)
+        for rnd in (1, 2, 999, 2**64 - 1, 2**64, 2**64 + 3):
+            expected = np.array([philox_uniform(seed, i, rnd) < p for i, p in enumerate(probs)])
+            assert np.array_equal(sample_round(prof, rnd, seed).present, expected), rnd
 
 
 def test_empirical_frequency():
     prof = ParticipationProfile(np.array([0.5]))
-    sched = sample_schedule(prof, 100_000, master_seed=9)
+    sched = schedule(prof, 100_000, master_seed=9)
     assert abs(float(sched.mean()) - 0.5) < 0.01
 
 
 def test_pairwise_independence_proxy():
     prof = ParticipationProfile(np.array([0.5, 0.5, 0.3]))
-    sched = sample_schedule(prof, 100_000, master_seed=17).astype(float)
+    sched = schedule(prof, 100_000, master_seed=17).astype(float)
     for i in range(3):
         for j in range(i + 1, 3):
             corr = np.corrcoef(sched[:, i], sched[:, j])[0, 1]
@@ -127,7 +136,7 @@ def test_round_must_be_positive():
 
 def test_trace_csv_roundtrip(tmp_path):
     prof = ParticipationProfile(np.array([0.6, 0.4]))
-    sched = sample_schedule(prof, 20, master_seed=3)
+    sched = schedule(prof, 20, master_seed=3)
     path = tmp_path / "trace.csv"
     export_trace_csv(sched, path)
     assert path.read_text().splitlines()[0] == "round,client_id,present"
@@ -172,7 +181,7 @@ def test_estimator_out_of_order_rejected():
 
 def test_estimator_replay_equals_incremental():
     prof = ParticipationProfile(np.array([0.8, 0.3]))
-    sched = sample_schedule(prof, 60, master_seed=2)
+    sched = schedule(prof, 60, master_seed=2)
     est = ProbabilityEstimator(2, weight_cap=20.0)
     for t in range(60):
         est.update(RoundParticipation(t + 1, sched[t]))

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,6 +138,45 @@ def test_hard_instance_inactive_clients_zero(inst):
     w = np.random.default_rng(1).normal(size=25)
     assert inst.loss(w, 2) == 0.0
     np.testing.assert_array_equal(inst.gradient(w, 2), np.zeros(25))
+
+
+@pytest.mark.parametrize("L", [1.0, 0.7, 10.0])
+@pytest.mark.parametrize("dim,horizon", [(5, 2), (45, 22), (45, 10), (201, 100)])
+@pytest.mark.parametrize("n_clients,i0,i1", [(2, 0, 1), (3, 2, 0)])
+def test_hard_instance_oracles_match_dense_forms(L, dim, horizon, n_clients, i0, i1):
+    inst = HardInstance(dim, horizon, L, n_clients, i0, i1)
+    forms = oracles.hard_instance_forms(dim, horizon, L, n_clients, i0, i1)
+    points = np.random.default_rng(dim).normal(size=(4, dim))
+    for client in [GLOBAL, *range(n_clients)]:
+        losses, grads = inst.loss(points, client), inst.gradient(points, client)
+        for w, loss, grad in zip(points, losses, grads):
+            stoch = None if client is GLOBAL else inst.stochastic_gradient(client, w, 1, None)
+            if client not in forms:
+                assert loss == 0.0 and not grad.any() and not stoch.any()
+                continue
+            b, lin = forms[client]
+            ref_grad = b @ w + lin
+            assert loss == pytest.approx(0.5 * w @ b @ w + lin @ w, rel=1e-13)
+            for g in (grad, stoch):
+                if g is not None:
+                    assert np.linalg.norm(g - ref_grad) <= 1e-13 * np.linalg.norm(ref_grad)
+
+
+def held_bytes(value) -> int:
+    """Bytes of the numpy arrays reachable from `value` through dicts,
+    tuples and lists."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list)):
+        return sum(held_bytes(v) for v in value)
+    return 0
+
+
+def test_hard_instance_storage_is_linear_in_dim():
+    inst = HardInstance(2003, 1001, 1.0, 2)
+    assert held_bytes(vars(inst)) <= 64 * inst.dim * 8
 
 
 def test_f_gap_closed_form(inst):
