@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .aggregation import (
     AggregatorConfig,
-    GlobalUpdate,
     MemoryBank,
     NoParticipantsError,
     fedavg_biased,
@@ -31,7 +30,6 @@ from .engine import (
     write_metrics_csv,
 )
 from .local_solver import (
-    ClientUpdate,
     DivergenceError,
     LocalConfig,
     local_train,

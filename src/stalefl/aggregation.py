@@ -4,18 +4,21 @@ Two kernels: biased plain averaging, and fedstale, the fresh/stale convex
 combination whose beta=0 and beta=1 cases are the unbiased u_fedavg and
 u_fedvarp rules.
 
-All rules are pure functions of their inputs and sum client contributions in
-ascending client-index order for bitwise reproducibility.
+Every rule takes a round's participants as `(clients, deltas)`: an ascending
+list of distinct client indices and the (len(clients), dim) array of their
+updates, row k for client clients[k]. The rules are pure functions of their
+inputs and sum client contributions in that ascending order for bitwise
+reproducibility.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .local_solver import ClientUpdate
 from .objectives import DimensionMismatchError, Objective, check_param
 
 
@@ -48,13 +51,6 @@ class AggregatorConfig:
         return self._RULE_BETA.get(self.rule, self.beta)
 
 
-@dataclass(frozen=True)
-class GlobalUpdate:
-    delta: np.ndarray
-    fresh_norm: float = 0.0
-    stale_norm: float = 0.0
-
-
 @dataclass
 class MemoryBank:
     """Most recent update per client, zero-initialized."""
@@ -69,24 +65,24 @@ class MemoryBank:
         self.last_refresh_round = np.zeros(self.n_clients, dtype=np.int64)
 
 
-def _sorted_updates(updates: list[ClientUpdate]) -> list[ClientUpdate]:
-    out = sorted(updates, key=lambda u: u.client)
-    for a, b in zip(out, out[1:]):
-        if a.client == b.client:
-            raise ValueError(f"duplicate client {a.client} in round updates")
-    return out
+def _check_round(clients: Sequence[int], deltas: np.ndarray) -> None:
+    if len(deltas) != len(clients):
+        raise ValueError(f"{len(clients)} clients but {len(deltas)} update rows")
+    for a, b in zip(clients, clients[1:]):
+        if a >= b:
+            raise ValueError(f"client indices {list(clients)} are not ascending and distinct")
 
 
-def fedavg_biased(updates: list[ClientUpdate]) -> GlobalUpdate:
+def fedavg_biased(clients: Sequence[int], deltas: np.ndarray) -> np.ndarray:
     """Plain average over participants; biased under heterogeneous p_i."""
-    updates = _sorted_updates(updates)
-    if not updates:
+    _check_round(clients, deltas)
+    if not len(clients):
         raise NoParticipantsError("no participants this round")
-    delta = np.zeros_like(updates[0].delta)
-    for u in updates:
-        delta += u.delta
-    delta /= len(updates)
-    return GlobalUpdate(delta, fresh_norm=float(np.linalg.norm(delta)))
+    delta = np.zeros(deltas.shape[1])
+    for d in deltas:
+        delta += d
+    delta /= len(clients)
+    return delta
 
 
 def vector_norm(x: np.ndarray) -> float:
@@ -96,56 +92,62 @@ def vector_norm(x: np.ndarray) -> float:
 
 
 def fedstale(
-    updates: list[ClientUpdate],
+    clients: Sequence[int],
+    deltas: np.ndarray,
     bank: MemoryBank,
     weights: np.ndarray,
     n_clients: int,
     beta: float,
-) -> GlobalUpdate:
+) -> np.ndarray:
     """Convex fresh/stale combination:
     (beta/N) sum_i h_i + (1/N) sum_{i in S} (delta_i - beta*h_i)/p_i.
 
-    `weights[i]` is 1/p_i (or its estimate). Does not mutate the bank. beta=0
-    is the unbiased average of fresh updates (u_fedavg), beta=1 the
-    stale-proxy rule (u_fedvarp). With no participants the update is the
-    stale term alone.
+    `deltas[k]` is client `clients[k]`'s fresh update and `weights[i]` is
+    1/p_i (or its estimate). Does not mutate the bank. beta=0 is the
+    unbiased average of fresh updates (u_fedavg), beta=1 the stale-proxy
+    rule (u_fedvarp). With no participants the update is the stale term
+    alone.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
+    _check_round(clients, deltas)
     fresh = np.zeros(bank.dim)
-    for u in _sorted_updates(updates):
+    for i, d in zip(clients, deltas):
         # At beta=0 the stale terms are zero; skipping them changes no bit.
-        d = u.delta - beta * bank.slots[u.client] if beta else u.delta
-        fresh += weights[u.client] * d
+        if beta:
+            d = d - beta * bank.slots[i]
+        fresh += weights[i] * d
     fresh /= n_clients
     if not beta:
-        return GlobalUpdate(fresh, fresh_norm=vector_norm(fresh))
-    stale = beta * bank.slots.sum(axis=0) / n_clients
-    return GlobalUpdate(
-        stale + fresh, fresh_norm=vector_norm(fresh), stale_norm=vector_norm(stale),
-    )
+        return fresh
+    return beta * bank.slots.sum(axis=0) / n_clients + fresh
 
 
 def u_fedavg(
-    updates: list[ClientUpdate], bank: MemoryBank, weights: np.ndarray, n_clients: int,
-) -> GlobalUpdate:
+    clients: Sequence[int], deltas: np.ndarray, bank: MemoryBank, weights: np.ndarray,
+    n_clients: int,
+) -> np.ndarray:
     """(1/N) sum_{i in S} delta_i/p_i: fedstale at beta=0, which reads no slot."""
-    return fedstale(updates, bank, weights, n_clients, 0.0)
+    return fedstale(clients, deltas, bank, weights, n_clients, 0.0)
 
 
 def u_fedvarp(
-    updates: list[ClientUpdate], bank: MemoryBank, weights: np.ndarray, n_clients: int,
-) -> GlobalUpdate:
+    clients: Sequence[int], deltas: np.ndarray, bank: MemoryBank, weights: np.ndarray,
+    n_clients: int,
+) -> np.ndarray:
     """Stale updates as proxies for absent clients, fedstale at beta=1:
     (1/N) sum_i h_i + (1/N) sum_{i in S} (delta_i - h_i)/p_i."""
-    return fedstale(updates, bank, weights, n_clients, 1.0)
+    return fedstale(clients, deltas, bank, weights, n_clients, 1.0)
 
 
-def refresh_memory(bank: MemoryBank, updates: list[ClientUpdate], rnd: int) -> MemoryBank:
+def refresh_memory(
+    bank: MemoryBank, clients: Sequence[int], deltas: np.ndarray, rnd: int,
+) -> MemoryBank:
     """Overwrite participants' slots with their fresh updates; in place."""
-    for u in _sorted_updates(updates):
-        bank.slots[u.client] = u.delta
-        bank.last_refresh_round[u.client] = rnd
+    _check_round(clients, deltas)
+    for i, d in zip(clients, deltas):
+        bank.slots[i] = d
+        bank.last_refresh_round[i] = rnd
     return bank
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import aggregation as agg
 from .aggregation import AggregatorConfig, MemoryBank
-from .local_solver import ClientUpdate, LocalConfig, local_train
+from .local_solver import LocalConfig, local_train
 from .objectives import GLOBAL, Objective, SoftmaxObjective, all_finite, check_param
 from .participation import (
     ParticipationProfile,
@@ -166,7 +166,9 @@ def run(
     exact_weights = inverse_prob_weights(cfg.profile)
     estimator = None
     if cfg.aggregator.weights_source == "estimator":
-        cap = cfg.aggregator.weight_cap or default_weight_cap(cfg.rounds)
+        cap = cfg.aggregator.weight_cap
+        if cap is None:
+            cap = default_weight_cap(cfg.rounds)
         estimator = ProbabilityEstimator(n, cap)
 
     records: list[list[RoundRecord]] = [[] for _ in cfgs]
@@ -176,6 +178,7 @@ def run(
     noisy = obj.uses_rng
     work = cfg.local.local_steps * cfg.local.batch_size
     trace = np.zeros((cfg.rounds, n), dtype=bool)
+    no_deltas = np.empty((0, obj.dim))   # the updates of a round nobody joins
     # The rounds whose metrics are pending form a block that starts at round
     # t0; config c's pending round t0 + j is taken at w_block[c, j] and
     # slot_block[c, j]. With metrics off nothing is pending.
@@ -245,18 +248,16 @@ def run(
                     errors[c] = pending_error(c, j, t0) or diverged[row]
                     dropped.append(row)
                     continue
-                updates = [
-                    ClientUpdate(i, t, deltas[row, k]) for k, i in enumerate(participants)
-                ]
+                fresh = deltas[row] if participants else no_deltas
                 wc = w[row]
                 if metrics:
                     w_block[c, j] = wc
                     slot_block[c, j] = banks[c].slots
 
                 if betas[c] is not None:
-                    delta = agg.fedstale(updates, banks[c], weights, n, betas[c]).delta
-                elif updates:
-                    delta = agg.fedavg_biased(updates).delta
+                    delta = agg.fedstale(participants, fresh, banks[c], weights, n, betas[c])
+                elif participants:
+                    delta = agg.fedavg_biased(participants, fresh)
                 else:
                     delta = np.zeros(obj.dim)
                 # in place, so a diverged config's row changes too; it is dropped
@@ -267,7 +268,7 @@ def run(
                     )
                     dropped.append(row)
                     continue
-                agg.refresh_memory(banks[c], updates, t)
+                agg.refresh_memory(banks[c], participants, fresh, t)
 
                 if trajectories[c] is not None:
                     trajectories[c].append(wc.copy())

@@ -41,13 +41,6 @@ class LocalConfig:
             raise ValueError("client_lr must be finite and positive")
 
 
-@dataclass(frozen=True)
-class ClientUpdate:
-    client: int
-    round: int
-    delta: np.ndarray                  # w_global - local iterate after K steps
-
-
 def local_train(
     obj: Objective,
     clients: Sequence[int],
@@ -70,39 +63,36 @@ def local_train(
     to an exact oracle, which never draws.
 
     All iterates take one step at a time through the oracle's batched kernel
-    `obj._stochastic_gradients`; their finiteness is checked after every
-    step. Returns the deltas, w_global - local iterate after K steps, of
-    shape (configs, clients, dim), and per config the DivergenceError of
-    its lowest-index client that went non-finite, at that client's first
-    non-finite step, or None.
+    `obj._stochastic_gradients`. A non-finite entry stays non-finite, so
+    their finiteness is checked once, after the K steps; only when that
+    check fails are the steps replayed from `w_global`, on the recorded
+    draws, to find where each iterate first went non-finite. Returns the
+    deltas, w_global - local iterate after K steps, of shape (configs,
+    clients, dim), and per config the DivergenceError of its lowest-index
+    client that went non-finite, at that client's first non-finite step, or
+    None.
     """
     w_global = np.asarray(w_global, dtype=float)
     if w_global.ndim != 2 or w_global.shape[1] != obj.dim:
         raise DimensionMismatchError(
             f"expected global iterates of shape (configs, {obj.dim}), got {w_global.shape}"
         )
-    if not np.isfinite(w_global).all():
-        raise ValueError("global iterates contain non-finite entries")
     for i in clients:
         obj._check_client(i)
     lr = np.asarray(client_lrs, dtype=float)[:, None, None]
-    w = np.empty((len(w_global), len(clients), obj.dim))
-    w[...] = w_global[:, None, :]
-    samples = [None] * len(clients)
-    first_bad = None
-    for k in range(cfg.local_steps):
-        if rngs is not None:
-            samples = [obj._draw(i, cfg.batch_size, r) for i, r in zip(clients, rngs)]
-        w -= lr * obj._stochastic_gradients(clients, w, samples)
-        if not all_finite(w):
-            # A non-finite entry stays non-finite, so a client's first
-            # non-finite step is the first one that finds it so.
-            bad = ~np.isfinite(w).all(axis=2)
-            if first_bad is None:
-                first_bad = np.full(bad.shape, -1)
-            first_bad[bad & (first_bad < 0)] = k
+    # one list of per-client draws per step; an exact oracle draws nothing
+    draws = [
+        [obj._draw(i, cfg.batch_size, r) for i, r in zip(clients, rngs)]
+        for _ in range(cfg.local_steps)
+    ] if rngs is not None else [[None] * len(clients)] * cfg.local_steps
+    w = _steps(obj, clients, w_global, lr, draws)
     errors: list[DivergenceError | None] = [None] * len(w_global)
-    if first_bad is not None:
+    if not all_finite(w):
+        # off the path of a finite round: a non-finite input also ends here
+        if not np.isfinite(w_global).all():
+            raise ValueError("global iterates contain non-finite entries")
+        first_bad = np.full(w.shape[:2], -1)
+        _steps(obj, clients, w_global, lr, draws, first_bad)
         for c, steps in enumerate(first_bad):
             hit = np.flatnonzero(steps >= 0)
             if len(hit):
@@ -110,6 +100,20 @@ def local_train(
     return w_global[:, None, :] - w, errors
 
 
-def pseudo_gradient(update: ClientUpdate, cfg: LocalConfig) -> np.ndarray:
+def _steps(obj, clients, w_global, lr, draws, first_bad=None) -> np.ndarray:
+    """The iterates after one step per entry of `draws`, from `w_global`.
+    With `first_bad` given, also records in it, per (config, client), the
+    first step whose iterate is non-finite (entries left at -1 stay finite)."""
+    w = np.empty((len(w_global), len(clients), obj.dim))
+    w[...] = w_global[:, None, :]
+    for k, samples in enumerate(draws):
+        w -= lr * obj._stochastic_gradients(clients, w, samples)
+        if first_bad is not None:
+            bad = ~np.isfinite(w).all(axis=2)
+            first_bad[bad & (first_bad < 0)] = k
+    return w
+
+
+def pseudo_gradient(delta: np.ndarray, cfg: LocalConfig) -> np.ndarray:
     """Update normalized by lr*K: the average of the K local gradients."""
-    return update.delta / (cfg.client_lr * cfg.local_steps)
+    return delta / (cfg.client_lr * cfg.local_steps)

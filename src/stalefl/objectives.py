@@ -160,8 +160,8 @@ class QuadraticObjective(Objective):
         self.centers = [np.asarray(c, dtype=float) for c in centers]
         if len(self.hessians) != len(self.centers):
             raise ValueError("need one Hessian per center")
-        if noise_var < 0:
-            raise ValueError("noise_var must be >= 0")
+        if not (noise_var >= 0 and math.isfinite(noise_var)):
+            raise ValueError(f"noise_var must be finite and >= 0, got {noise_var}")
         self.n_clients = len(self.hessians)
         self.dim = self.centers[0].shape[0]
         for a, c in zip(self.hessians, self.centers):
@@ -219,7 +219,7 @@ class QuadraticObjective(Objective):
         for j, i in enumerate(clients):
             a, c = self.hessians[i], self.centers[i]
             for row in range(len(w)):
-                g[row, j] = a @ (w[row, j] - c)
+                np.matmul(a, w[row, j] - c, out=g[row, j])
         if self.noise_var != 0.0:
             g += np.stack(samples)
         return g
@@ -286,6 +286,8 @@ def build_label_swap_dataset(
     """
     if not 0.0 <= swap_fraction <= 1.0:
         raise ValueError("swap_fraction must lie in [0, 1]")
+    if not (cluster_std >= 0 and math.isfinite(cluster_std)):
+        raise ValueError(f"cluster_std must be finite and >= 0, got {cluster_std}")
     a, b = class_pair
     if a == b or not (0 <= a < class_count and 0 <= b < class_count):
         raise ValueError("class_pair must be two distinct valid class indices")
@@ -324,6 +326,8 @@ class SoftmaxObjective(Objective):
     """
 
     def __init__(self, dataset: SyntheticDataset, holdout_fraction: float = 0.0):
+        if not 0.0 <= holdout_fraction < 1.0:
+            raise ValueError(f"holdout_fraction must lie in [0, 1), got {holdout_fraction}")
         self.dataset = dataset
         self.n_clients = dataset.n_clients
         self.n_classes = dataset.class_count

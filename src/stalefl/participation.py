@@ -163,8 +163,8 @@ class ProbabilityEstimator:
     rounds_seen: int = field(init=False, default=0)
 
     def __post_init__(self):
-        if self.weight_cap <= 1:
-            raise ValueError("weight_cap must be > 1")
+        if not self.weight_cap > 1:   # nan fails this too
+            raise ValueError(f"weight_cap must be > 1, got {self.weight_cap}")
         self.counts = np.zeros(self.n_clients, dtype=np.int64)
 
     def update(self, rp: RoundParticipation) -> "ProbabilityEstimator":

@@ -160,9 +160,9 @@ class HardInstance(Objective):
     Every form, each client's and the global one, is a symmetric tridiagonal
     matrix and is stored as its main diagonal and its off-diagonal (the sub-
     and superdiagonal coincide), so the instance holds O(dim) numbers and
-    every oracle costs O(dim) per point. Only `tridiagonal_matrix` builds a
-    dense A, for the linear solves of `global_minimizer` and
-    `minimize_gradient_norm_in_span`.
+    every oracle costs O(dim) per point, and `global_minimizer` is in closed
+    form. Only `tridiagonal_matrix` builds a dense A, for the least-squares
+    check `minimize_gradient_norm_in_span`.
     """
 
     uses_rng = False  # the oracle is exact
@@ -267,12 +267,12 @@ class HardInstance(Objective):
         return g
 
     def global_minimizer(self) -> np.ndarray:
+        """argmin F in closed form: w_i = (m+1-i)/(m+1) on the first m = 2t+1
+        coordinates (1-based) and 0 after them, the solution of A w = e_1 on
+        the active block."""
         m = 2 * self.horizon + 1
-        a = self.tridiagonal_matrix()[:m, :m]
         w = np.zeros(self.dim)
-        e1 = np.zeros(m)
-        e1[0] = 1.0
-        w[:m] = np.linalg.solve(a, e1)
+        w[:m] = np.arange(m, 0, -1) / (m + 1)
         return w
 
     def f_gap(self) -> float:

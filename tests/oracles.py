@@ -4,39 +4,28 @@ stalefl computes u_fedavg and u_fedvarp as fedstale at beta=0 and beta=1.
 These loops spell out the two formulas on their own, so that tests can check
 fedstale's algebra against code that shares none of it. `hard_instance_forms`
 builds the hard instance's client and global forms as dense matrices, one
-squared-difference term at a time, to check its banded oracles against.
+squared-difference term at a time, to check its banded oracles against, and
+`hard_instance_minimizer` solves the dense global form for its minimizer.
 """
 
 import numpy as np
 
-from stalefl.aggregation import GlobalUpdate
+
+def u_fedavg(clients, deltas, weights, n_clients):
+    """(1/N) sum_{i in S} delta_i/p_i; row k of `deltas` is client
+    `clients[k]`'s update."""
+    delta = np.zeros(np.shape(deltas)[1])
+    for i, d in sorted(zip(clients, deltas), key=lambda pair: pair[0]):
+        delta += weights[i] * d
+    return delta / n_clients
 
 
-def u_fedavg(updates, weights, n_clients, dim=None):
-    """(1/N) sum_{i in S} delta_i/p_i; `dim` sizes the zero update of an
-    empty participant set."""
-    updates = sorted(updates, key=lambda u: u.client)
-    if not updates:
-        if dim is None:
-            raise ValueError("dim is required for an empty participant set")
-        return GlobalUpdate(np.zeros(dim))
-    delta = np.zeros_like(updates[0].delta)
-    for u in updates:
-        delta += weights[u.client] * u.delta
-    delta /= n_clients
-    return GlobalUpdate(delta, fresh_norm=float(np.linalg.norm(delta)))
-
-
-def u_fedvarp(updates, bank, weights, n_clients):
+def u_fedvarp(clients, deltas, bank, weights, n_clients):
     """(1/N) sum_i h_i + (1/N) sum_{i in S} (delta_i - h_i)/p_i."""
-    updates = sorted(updates, key=lambda u: u.client)
-    delta = bank.slots.sum(axis=0) / n_clients
-    stale_norm = float(np.linalg.norm(delta))
     fresh = np.zeros(bank.dim)
-    for u in updates:
-        fresh += weights[u.client] * (u.delta - bank.slots[u.client])
-    fresh /= n_clients
-    return GlobalUpdate(delta + fresh, fresh_norm=float(np.linalg.norm(fresh)), stale_norm=stale_norm)
+    for i, d in sorted(zip(clients, deltas), key=lambda pair: pair[0]):
+        fresh += weights[i] * (d - bank.slots[i])
+    return bank.slots.sum(axis=0) / n_clients + fresh / n_clients
 
 
 def hard_instance_forms(dim, horizon, smoothness_L, n_clients, i0=0, i1=1):
@@ -68,3 +57,13 @@ def hard_instance_forms(dim, horizon, smoothness_L, n_clients, i0=0, i1=1):
         i1: (b1, np.zeros(dim)),
         None: ((b0 + b1) / n_clients, lin0 / n_clients),
     }
+
+
+def hard_instance_minimizer(dim, horizon, smoothness_L=1.0, n_clients=2):
+    """The hard instance's global minimizer by a dense linear solve of its
+    global form: B w = -b on the first 2t+1 coordinates, 0 after them."""
+    b, lin = hard_instance_forms(dim, horizon, smoothness_L, n_clients)[None]
+    m = 2 * horizon + 1
+    w = np.zeros(dim)
+    w[:m] = np.linalg.solve(b[:m, :m], -lin[:m])
+    return w

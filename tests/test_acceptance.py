@@ -30,7 +30,7 @@ from stalefl.engine import (
     run_repeated,
     two_group_prob_for_ratio,
 )
-from stalefl.local_solver import ClientUpdate, LocalConfig
+from stalefl.local_solver import LocalConfig
 from stalefl.objectives import (
     GLOBAL,
     QuadraticObjective,
@@ -57,16 +57,12 @@ def announce(number, name, detail=""):
     print(f"PASS criterion {number}: {name}{suffix}")
 
 
-def upd(client, delta):
-    return ClientUpdate(client, 1, np.asarray(delta, dtype=float))
-
-
 def test_criterion_01_unbiasedness_by_enumeration():
     t0 = time.time()
     rng = np.random.default_rng(101)
     n, dim = 3, 3
     probs = [1.0, 0.5, 0.2]
-    deltas = [rng.normal(size=dim) for _ in range(n)]
+    deltas = rng.normal(size=(n, dim))
     bank = MemoryBank(n, dim)
     bank.slots[:] = rng.normal(size=(n, dim))
     weights = 1.0 / np.array(probs)
@@ -78,23 +74,21 @@ def test_criterion_01_unbiasedness_by_enumeration():
             prob = np.prod([p if m else 1.0 - p for p, m in zip(probs, mask)])
             if prob == 0.0:
                 continue
-            ups = [upd(i, deltas[i]) for i in range(n) if mask[i]]
-            total = total + prob * rule(ups)
+            present = [i for i in range(n) if mask[i]]
+            total = total + prob * rule(present, deltas[present])
         return total
 
     rules = [
-        ("u_fedavg", lambda u: oracles.u_fedavg(u, weights, n, dim=dim).delta),
-        ("u_fedvarp", lambda u: oracles.u_fedvarp(u, bank, weights, n).delta),
+        ("u_fedavg", lambda s, d: oracles.u_fedavg(s, d, weights, n)),
+        ("u_fedvarp", lambda s, d: oracles.u_fedvarp(s, d, bank, weights, n)),
     ] + [
-        (f"fedstale(beta={b})", lambda u, b=b: fedstale(u, bank, weights, n, b).delta)
+        (f"fedstale(beta={b})", lambda s, d, b=b: fedstale(s, d, bank, weights, n, b))
         for b in (0.0, 0.3, 0.7, 1.0)
     ]
     for name, rule in rules:
         np.testing.assert_allclose(expectation(rule), target, atol=1e-12, err_msg=name)
 
-    biased_dev = float(np.linalg.norm(
-        expectation(lambda u: fedavg_biased(u).delta) - target
-    ))
+    biased_dev = float(np.linalg.norm(expectation(fedavg_biased) - target))
     assert biased_dev > 1e-3
     elapsed = time.time() - t0
     assert elapsed < 1.0
@@ -108,17 +102,17 @@ def test_criterion_02_interpolation_identity():
     n, dim = 4, 3
     for _ in range(1000):
         present = [i for i in range(n) if rng.random() < 0.6]
-        ups = [upd(i, rng.normal(size=dim)) for i in present]
+        deltas = rng.normal(size=(len(present), dim))
         bank = MemoryBank(n, dim)
         bank.slots[:] = rng.normal(size=(n, dim))
         weights = rng.uniform(1.0, 10.0, size=n)
         beta = rng.random()
         combo = (
-            (1.0 - beta) * oracles.u_fedavg(ups, weights, n, dim=dim).delta
-            + beta * oracles.u_fedvarp(ups, bank, weights, n).delta
+            (1.0 - beta) * oracles.u_fedavg(present, deltas, weights, n)
+            + beta * oracles.u_fedvarp(present, deltas, bank, weights, n)
         )
         np.testing.assert_allclose(
-            fedstale(ups, bank, weights, n, beta).delta, combo, atol=1e-14
+            fedstale(present, deltas, bank, weights, n, beta), combo, atol=1e-14
         )
     elapsed = time.time() - t0
     assert elapsed < 1.0

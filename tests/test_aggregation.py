@@ -15,12 +15,12 @@ from stalefl.aggregation import (
     u_fedavg,
     u_fedvarp,
 )
-from stalefl.local_solver import ClientUpdate
 from stalefl.objectives import QuadraticObjective
 
 
-def upd(client, *vals):
-    return ClientUpdate(client, 1, np.array(vals, dtype=float))
+def rows(*vals):
+    """A round's update array, one row per participant."""
+    return np.array(vals, dtype=float)
 
 
 def bank_with(n, dim, rows):
@@ -31,35 +31,35 @@ def bank_with(n, dim, rows):
 
 
 def test_fedavg_single_participant_identity():
-    out = fedavg_biased([upd(0, 3.0, -1.0)])
-    np.testing.assert_array_equal(out.delta, np.array([3.0, -1.0]))
+    out = fedavg_biased([0], rows([3.0, -1.0]))
+    np.testing.assert_array_equal(out, np.array([3.0, -1.0]))
 
 
 def test_fedavg_two_participants_mean():
-    out = fedavg_biased([upd(0, 2.0, 0.0), upd(1, 0.0, 2.0)])
-    np.testing.assert_array_equal(out.delta, np.array([1.0, 1.0]))
+    out = fedavg_biased([0, 1], rows([2.0, 0.0], [0.0, 2.0]))
+    np.testing.assert_array_equal(out, np.array([1.0, 1.0]))
 
 
 def test_fedavg_empty_raises():
     with pytest.raises(NoParticipantsError):
-        fedavg_biased([])
+        fedavg_biased([], np.empty((0, 2)))
 
 
 def test_u_fedavg_hand_value():
     # N=2, only client 1 present with p=0.5: (1/2)(1/0.5)(1,0) = (1,0).
-    out = u_fedavg([upd(1, 1.0, 0.0)], MemoryBank(2, 2), np.array([1.0, 2.0]), 2)
-    np.testing.assert_array_equal(out.delta, np.array([1.0, 0.0]))
+    out = u_fedavg([1], rows([1.0, 0.0]), MemoryBank(2, 2), np.array([1.0, 2.0]), 2)
+    np.testing.assert_array_equal(out, np.array([1.0, 0.0]))
 
 
 def test_u_fedavg_all_equal_updates_full_participation():
-    ups = [upd(i, 5.0, -2.0) for i in range(3)]
-    out = u_fedavg(ups, MemoryBank(3, 2), np.ones(3), 3)
-    np.testing.assert_allclose(out.delta, np.array([5.0, -2.0]), atol=1e-15)
+    out = u_fedavg([0, 1, 2], rows(*[[5.0, -2.0]] * 3), MemoryBank(3, 2), np.ones(3), 3)
+    np.testing.assert_allclose(out, np.array([5.0, -2.0]), atol=1e-15)
 
 
 def test_u_fedavg_empty_is_zero():
     bank = bank_with(2, 3, {0: [1.0, 2.0, 3.0]})  # u_fedavg reads no slot
-    np.testing.assert_array_equal(u_fedavg([], bank, np.ones(2), 2).delta, np.zeros(3))
+    out = u_fedavg([], np.empty((0, 3)), bank, np.ones(2), 2)
+    np.testing.assert_array_equal(out, np.zeros(3))
 
 
 def test_fedstale_hand_value():
@@ -67,42 +67,42 @@ def test_fedstale_hand_value():
     # memory slots (1,1), beta=0.5:
     # (0.25)(2,2) + (1/2)(1/1)((2,0)-(0.5,0.5)) = (0.5,0.5)+(0.75,-0.25) = (1.25,0.25)
     bank = bank_with(2, 2, {0: [1.0, 1.0], 1: [1.0, 1.0]})
-    out = fedstale([upd(0, 2.0, 0.0)], bank, np.array([1.0, 2.0]), 2, beta=0.5)
-    np.testing.assert_allclose(out.delta, np.array([1.25, 0.25]), atol=1e-15)
+    out = fedstale([0], rows([2.0, 0.0]), bank, np.array([1.0, 2.0]), 2, beta=0.5)
+    np.testing.assert_allclose(out, np.array([1.25, 0.25]), atol=1e-15)
     # cross-check against the convex-combination identity on the same inputs
     combo = (
-        0.5 * oracles.u_fedavg([upd(0, 2.0, 0.0)], np.array([1.0, 2.0]), 2, dim=2).delta
-        + 0.5 * oracles.u_fedvarp([upd(0, 2.0, 0.0)], bank, np.array([1.0, 2.0]), 2).delta
+        0.5 * oracles.u_fedavg([0], rows([2.0, 0.0]), np.array([1.0, 2.0]), 2)
+        + 0.5 * oracles.u_fedvarp([0], rows([2.0, 0.0]), bank, np.array([1.0, 2.0]), 2)
     )
-    np.testing.assert_allclose(out.delta, combo, atol=1e-15)
+    np.testing.assert_allclose(out, combo, atol=1e-15)
 
 
 def test_fedstale_does_not_mutate_bank():
     bank = bank_with(2, 2, {0: [1.0, 1.0], 1: [1.0, 1.0]})
     before = bank.slots.copy()
-    fedstale([upd(1, 2.0, 0.0)], bank, np.array([1.0, 2.0]), 2, beta=0.7)
+    fedstale([1], rows([2.0, 0.0]), bank, np.array([1.0, 2.0]), 2, beta=0.7)
     np.testing.assert_array_equal(bank.slots, before)
 
 
 def test_fedstale_beta0_equals_u_fedavg():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        ups = [upd(i, *rng.normal(size=3)) for i in (0, 2)]
+        deltas = rows(*[rng.normal(size=3) for i in (0, 2)])
         bank = bank_with(4, 3, {i: rng.normal(size=3) for i in range(4)})
         weights = rng.uniform(1.0, 10.0, size=4)
-        a = fedstale(ups, bank, weights, 4, beta=0.0).delta
-        b = oracles.u_fedavg(ups, weights, 4, dim=3).delta
+        a = fedstale([0, 2], deltas, bank, weights, 4, beta=0.0)
+        b = oracles.u_fedavg([0, 2], deltas, weights, 4)
         np.testing.assert_allclose(a, b, atol=1e-14)
 
 
 def test_fedstale_beta1_equals_u_fedvarp():
     rng = np.random.default_rng(1)
     for _ in range(50):
-        ups = [upd(i, *rng.normal(size=3)) for i in (1, 3)]
+        deltas = rows(*[rng.normal(size=3) for i in (1, 3)])
         bank = bank_with(4, 3, {i: rng.normal(size=3) for i in range(4)})
         weights = rng.uniform(1.0, 10.0, size=4)
-        a = fedstale(ups, bank, weights, 4, beta=1.0).delta
-        b = oracles.u_fedvarp(ups, bank, weights, 4).delta
+        a = fedstale([1, 3], deltas, bank, weights, 4, beta=1.0)
+        b = oracles.u_fedvarp([1, 3], deltas, bank, weights, 4)
         np.testing.assert_allclose(a, b, atol=1e-14)
 
 
@@ -111,29 +111,31 @@ def test_interpolation_identity():
     for _ in range(1000):
         n, dim = 4, 2
         present = [i for i in range(n) if rng.random() < 0.6]
-        ups = [upd(i, *rng.normal(size=dim)) for i in present]
+        deltas = rng.normal(size=(len(present), dim))
         bank = bank_with(n, dim, {i: rng.normal(size=dim) for i in range(n)})
         weights = rng.uniform(1.0, 8.0, size=n)
         beta = rng.random()
         combo = (
-            (1.0 - beta) * oracles.u_fedavg(ups, weights, n, dim=dim).delta
-            + beta * oracles.u_fedvarp(ups, bank, weights, n).delta
+            (1.0 - beta) * oracles.u_fedavg(present, deltas, weights, n)
+            + beta * oracles.u_fedvarp(present, deltas, bank, weights, n)
         )
         np.testing.assert_allclose(
-            fedstale(ups, bank, weights, n, beta).delta, combo, atol=1e-14
+            fedstale(present, deltas, bank, weights, n, beta), combo, atol=1e-14
         )
 
 
 def enumerate_expectation(rule, probs, deltas):
-    """Probability-weighted mean of `rule(participant subset)` over all 2^N outcomes."""
+    """Probability-weighted mean of `rule(clients, deltas)` over all 2^N
+    participant subsets."""
     n = len(probs)
+    deltas = np.asarray(deltas)
     total = np.zeros_like(deltas[0])
     for mask in itertools.product((False, True), repeat=n):
         prob = np.prod([p if m else 1.0 - p for p, m in zip(probs, mask)])
         if prob == 0.0:
             continue
-        ups = [upd(i, *deltas[i]) for i in range(n) if mask[i]]
-        total = total + prob * rule(ups)
+        present = [i for i in range(n) if mask[i]]
+        total = total + prob * rule(present, deltas[present])
     return total
 
 
@@ -147,12 +149,12 @@ def test_unbiasedness_by_enumeration():
     target = np.mean(deltas, axis=0)
 
     rules = {
-        "u_fedavg": lambda ups: oracles.u_fedavg(ups, weights, n, dim=dim).delta,
-        "u_fedvarp": lambda ups: oracles.u_fedvarp(ups, bank, weights, n).delta,
+        "u_fedavg": lambda s, d: oracles.u_fedavg(s, d, weights, n),
+        "u_fedvarp": lambda s, d: oracles.u_fedvarp(s, d, bank, weights, n),
     }
     for beta in (0.0, 0.3, 0.7, 1.0):
         rules[f"fedstale_{beta}"] = (
-            lambda ups, b=beta: fedstale(ups, bank, weights, n, b).delta
+            lambda s, d, b=beta: fedstale(s, d, bank, weights, n, b)
         )
     for name, rule in rules.items():
         exp = enumerate_expectation(rule, probs, deltas)
@@ -163,28 +165,58 @@ def test_biasedness_witness():
     # Heterogeneous p with very different updates: the plain average deviates.
     probs = [1.0, 0.1]
     deltas = [np.array([10.0, 0.0]), np.array([0.0, 10.0])]
-    exp = enumerate_expectation(lambda ups: fedavg_biased(ups).delta, probs, deltas)
+    exp = enumerate_expectation(fedavg_biased, probs, deltas)
     assert float(np.linalg.norm(exp - np.mean(deltas, axis=0))) > 1e-3
 
 
 def test_permutation_invariance():
+    # Relabelling the clients (their updates, slots and weights move with
+    # them) changes only the summation order.
     rng = np.random.default_rng(4)
-    ups = [upd(i, *rng.normal(size=3)) for i in range(5)]
+    present = [0, 1, 3, 4]
+    deltas = rng.normal(size=(4, 3))
     bank = bank_with(5, 3, {i: rng.normal(size=3) for i in range(5)})
     weights = rng.uniform(1.0, 4.0, size=5)
-    shuffled = [ups[j] for j in rng.permutation(5)]
-    for rule in (
-        lambda u: fedavg_biased(u).delta,
-        lambda u: u_fedavg(u, bank, weights, 5).delta,
-        lambda u: u_fedvarp(u, bank, weights, 5).delta,
-        lambda u: fedstale(u, bank, weights, 5, 0.4).delta,
+    perm = rng.permutation(5)   # client i becomes client perm[i]
+    order = np.argsort(perm[present])
+    relabelled = sorted(perm[present].tolist())
+    moved = bank_with(5, 3, {perm[i]: bank.slots[i] for i in range(5)})
+    moved_weights = np.empty(5)
+    moved_weights[perm] = weights
+    for rule, args, moved_args in (
+        (fedavg_biased, (), ()),
+        (u_fedavg, (bank, weights, 5), (moved, moved_weights, 5)),
+        (u_fedvarp, (bank, weights, 5), (moved, moved_weights, 5)),
+        (lambda *a: fedstale(*a, 0.4), (bank, weights, 5), (moved, moved_weights, 5)),
     ):
-        np.testing.assert_allclose(rule(ups), rule(shuffled), atol=1e-14)
+        np.testing.assert_allclose(
+            rule(present, deltas, *args), rule(relabelled, deltas[order], *moved_args),
+            atol=1e-14,
+        )
 
 
 def test_duplicate_client_rejected():
-    with pytest.raises(ValueError):
-        fedavg_biased([upd(0, 1.0), upd(0, 2.0)])
+    # Every rule and the refresh take ascending, distinct client indices:
+    # repeated or unsorted ones raise, and the bank stays as it was.
+    bank = MemoryBank(3, 2)
+    for clients in ([0, 0], [1, 0], [0, 2, 1]):
+        deltas = np.ones((len(clients), 2))
+        for call in (
+            lambda: fedavg_biased(clients, deltas),
+            lambda: fedstale(clients, deltas, bank, np.ones(3), 3, 0.5),
+            lambda: u_fedavg(clients, deltas, bank, np.ones(3), 3),
+            lambda: u_fedvarp(clients, deltas, bank, np.ones(3), 3),
+            lambda: refresh_memory(bank, clients, deltas, 1),
+        ):
+            with pytest.raises(ValueError, match="ascending and distinct"):
+                call()
+    np.testing.assert_array_equal(bank.slots, np.zeros((3, 2)))
+    np.testing.assert_array_equal(bank.last_refresh_round, np.zeros(3))
+
+
+def test_update_rows_must_match_clients():
+    with pytest.raises(ValueError, match="update rows"):
+        fedavg_biased([0, 1], np.ones((1, 2)))
 
 
 def test_config_validation():
@@ -202,7 +234,7 @@ def test_config_validation():
 def test_refresh_empty_is_identity():
     bank = bank_with(3, 2, {0: [1.0, 2.0]})
     before = bank.slots.copy()
-    refresh_memory(bank, [], 5)
+    refresh_memory(bank, [], np.empty((0, 2)), 5)
     np.testing.assert_array_equal(bank.slots, before)
 
 
@@ -210,14 +242,14 @@ def test_non_participant_slot_unchanged_over_rounds():
     bank = bank_with(2, 2, {1: [7.0, 7.0]})
     rng = np.random.default_rng(6)
     for t in range(1, 101):
-        refresh_memory(bank, [upd(0, *rng.normal(size=2))], t)
+        refresh_memory(bank, [0], rng.normal(size=(1, 2)), t)
     np.testing.assert_array_equal(bank.slots[1], np.array([7.0, 7.0]))
     assert bank.last_refresh_round[1] == 0
 
 
 def test_participant_slot_equals_update():
     bank = MemoryBank(2, 2)
-    refresh_memory(bank, [upd(1, 4.0, -4.0)], 3)
+    refresh_memory(bank, [1], rows([4.0, -4.0]), 3)
     np.testing.assert_array_equal(bank.slots[1], np.array([4.0, -4.0]))
     assert bank.last_refresh_round[1] == 3
 
@@ -229,12 +261,12 @@ def test_trace_replay_reconstructs_bank():
     incremental = MemoryBank(n, dim)
     for t in range(1, rounds + 1):
         present = [i for i in range(n) if rng.random() < 0.5]
-        ups = [upd(i, *rng.normal(size=dim)) for i in present]
-        history.append(ups)
-        refresh_memory(incremental, ups, t)
+        deltas = rng.normal(size=(len(present), dim))
+        history.append((present, deltas))
+        refresh_memory(incremental, present, deltas, t)
     replayed = MemoryBank(n, dim)
-    for t, ups in enumerate(history, start=1):
-        refresh_memory(replayed, ups, t)
+    for t, (present, deltas) in enumerate(history, start=1):
+        refresh_memory(replayed, present, deltas, t)
     np.testing.assert_array_equal(incremental.slots, replayed.slots)
     np.testing.assert_array_equal(incremental.last_refresh_round, replayed.last_refresh_round)
 

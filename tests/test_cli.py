@@ -412,6 +412,40 @@ BAD_INPUTS = {
     ),
     "repeat_seeds_malformed": ("repeat", "cfg.ini", QUAD_RUN, ["--seeds", "a"], None),
     "grid_zero_threads": ("grid", "cfg.ini", GRID_SMALL, ["--threads", "0"], None),
+    **{
+        f"run_noise_var_{value}": (
+            "run", "cfg.ini",
+            QUAD_RUN.replace("kind = quadratic2d", f"kind = quadratic2d\nnoise_var = {value}"),
+            [], None,
+        )
+        for value in ("nan", "inf")
+    },
+    **{
+        f"grid_cluster_std_{value}": (
+            "grid", "cfg.ini",
+            GRID_SMALL.replace("data_seed = 1", f"data_seed = 1\ncluster_std = {value}"),
+            ["--threads", "1"], None,
+        )
+        for value in ("nan", "inf")
+    },
+    **{
+        f"run_estimator_weight_cap_{value}": (
+            "run", "cfg.ini",
+            QUAD_RUN.replace(
+                "beta = 0.5", f"beta = 0.5\nweights_source = estimator\nweight_cap = {value}",
+            ),
+            [], None,
+        )
+        for value in ("nan", "0")
+    },
+    **{
+        f"grid_holdout_fraction_{value}": (
+            "grid", "cfg.ini",
+            GRID_SMALL.replace("holdout_fraction = 0.2", f"holdout_fraction = {value}"),
+            ["--threads", "1"], None,
+        )
+        for value in ("-0.5", "1", "nan")
+    },
 }
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from stalefl.local_solver import (
-    ClientUpdate,
     DivergenceError,
     LocalConfig,
     local_train,
@@ -17,29 +16,46 @@ def origin_quadratic():
     return QuadraticObjective.isotropic([np.zeros(2)])
 
 
+def noisy_origin_quadratic(n_clients=1):
+    return QuadraticObjective.isotropic([np.zeros(2)] * n_clients, noise_var=0.5)
+
+
 def train_one(obj, client, w, cfg, rng):
     """local_train on a batch of one config and one client: its update and
     its divergence (None when every iterate stayed finite)."""
     deltas, errors = local_train(obj, [client], np.asarray(w)[None], cfg, [rng], [cfg.client_lr])
     assert deltas.shape == (1, 1, obj.dim)
-    return ClientUpdate(client, 1, deltas[0, 0]), errors[0]
+    return deltas[0, 0], errors[0]
+
+
+def first_bad_step(obj, client, w, lr, steps, seed):
+    """The first local step whose iterate is non-finite, found by a hand
+    loop over `stochastic_gradient` on the rng seeded `seed`; None if every
+    iterate stays finite."""
+    rng, w = np.random.default_rng(seed), np.array(w, dtype=float)
+    for k in range(steps):
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = w - lr * obj.stochastic_gradient(client, w, 1, rng)
+        if not np.isfinite(w).all():
+            return k
+    return None
 
 
 def test_hand_unrolled_two_steps():
     # F(w) = 1/2 ||w||^2 from (1, 0) with lr 0.1: 1 -> 0.9 -> 0.81.
-    u, _ = train_one(
+    delta, _ = train_one(
         origin_quadratic(), 0, np.array([1.0, 0.0]),
         LocalConfig(local_steps=2, client_lr=0.1), np.random.default_rng(0),
     )
-    np.testing.assert_allclose(u.delta, np.array([0.19, 0.0]), atol=1e-16)
+    np.testing.assert_allclose(delta, np.array([0.19, 0.0]), atol=1e-16)
 
 
 def test_single_step_is_single_gradient():
     obj = origin_quadratic()
     w = np.array([2.0, -3.0])
-    u, _ = train_one(obj, 0, w, LocalConfig(local_steps=1, client_lr=0.5),
+    delta, _ = train_one(obj, 0, w, LocalConfig(local_steps=1, client_lr=0.5),
                      np.random.default_rng(1))
-    np.testing.assert_array_equal(u.delta, 0.5 * obj.gradient(w, 0))
+    np.testing.assert_array_equal(delta, 0.5 * obj.gradient(w, 0))
     # the one step's gradient, replayed from the same rng seed
     g = obj.stochastic_gradient(0, w, 1, np.random.default_rng(1))
     np.testing.assert_array_equal(g, obj.gradient(w, 0))
@@ -47,15 +63,14 @@ def test_single_step_is_single_gradient():
 
 def test_pseudo_gradient_hand_value():
     cfg = LocalConfig(local_steps=2, client_lr=0.1)
-    u, _ = train_one(origin_quadratic(), 0, np.array([1.0, 0.0]), cfg,
+    delta, _ = train_one(origin_quadratic(), 0, np.array([1.0, 0.0]), cfg,
                      np.random.default_rng(0))
-    np.testing.assert_allclose(pseudo_gradient(u, cfg), np.array([0.95, 0.0]), atol=1e-15)
+    np.testing.assert_allclose(pseudo_gradient(delta, cfg), np.array([0.95, 0.0]), atol=1e-15)
 
 
 def test_pseudo_gradient_zero_update():
     cfg = LocalConfig(local_steps=3, client_lr=0.2)
-    u = ClientUpdate(0, 1, np.zeros(4))
-    np.testing.assert_array_equal(pseudo_gradient(u, cfg), np.zeros(4))
+    np.testing.assert_array_equal(pseudo_gradient(np.zeros(4), cfg), np.zeros(4))
 
 
 def test_telescoping_identity():
@@ -63,14 +78,14 @@ def test_telescoping_identity():
     obj = QuadraticObjective.isotropic([rng.normal(size=3)], noise_var=0.5)
     cfg = LocalConfig(local_steps=7, client_lr=0.03)
     w0 = rng.normal(size=3)
-    u, _ = train_one(obj, 0, w0, cfg, np.random.default_rng(9))
+    delta, _ = train_one(obj, 0, w0, cfg, np.random.default_rng(9))
     # replay the K step gradients from the same rng seed
     step_rng, w, grads = np.random.default_rng(9), w0.copy(), []
     for _ in range(cfg.local_steps):
         grads.append(obj.stochastic_gradient(0, w, cfg.batch_size, step_rng))
         w -= cfg.client_lr * grads[-1]
     total = cfg.client_lr * np.sum(grads, axis=0)
-    np.testing.assert_allclose(u.delta, total, atol=1e-12)
+    np.testing.assert_allclose(delta, total, atol=1e-12)
 
 
 def test_descent_property():
@@ -79,8 +94,8 @@ def test_descent_property():
     cfg = LocalConfig(local_steps=10, client_lr=0.9)  # lr <= 1/L = 1
     for _ in range(20):
         w0 = rng.normal(scale=5.0, size=2)
-        u, _ = train_one(obj, 0, w0, cfg, np.random.default_rng(0))
-        assert obj.loss(w0 - u.delta, 0) <= obj.loss(w0, 0) + 1e-12
+        delta, _ = train_one(obj, 0, w0, cfg, np.random.default_rng(0))
+        assert obj.loss(w0 - delta, 0) <= obj.loss(w0, 0) + 1e-12
 
 
 def test_divergence_detected_with_step_info():
@@ -99,11 +114,32 @@ def test_divergence_detected_with_step_info():
             first = k
     assert error.step == first
 
+    # With a noisy oracle the reported step is the hand loop's on the same
+    # stream, and the stream has made exactly its K draws, none more.
+    obj = noisy_origin_quadratic()
+    with np.errstate(over="ignore", invalid="ignore"):
+        rng = np.random.default_rng(3)
+        _, error = train_one(obj, 0, np.array([1.0, 1.0]), cfg, rng)
+    assert isinstance(error, DivergenceError)
+    assert error.client == 0
+    assert error.step == first_bad_step(obj, 0, [1.0, 1.0], 1000.0, 300, 3)
+    drawn = np.random.default_rng(3)
+    for _ in range(cfg.local_steps):
+        obj._draw(0, cfg.batch_size, drawn)
+    assert rng.random() == drawn.random()
+
 
 def test_input_left_unmodified():
     w = np.array([1.0, 2.0])
     train_one(origin_quadratic(), 0, w, LocalConfig(2, 0.1), np.random.default_rng(0))
     np.testing.assert_array_equal(w, np.array([1.0, 2.0]))
+
+
+def test_non_finite_global_iterate_rejected():
+    w = np.array([[1.0, 1.0], [np.inf, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            local_train(origin_quadratic(), [0], w, LocalConfig(2, 0.1), None, [0.1, 0.1])
 
 
 def test_config_validation():
@@ -130,18 +166,30 @@ def test_batch_rows_equal_single_runs():
     assert errors == [None, None]
     for c, lr in enumerate(lrs):
         for j, i in enumerate(clients):
-            u, _ = train_one(obj, i, w[c], LocalConfig(4, lr), np.random.default_rng(10 + i))
-            assert deltas[c, j].tobytes() == u.delta.tobytes()
+            delta, _ = train_one(obj, i, w[c], LocalConfig(4, lr), np.random.default_rng(10 + i))
+            assert deltas[c, j].tobytes() == delta.tobytes()
 
 
 def test_divergence_is_reported_per_config_at_the_first_bad_client():
-    obj = QuadraticObjective.isotropic([np.zeros(2)] * 3)
+    # Config 0 stays finite and config 1 diverges at both clients; config 1
+    # reports client 1's first non-finite step, and config 0's deltas have
+    # the bits of config 0 run alone. Once with an exact and once with a
+    # noisy oracle, whose clients draw from the streams seeded 11 and 12.
     cfg = LocalConfig(local_steps=300, client_lr=0.5)
     w = np.array([[1.0, 1.0], [1.0, 1.0]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, errors = local_train(obj, [1, 2], w, cfg, None, np.array([0.5, 1000.0]))
-        _, alone = train_one(obj, 1, w[1], LocalConfig(300, 1000.0), None)
-    assert errors[0] is None
-    assert errors[1].client == 1
-    assert errors[1].step == alone.step
-    assert 0 <= alone.step < 300
+    for obj in (QuadraticObjective.isotropic([np.zeros(2)] * 3), noisy_origin_quadratic(3)):
+        def rngs():
+            return [np.random.default_rng(10 + i) for i in (1, 2)] if obj.uses_rng else None
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            deltas, errors = local_train(obj, [1, 2], w, cfg, rngs(), np.array([0.5, 1000.0]))
+            _, alone = train_one(
+                obj, 1, w[1], LocalConfig(300, 1000.0), rngs()[0] if obj.uses_rng else None,
+            )
+        kept, kept_errors = local_train(obj, [1, 2], w[:1], cfg, rngs(), np.array([0.5]))
+        assert errors[0] is None and kept_errors == [None]
+        assert deltas[0].tobytes() == kept[0].tobytes()
+        assert errors[1].client == 1
+        assert errors[1].step == alone.step
+        assert alone.step == first_bad_step(obj, 1, w[1], 1000.0, 300, 11)
+        assert 0 <= alone.step < 300

@@ -199,6 +199,13 @@ def test_softmax_holdout_and_accuracy():
     assert 0.0 <= acc <= 1.0
 
 
+def test_holdout_fraction_outside_unit_interval_rejected():
+    ds = build_label_swap_dataset(2, 5, 0.0)
+    for value in (-0.5, 1.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"holdout_fraction must lie in \[0, 1\)"):
+            SoftmaxObjective(ds, value)
+
+
 # --- constants estimation ---------------------------------------------------
 
 

@@ -184,6 +184,15 @@ def test_f_gap_closed_form(inst):
     assert inst.f_gap() == pytest.approx(1.0 * (2 * t + 1) / (16.0 * (t + 1)), abs=1e-12)
 
 
+@pytest.mark.parametrize("dim, horizon", [(5, 2), (25, 5), (45, 10), (45, 22), (201, 100)])
+def test_global_minimizer_matches_dense_solve(dim, horizon):
+    for L in (1.0, 0.7):
+        inst = HardInstance(dim, horizon, L, 2)
+        dense = oracles.hard_instance_minimizer(dim, horizon, L)
+        np.testing.assert_allclose(inst.global_minimizer(), dense, rtol=0, atol=1e-12)
+        assert inst.f_gap() == pytest.approx(-inst.loss(dense), rel=1e-14)
+
+
 def test_global_minimizer_coordinates(inst):
     w = inst.global_minimizer()
     m = 2 * inst.horizon + 1
