@@ -146,7 +146,7 @@ def run(
     shared = _shared_fields(cfg)
     for other in cfgs[1:]:
         for name, value in _shared_fields(other).items():
-            if not np.array_equal(value, shared[name]):
+            if not _same(value, shared[name]):
                 raise ValueError(f"the configs of a batch must share {name}")
     n = obj.n_clients
     if cfg.profile.n_clients != n:
@@ -333,6 +333,13 @@ def _shared_fields(cfg: TrainConfig) -> dict:
         "profile": cfg.profile.probs,
         "replay_schedule": cfg.replay_schedule,
     }
+
+
+def _same(a, b) -> bool:
+    """Whether two shared-field values are equal, nan equal to nan (a nan
+    weight cap is shared when every config has it)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b, equal_nan=a.dtype.kind == b.dtype.kind == "f")
 
 
 def run_batch(cfgs: list[TrainConfig], obj: Objective, *, metrics: bool = True) -> list:

@@ -56,11 +56,12 @@ def local_train(
     `client_lrs` one client lr per config (`cfg.client_lr` is not read).
     Every config starts each client from its own iterate; the configs share
     `cfg`'s K and batch size and, per client, one stream of samples.
-    `rngs[j]` is client `clients[j]`'s noise stream. Its K draws
-    (`obj._draw`) are made once, step by step, and fed to every config, so a
-    config's iterates have the same bits as when it runs alone. engine
-    builds these streams only when `obj.uses_rng` is true, and passes None
-    to an exact oracle, which never draws.
+    `rngs[j]` is client `clients[j]`'s noise stream. Its K draws are made
+    in one `obj._draws` call per client, before any step (for a softmax
+    minibatch, one (K, n) block of uniform keys, O(K * n)), and fed to every
+    config, so a config's iterates have the same bits as when it runs alone.
+    engine builds these streams only when `obj.uses_rng` is true, and passes
+    None to an exact oracle, which never draws.
 
     All iterates take one step at a time through the oracle's batched kernel
     `obj._stochastic_gradients`. A non-finite entry stays non-finite, so
@@ -81,10 +82,11 @@ def local_train(
         obj._check_client(i)
     lr = np.asarray(client_lrs, dtype=float)[:, None, None]
     # one list of per-client draws per step; an exact oracle draws nothing
-    draws = [
-        [obj._draw(i, cfg.batch_size, r) for i, r in zip(clients, rngs)]
-        for _ in range(cfg.local_steps)
-    ] if rngs is not None else [[None] * len(clients)] * cfg.local_steps
+    if rngs is None:
+        draws = [[None] * len(clients)] * cfg.local_steps
+    else:
+        rows = [obj._draws(i, cfg.batch_size, cfg.local_steps, r) for i, r in zip(clients, rngs)]
+        draws = [[d[k] for d in rows] for k in range(cfg.local_steps)]
     w = _steps(obj, clients, w_global, lr, draws)
     errors: list[DivergenceError | None] = [None] * len(w_global)
     if not all_finite(w):

@@ -88,9 +88,12 @@ class Objective:
     on C-contiguous arrays. A single point gives a float loss and a 1-D
     gradient.
 
-    The stochastic oracle is split in two kernels. `_draw(client,
-    batch_size, rng)` makes one step's draw from the client's noise stream
-    (a sorted minibatch, a noise vector, or None for an exact oracle).
+    The stochastic oracle is split in two kernels. `_draws(client,
+    batch_size, steps, rng)` makes all `steps` draws of a (client, round)
+    from the client's noise stream in one call; row k is step k's draw (a
+    sorted minibatch, a noise vector, or None for an exact oracle, which
+    draws nothing). A softmax minibatch costs O(steps * n) for a client with
+    n training samples, whatever the batch size.
     `_stochastic_gradients(clients, w, samples)` is batched: `w` has shape
     (configs, len(clients), dim), row (c, j) is config c's iterate at client
     `clients[j]`, and `samples[j]` is that client's draw, shared by every
@@ -110,15 +113,15 @@ class Objective:
     def _gradient(self, w: np.ndarray, client: int | None) -> np.ndarray:
         raise NotImplementedError
 
-    def _draw(self, client: int, batch_size: int, rng: np.random.Generator | None):
-        return None
+    def _draws(self, client: int, batch_size: int, steps: int, rng: np.random.Generator | None):
+        return [None] * steps
 
     def _stochastic_gradients(self, clients, w: np.ndarray, samples) -> np.ndarray:
         raise NotImplementedError
 
     def _one_stochastic_gradient(self, client, w, batch_size, rng) -> np.ndarray:
         """`stochastic_gradient` on a validated vector: a batch of one."""
-        sample = self._draw(client, batch_size, rng)
+        sample = self._draws(client, batch_size, 1, rng)[0]
         return self._stochastic_gradients([client], w[None, None], [sample])[0, 0]
 
     def _validated(self, w: np.ndarray, client: int | None) -> np.ndarray:
@@ -207,10 +210,11 @@ class QuadraticObjective(Objective):
             return g / self.n_clients
         return (self.hessians[client] @ (w - self.centers[client])[..., None])[..., 0]
 
-    def _draw(self, client, batch_size, rng):
+    def _draws(self, client, batch_size, steps, rng):
         if self.noise_var == 0.0:
-            return None
-        return rng.normal(0.0, math.sqrt(self.noise_var / self.dim), size=self.dim)
+            return [None] * steps
+        # row k has the bits of the k-th of `steps` calls of size dim
+        return rng.normal(0.0, math.sqrt(self.noise_var / self.dim), size=(steps, self.dim))
 
     def _stochastic_gradients(self, clients, w, samples):
         # One matvec per row, as `_gradient` makes it: BLAS computes a stacked
@@ -399,13 +403,17 @@ class SoftmaxObjective(Objective):
         x, y = self.train_x[client], self.train_y[client]
         return self._client_grad(w_mat, x, y).reshape(w.shape)
 
-    def _draw(self, client, batch_size, rng):
+    def _draws(self, client, batch_size, steps, rng):
+        # Step k's minibatch is the indices of the batch_size smallest of n
+        # uniform keys (row k of one (steps, n) block), in ascending order:
+        # a uniform subset, and every index when batch_size = n.
         n = len(self.train_y[client])
-        if n == 0:
-            raise ValueError(f"client {client} has an empty dataset")
         if not 1 <= batch_size <= n:
             raise ValueError(f"batch_size must be in [1, {n}]")
-        return np.sort(rng.choice(n, size=batch_size, replace=False))
+        keys = rng.random((steps, n))
+        idx = np.argpartition(keys, batch_size - 1, axis=1)[:, :batch_size]
+        idx.sort(axis=1)
+        return idx
 
     def _stochastic_gradients(self, clients, w, samples):
         x = np.stack([self.train_x[i][idx] for i, idx in zip(clients, samples)])

@@ -314,6 +314,26 @@ def test_grid_subcommand_small(tmp_path):
     assert flags == 4  # exactly one beta_opt per cell
 
 
+def test_grid_with_a_nan_weight_cap(tmp_path, capsys):
+    # Every config of a cell carries the same nan cap, so the configs share
+    # it. Exact weights never read the cap: grid.csv is the one without it.
+    # The estimator rejects it with its own message.
+    argv = ["--threads", "1"]
+    assert main(["grid", "--config", str(write(tmp_path, GRID_SMALL, "plain.ini")),
+                 "--out", str(tmp_path / "plain"), *argv]) == 0
+    capped = GRID_SMALL + "\n[aggregator]\nweight_cap = nan\n"
+    assert main(["grid", "--config", str(write(tmp_path, capped, "capped.ini")),
+                 "--out", str(tmp_path / "capped"), *argv]) == 0
+    assert (tmp_path / "capped" / "grid.csv").read_bytes() == (
+        tmp_path / "plain" / "grid.csv"
+    ).read_bytes()
+    capsys.readouterr()
+    estimated = capped.replace("weight_cap", "weights_source = estimator\nweight_cap")
+    assert main(["grid", "--config", str(write(tmp_path, estimated, "estimated.ini")),
+                 "--out", str(tmp_path / "estimated"), *argv]) == EXIT_CONFIG
+    assert "weight_cap must be > 1" in capsys.readouterr().err
+
+
 def test_out_root_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("STALEFL_OUT_ROOT", str(tmp_path / "root"))
     path = write(tmp_path, QUAD_RUN)

@@ -191,7 +191,7 @@ CASES = {
         },
     ),
     "run_softmax": ("run", SOFTMAX_RUN_CONFIG, (), {
-        "metrics.csv": "e3253808e6c6fcbef1a1864c6652bce55b36bca1d5dd150ba0b477257299607a",
+        "metrics.csv": "682436074bbd152f26772cd81ca69327aa93e94a1d14332ee2cdf9ea69991acc",
     }),
     "repeat_u_fedavg": (
         "repeat", QUAD_REPEAT_CONFIG + "\n[aggregator]\nrule = u_fedavg\n", REPEAT_ARGS, {
@@ -216,10 +216,10 @@ CASES = {
         },
     ),
     "grid": ("grid", GRID_CONFIG, ("--threads", "1"), {
-        "grid.csv": "23d67a3b1a214fb4006d6b6d6494de5c8d448a4ed92802f3b78dbd21ae9aef49",
+        "grid.csv": "758385d1a618b3287ec10d23ca4c610052b5dc0fff4e73eebfaee42aae381cf5",
     }),
     "grid_loss_lr_grid": ("grid", GRID_LOSS_CONFIG, ("--threads", "1"), {
-        "grid.csv": "8e3bc689fb0426d177ed51b9845388b62cdba1f9b349edb3325b091fb1d324d5",
+        "grid.csv": "decb1a8310d682c5785582c32be6d62c0db1a82aa367f55e820ab25518a9e573",
     }),
     "run_hard_instance": ("run", HARD_RUN_CONFIG, (), {
         "metrics.csv": "fef719badafd9373e2b80ddfe93eeb5d7551d32ab1a2948adb983a8bb8352628",

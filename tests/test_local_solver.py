@@ -9,7 +9,7 @@ from stalefl.local_solver import (
     local_train,
     pseudo_gradient,
 )
-from stalefl.objectives import QuadraticObjective
+from stalefl.objectives import QuadraticObjective, SoftmaxObjective, build_label_swap_dataset
 
 
 def origin_quadratic():
@@ -124,9 +124,31 @@ def test_divergence_detected_with_step_info():
     assert error.client == 0
     assert error.step == first_bad_step(obj, 0, [1.0, 1.0], 1000.0, 300, 3)
     drawn = np.random.default_rng(3)
-    for _ in range(cfg.local_steps):
-        obj._draw(0, cfg.batch_size, drawn)
+    drawn.normal(size=(cfg.local_steps, obj.dim))
     assert rng.random() == drawn.random()
+
+
+def test_softmax_clients_draw_one_block_of_keys_a_round():
+    # Each client's stream gives one (K, n) block of uniform keys, no more,
+    # and the deltas are those of K stochastic_gradient calls on that stream.
+    data = build_label_swap_dataset(
+        3, 11, 0.5, (0, 1), np.random.default_rng(2), class_count=3, feature_dim=2,
+    )
+    obj = SoftmaxObjective(data)
+    cfg = LocalConfig(local_steps=4, client_lr=0.1, batch_size=3)
+    w = np.random.default_rng(5).normal(size=(1, obj.dim))
+    clients = [0, 2]
+    rngs = [np.random.default_rng(20 + i) for i in clients]
+    deltas, errors = local_train(obj, clients, w, cfg, rngs, [cfg.client_lr])
+    assert errors == [None]
+    for j, i in enumerate(clients):
+        drawn = np.random.default_rng(20 + i)
+        drawn.random((cfg.local_steps, 11))
+        assert rngs[j].random() == drawn.random()
+        step_rng, w_i = np.random.default_rng(20 + i), w[0].copy()
+        for _ in range(cfg.local_steps):
+            w_i = w_i - cfg.client_lr * obj.stochastic_gradient(i, w_i, cfg.batch_size, step_rng)
+        assert deltas[0, j].tobytes() == (w[0] - w_i).tobytes()
 
 
 def test_input_left_unmodified():

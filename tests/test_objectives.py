@@ -172,6 +172,48 @@ def test_softmax_batch_enumeration_unbiased():
     np.testing.assert_allclose(np.mean(batches, axis=0), obj.gradient(w, 0), atol=1e-12)
 
 
+def test_softmax_draws_are_distinct_ascending_in_range():
+    obj = small_softmax(samples=9)
+    n = len(obj.train_y[0])
+    for batch_size in (1, 4, n - 1, n):
+        draws = obj._draws(0, batch_size, 6, np.random.default_rng(batch_size))
+        assert draws.shape == (6, batch_size)
+        assert (np.diff(draws, axis=1) > 0).all()  # distinct and ascending
+        assert draws.min() >= 0 and draws.max() < n
+    assert (draws == np.arange(n)).all()  # batch_size = n takes every sample
+    with pytest.raises(ValueError, match="batch_size"):
+        obj._draws(0, n + 1, 1, np.random.default_rng(0))
+
+
+def test_softmax_draws_are_uniform_subsets():
+    # 60000 draws of 2 of 6 samples: each of the 15 subsets has frequency
+    # 1/15, with a standard deviation near 0.001, so 0.005 is about 5 sigma.
+    obj = small_softmax(samples=6)
+    draws = obj._draws(0, 2, 60000, np.random.default_rng(8))
+    counts = {c: 0 for c in itertools.combinations(range(6), 2)}
+    for row in draws.tolist():
+        counts[tuple(row)] += 1
+    for subset, count in counts.items():
+        assert abs(count / len(draws) - 1 / 15) <= 0.005, subset
+
+
+def test_noisy_quadratic_draws_have_the_bits_of_single_calls():
+    obj = QuadraticObjective.isotropic([np.zeros(7)], noise_var=0.5)
+    sd = math.sqrt(0.5 / 7)
+    for seed in range(200):
+        rows = obj._draws(0, 1, 5, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        singles = np.array([rng.normal(0.0, sd, size=7) for _ in range(5)])
+        assert rows.tobytes() == singles.tobytes()
+
+
+def test_exact_oracles_draw_nothing():
+    rng = np.random.default_rng(0)
+    for obj in (two_quadratic(), HardInstance(5, 2, 1.0, 2)):
+        assert obj._draws(0, 1, 4, rng) == [None] * 4
+    assert rng.random() == np.random.default_rng(0).random()
+
+
 def test_softmax_global_gradient_linearity():
     obj = small_softmax()
     w = np.random.default_rng(4).normal(size=obj.dim)
