@@ -369,7 +369,7 @@ def cmd_grid(args, cfg: dict[str, dict], out: Path) -> int:
     tc = build_train_config(cfg, profile, 1)
     tc = replace(tc, init_point=np.zeros(1))
     grid = run_grid(
-        tc, lambda swap, group2, seed: _softmax_objective(o, n_clients, swap, group2),
+        tc, lambda swap, group2: _softmax_objective(o, n_clients, swap, group2),
         g["ratios"], g["swap_fractions"], g["betas"], g["seeds"],
         n_clients=n_clients, metric_mode=g["metric"],
         client_lr_grid=g["client_lr_grid"], threads=args.threads,

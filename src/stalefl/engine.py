@@ -5,6 +5,12 @@ configs that share the participation trace and the per-(client, round)
 minibatch stream in lockstep; a single run is the batch of one. The grid runs
 the betas and client lrs of a cell this way, one batch per seed.
 
+No indicator depends on the iterate, so `run` takes the whole trace before
+the first round: the replayed one, or one drawn by `sample_round` a chunk of
+rounds per call (at most `TRACE_LANES` keyed draws a chunk). Each round's
+participant list is a slice of that trace, and the probability estimator
+counts its rows.
+
 The per-round metrics are evaluated a block of `METRIC_BLOCK` rounds at a
 time: the loop keeps the points they are taken at, and one call each of the
 broadcasting oracles `loss`, `gradient` and `memory_error` evaluates a whole
@@ -27,7 +33,6 @@ from .objectives import GLOBAL, Objective, SoftmaxObjective, all_finite, check_p
 from .participation import (
     ParticipationProfile,
     ProbabilityEstimator,
-    RoundParticipation,
     inverse_prob_weights,
     make_two_group_profile,
     sample_round,
@@ -39,6 +44,13 @@ METRICS_HEADER = "round,loss,grad_norm_sq,H,participants,update_norm,wall_ns"
 # costs its per-call overhead, which a block shares among its rounds; the
 # block buffers bound the memory this takes.
 METRIC_BLOCK = 64
+
+# Keyed participation draws per `sample_round` call when `run` draws its
+# trace: a chunk spans TRACE_LANES // (clients that draw) rounds. Each of the
+# Philox kernel's uint64 temporaries holds one word per draw, so this bounds
+# their size, while a chunk of a few thousand draws already spreads the
+# kernel's per-call overhead thin.
+TRACE_LANES = 4096
 
 
 @dataclass(frozen=True)
@@ -177,7 +189,6 @@ def run(
     errors: list[Exception | None] = [None] * len(cfgs)
     noisy = obj.uses_rng
     work = cfg.local.local_steps * cfg.local.batch_size
-    trace = np.zeros((cfg.rounds, n), dtype=bool)
     no_deltas = np.empty((0, obj.dim))   # the updates of a round nobody joins
     # The rounds whose metrics are pending form a block that starts at round
     # t0; config c's pending round t0 + j is taken at w_block[c, j] and
@@ -217,16 +228,16 @@ def run(
         (out,) = evaluate([c], b, t0)
         return out if isinstance(out, Exception) else None
 
+    trace = _participation_trace(cfg)
+    # round t's participants are flat[ends[t - 1]:ends[t]], in ascending order
+    flat = np.nonzero(trace)[1].tolist()
+    ends = [0, *np.cumsum(np.count_nonzero(trace, axis=1)).tolist()]
+
     # A diverging run overflows before the finiteness checks below catch it;
     # those checks drop the run, so the overflow warnings would only be noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, cfg.rounds + 1):
-            if cfg.replay_schedule is not None:
-                rp = RoundParticipation(t, cfg.replay_schedule[t - 1])
-            else:
-                rp = sample_round(cfg.profile, t, cfg.master_seed)
-            trace[t - 1] = rp.present
-            participants = rp.participants().tolist()
+            participants = flat[ends[t - 1]:ends[t]]
             j = len(counts)   # this round's row in the block buffers
             t0 = t - j
 
@@ -237,7 +248,7 @@ def run(
                 deltas, diverged = local_train(obj, participants, w, cfg.local, rngs, client_lrs)
 
             if estimator is not None:
-                estimator.update(rp)
+                estimator.update(t, trace[t - 1])
                 weights = estimator.weights()
             else:
                 weights = exact_weights
@@ -322,6 +333,20 @@ def run(
     return results
 
 
+def _participation_trace(cfg: TrainConfig) -> np.ndarray:
+    """The (rounds, n_clients) indicator matrix of a run: the replay trace's
+    first `cfg.rounds` rows, or the rounds drawn by `sample_round`, a chunk
+    of at most `TRACE_LANES` draws per call."""
+    if cfg.replay_schedule is not None:
+        return np.array(cfg.replay_schedule[: cfg.rounds], dtype=bool)
+    trace = np.empty((cfg.rounds, cfg.profile.n_clients), dtype=bool)
+    chunk = max(1, TRACE_LANES // max(1, int(np.count_nonzero(cfg.profile.probs < 1.0))))
+    for t in range(1, cfg.rounds + 1, chunk):
+        k = min(chunk, cfg.rounds + 1 - t)
+        trace[t - 1:t - 1 + k] = sample_round(cfg.profile, t, cfg.master_seed, k)
+    return trace
+
+
 def _shared_fields(cfg: TrainConfig) -> dict:
     return {
         "rounds": cfg.rounds,
@@ -350,11 +375,12 @@ def run_batch(cfgs: list[TrainConfig], obj: Objective, *, metrics: bool = True) 
     profile or replay trace, the weight source and cap, and the local steps
     and batch size (a ValueError names the first field that differs). They
     may differ in the aggregation rule and beta, the client and server lrs
-    and the initial point. Then every round draws one participation vector,
-    builds each participant's noise stream once, and steps all (config,
-    participant) iterates together through one `local_train` call on the
-    shared minibatches; aggregation and the memory refresh then run per
-    config, and each block of metrics is evaluated for all configs at once.
+    and the initial point. Then the batch draws one participation trace,
+    and every round builds each participant's noise stream once and steps
+    all (config, participant) iterates together through one `local_train`
+    call on the shared minibatches; aggregation and the memory refresh then
+    run per config, and each block of metrics is evaluated for all configs
+    at once.
     The results share one participation trace array and, with estimated
     weights, one estimator.
 
@@ -469,7 +495,7 @@ def run_grid(
     within a relative 1e-12 of the best count as tied, so an exact tie in the
     underlying scores is not broken by the rounding of their mean).
 
-    `obj_factory(swap_fraction, group2, seed)` builds the cell objective. When
+    `obj_factory(swap_fraction, group2)` builds the cell objective. When
     `client_lr_grid` is given, the client lr is tuned independently per
     (cell, beta) by the same metric. Runs compute no per-round metrics, since
     only their final loss or accuracy is read.
@@ -499,7 +525,7 @@ def run_grid(
         else:
             profile = make_two_group_profile(n_clients, p_low, n_clients // 2)
         rounds = horizon_for(p_low)
-        obj = obj_factory(swap, profile.group2, seeds[0])
+        obj = obj_factory(swap, profile.group2)
         cfgs = [
             replace(
                 base_cfg,

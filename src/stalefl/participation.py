@@ -5,12 +5,16 @@ keyed by (master_seed, client, round), so the realized schedule never changes
 when an algorithm draws a different amount of randomness elsewhere. This is
 what makes runs of different aggregation rules comparable on the same
 participation trace.
+
+The draws come from one numpy Philox4x64-10 kernel, `philox_uniforms`, which
+gives the first double of `Generator(Philox(key)).random()` for every key of
+a block of rounds at once. `sample_round` draws one round or a block of
+rounds through it; a run draws its whole trace in a few block calls.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,9 +62,6 @@ class RoundParticipation:
     round: int
     present: np.ndarray   # boolean indicator per client
 
-    def participants(self) -> np.ndarray:
-        return np.nonzero(self.present)[0]
-
 
 def make_two_group_profile(
     n_clients: int,
@@ -83,37 +84,58 @@ def make_two_group_profile(
     return ParticipationProfile(probs, tuple(int(i) for i in group2))
 
 
-@functools.cache
-def _rekeyed_philox() -> tuple[np.random.Philox, dict, np.ndarray]:
-    """The one Philox bit generator that every draw re-keys, with its state
-    dict and that dict's key array.
+# Philox4x64-10 (Salmon et al. 2011, as numpy implements it): the round
+# multipliers and the key increments.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LO32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
-    Building a fresh Generator(Philox(key)) per draw costs several times
-    more. Each draw overwrites the whole state (key, zero counter, empty
-    buffer), so no draw depends on an earlier one. Rounds run on one thread
-    per process (grid cells run in forked processes), so no two draws
-    interleave. It is made on first use: importing numpy.random costs
-    importing stalefl about 20 ms.
+
+def _mulhi(a: np.ndarray, m: int) -> np.ndarray:
+    """The high 64 bits of the 128-bit product a * m, from 32-bit halves.
+    uint64 arrays wrap silently, and no partial sum below overflows."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    a_lo, a_hi = a & _LO32, a >> _S32
+    lo_lo, hi_lo, lo_hi = a_lo * m_lo, a_hi * m_lo, a_lo * m_hi
+    carry = ((lo_lo >> _S32) + (hi_lo & _LO32) + (lo_hi & _LO32)) >> _S32
+    return a_hi * m_hi + (hi_lo >> _S32) + (lo_hi >> _S32) + carry
+
+
+def philox_uniforms(master_seed: int, clients, rounds: np.ndarray) -> np.ndarray:
+    """The (len(rounds), len(clients)) matrix whose entry [j, c] is the first
+    double of Generator(Philox(key)).random() for the stream key of
+    (master_seed, clients[c], rounds[j]), bit for bit.
+
+    The key is ((master_seed*A ^ client*B) mod 2^64) << 64 | (round mod 2^64);
+    `rounds` holds the rounds mod 2^64 as uint64. A fresh generator's first
+    output is word 0 of the Philox block at counter 1, and its double is that
+    word's top 53 bits times 2^-53.
     """
-    bitgen = np.random.Philox(key=0)
-    state = bitgen.state   # counter 0, empty buffer
-    return bitgen, state, state["state"]["key"]
+    k0 = np.asarray(rounds, dtype=np.uint64)[:, None]
+    k1 = np.array(
+        [((master_seed * _MIX_A) ^ (c * _MIX_B)) & _MASK64 for c in clients], dtype=np.uint64
+    )
+    # Round 1 on the counter (1, 0, 0, 0) multiplies only by 1 and 0, which
+    # leaves (k0, 0, k1, M0).
+    x0, x1, x2, x3 = k0, np.uint64(0), k1, np.uint64(_PHILOX_M[0])
+    for _ in range(9):
+        k0 = k0 + _PHILOX_W[0]
+        k1 = k1 + _PHILOX_W[1]
+        x0, x1, x2, x3 = (
+            _mulhi(x2, _PHILOX_M[1]) ^ x1 ^ k0, x2 * np.uint64(_PHILOX_M[1]),
+            _mulhi(x0, _PHILOX_M[0]) ^ x3 ^ k1, x0 * np.uint64(_PHILOX_M[0]),
+        )
+    return (x0 >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
-def _stream_uniform(master_seed: int, client: int, rnd: int) -> float:
-    """The first double of Generator(Philox(key)).random() for the
-    (master_seed, client, rnd) key, from the re-keyed Philox."""
-    bitgen, state, key = _rekeyed_philox()
-    # key words little-endian: key = hi << 64 | (rnd mod 2^64)
-    key[0] = rnd & _MASK64
-    key[1] = ((master_seed * _MIX_A) ^ (client * _MIX_B)) & _MASK64
-    bitgen.state = state
-    # numpy's double: the top 53 bits of the next 64-bit output, scaled.
-    return (bitgen.random_raw() >> 11) * (1.0 / 9007199254740992.0)
-
-
-def sample_round(profile: ParticipationProfile, rnd: int, master_seed: int) -> RoundParticipation:
+def sample_round(
+    profile: ParticipationProfile, rnd: int, master_seed: int, n_rounds: int | None = None,
+) -> RoundParticipation | np.ndarray:
     """Draw the round-`rnd` indicator vector; repeatable bit-for-bit.
+
+    With `n_rounds`, return the (n_rounds, n_clients) indicator matrix of
+    rounds rnd .. rnd + n_rounds - 1 instead, row for row the `present` of
+    the single-round calls, from one `philox_uniforms` call.
 
     A client with p = 1 is present without a draw: every draw is at most
     1 - 2^-53 < 1, and no draw depends on another, so skipping it changes
@@ -121,11 +143,15 @@ def sample_round(profile: ParticipationProfile, rnd: int, master_seed: int) -> R
     """
     if rnd < 1:
         raise ValueError("round must be >= 1")
-    present = np.array([
-        p == 1.0 or _stream_uniform(master_seed, i, rnd) < p
-        for i, p in enumerate(profile.probs.tolist())
-    ], dtype=bool)
-    return RoundParticipation(rnd, present)
+    count = 1 if n_rounds is None else n_rounds
+    present = np.ones((count, profile.n_clients), dtype=bool)
+    drawn = np.flatnonzero(profile.probs < 1.0)
+    if len(drawn):
+        # rounds mod 2^64; uint64 addition wraps past 2^64 - 1 as the key does
+        rounds = np.uint64(rnd & _MASK64) + np.arange(count, dtype=np.uint64)
+        u = philox_uniforms(master_seed, drawn.tolist(), rounds)
+        present[:, drawn] = u < profile.probs[drawn]
+    return RoundParticipation(rnd, present[0]) if n_rounds is None else present
 
 
 def export_trace_csv(schedule: np.ndarray, path: str | Path) -> None:
@@ -138,18 +164,37 @@ def export_trace_csv(schedule: np.ndarray, path: str | Path) -> None:
 
 
 def load_trace_csv(path: str | Path) -> np.ndarray:
-    rows: dict[tuple[int, int], bool] = {}
+    """Read a trace as `export_trace_csv` writes it: a `round,client_id,present`
+    header and one row per (round, client) cell of rounds 1..T and clients
+    0..N-1, in any order, with `present` 0 or 1. Returns the (T, N) indicator
+    matrix. A trace with any other row (a round below 1, a negative client,
+    another `present` value, a repeated or a missing cell, a field too few or
+    too many) raises ValueError; one without a header column raises KeyError.
+    """
+    cells: dict[tuple[int, int], bool] = {}
     with open(path, newline="") as f:
-        rd = csv.DictReader(f)
-        for row in rd:
-            rows[(int(row["round"]), int(row["client_id"]))] = bool(int(row["present"]))
-    if not rows:
+        for line, row in enumerate(csv.DictReader(f), start=2):
+            fields = [row["round"], row["client_id"], row["present"]]
+            if None in fields or None in row:
+                raise ValueError(f"line {line} does not have one field per column")
+            t, i, v = map(int, fields)
+            if t < 1 or i < 0:
+                raise ValueError(f"line {line}: round must be >= 1 and client_id >= 0")
+            if v not in (0, 1):
+                raise ValueError(f"line {line}: present must be 0 or 1, got {v}")
+            if (t, i) in cells:
+                raise ValueError(f"line {line} repeats round {t}, client {i}")
+            cells[(t, i)] = bool(v)
+    if not cells:
         raise ValueError(f"empty participation trace: {path}")
-    t_max = max(t for t, _ in rows)
-    n = max(i for _, i in rows) + 1
+    t_max = max(t for t, _ in cells)
+    n = max(i for _, i in cells) + 1
     out = np.zeros((t_max, n), dtype=bool)
-    for (t, i), v in rows.items():
+    for (t, i), v in cells.items():
         out[t - 1, i] = v
+    if len(cells) != out.size:
+        t, i = next((t, i) for t in range(1, t_max + 1) for i in range(n) if (t, i) not in cells)
+        raise ValueError(f"no row for round {t}, client {i}")
     return out
 
 
@@ -167,12 +212,11 @@ class ProbabilityEstimator:
             raise ValueError(f"weight_cap must be > 1, got {self.weight_cap}")
         self.counts = np.zeros(self.n_clients, dtype=np.int64)
 
-    def update(self, rp: RoundParticipation) -> "ProbabilityEstimator":
-        if rp.round != self.rounds_seen + 1:
-            raise ValueError(
-                f"out-of-order round {rp.round}; expected {self.rounds_seen + 1}"
-            )
-        self.counts += rp.present
+    def update(self, rnd: int, present: np.ndarray) -> "ProbabilityEstimator":
+        """Count round `rnd`'s indicator row; rounds must come in order."""
+        if rnd != self.rounds_seen + 1:
+            raise ValueError(f"out-of-order round {rnd}; expected {self.rounds_seen + 1}")
+        self.counts += present
         self.rounds_seen += 1
         return self
 

@@ -124,7 +124,14 @@ def theorem1_bound(inp: BoundInputs, *, override_constraints: bool = False) -> B
 
 def beta_star(inp: BoundInputs) -> float:
     """Optimal staleness weight from the bound's quadratic dependence on beta,
-    clamped to [0, 1]."""
+    clamped to [0, 1].
+
+    Under full participation (p_var = +inf) every beta term of
+    `theorem1_bound` vanishes, so every beta gives the same bound and none is
+    optimal: the result is nan.
+    """
+    if math.isinf(inp.p_var):
+        return math.nan
     ratio = inp.p_avg / inp.p_min
     denom = inp.a1 * ratio * inp.sigma_sq / inp.local_steps + (
         1.0 / inp.n_clients

@@ -257,7 +257,7 @@ GRID_SEEDS = [1, 2, 3]
 GRID_LOCAL = LocalConfig(local_steps=5, client_lr=0.03, batch_size=5)
 
 
-def grid_objective_factory(swap, group2, seed):
+def grid_objective_factory(swap, group2):
     ds = build_label_swap_dataset(
         24, 50, swap, (0, 1), np.random.default_rng(1),
         class_count=10, feature_dim=10, cluster_std=1.0, group2=group2,
@@ -300,7 +300,7 @@ def test_criterion_10_online_estimation_robustness():
     ratio, swap = 3.0, 0.66
     p_low = two_group_prob_for_ratio(ratio)       # 0.2
     profile = make_two_group_profile(24, p_low, 12)
-    obj = grid_objective_factory(swap, profile.group2, 0)
+    obj = grid_objective_factory(swap, profile.group2)
     rounds = horizon_for(p_low)                   # 50
     for rule, beta in (("u_fedavg", 0.0), ("u_fedvarp", 1.0), ("fedstale", 0.5)):
         results = {}

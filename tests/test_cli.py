@@ -292,6 +292,16 @@ def test_theory_subcommand(tmp_path):
     assert len(lines) == 6  # default 5 beta values
 
 
+def test_theory_beta_star_is_nan_under_full_participation(tmp_path):
+    # p_var defaults to inf, where every beta gives the same bound
+    path = write(tmp_path, THEORY.replace("p_var = 0.5\n", ""))
+    out = tmp_path / "o"
+    assert main(["theory", "--config", str(path), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "theory.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 5 and all(row[-1] == "nan" for row in rows)
+    assert len({row[-2] for row in rows}) == 1   # one total for every beta
+
+
 def test_lowerbound_zero_violations(tmp_path):
     path = write(tmp_path, LOWERBOUND)
     out = tmp_path / "o"
@@ -376,6 +386,23 @@ BAD_INPUTS = {
     "replay_trace_without_present_column": (
         "replay", "cfg.ini", QUAD_RUN, [], "round,client_id\n1,0\n",
     ),
+    # Each of these rows used to be read silently: round 0 and client -1
+    # wrapped round to the last row and client to the last column, other
+    # present values counted as present, a missing cell as absent and a
+    # repeated one as its last row.
+    **{
+        f"replay_trace_{name}": ("replay", "cfg.ini", QUAD_RUN, [], trace)
+        for name, trace in {
+            "round_zero": trace_csv(30, 2) + "0,1,1\n",
+            "negative_client": trace_csv(30, 2) + "2,-1,0\n",
+            "present_seven": trace_csv(30, 2).replace("\n2,1,1\n", "\n2,1,7\n"),
+            "present_negative": trace_csv(30, 2).replace("\n2,1,1\n", "\n2,1,-3\n"),
+            "missing_cell": trace_csv(30, 2).replace("\n2,1,1\n", "\n"),
+            "repeated_cell": trace_csv(30, 2) + "3,0,0\n",
+            "short_row": trace_csv(30, 2).replace("\n2,1,1\n", "\n2,1\n"),
+            "long_row": trace_csv(30, 2).replace("\n2,1,1\n", "\n2,1,1,0\n"),
+        }.items()
+    },
     "flag_of_another_subcommand": ("run", "cfg.ini", QUAD_RUN, ["--seeds", "5"], None),
     "grid_of_a_quadratic": (
         "grid", "cfg.ini",

@@ -27,7 +27,11 @@ from stalefl.objectives import (
     SoftmaxObjective,
     build_label_swap_dataset,
 )
-from stalefl.participation import ParticipationProfile, make_two_group_profile
+from stalefl.participation import (
+    ParticipationProfile,
+    make_two_group_profile,
+    sample_round,
+)
 from stalefl.theory import HardInstance
 
 
@@ -131,6 +135,43 @@ def test_comparability_traces_identical_across_rules():
             np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("lanes", [1, 3 * 7, 10**6])
+def test_trace_is_the_same_whatever_the_chunk(monkeypatch, lanes):
+    # 3 clients draw: chunks of 1 round, of 7 rounds (the last one holds 1
+    # round) and one chunk for the whole run
+    prof = ParticipationProfile(np.array([0.6, 1.0, 0.3, 0.9]))
+    obj = QuadraticObjective.isotropic([np.array([float(i), 1.0]) for i in range(4)])
+    cfg = base_config(rounds=50, profile=prof)
+    expected = np.array([sample_round(prof, t, cfg.master_seed).present for t in range(1, 51)])
+    whole = result_bytes(run(cfg, obj))
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3])
+        return sample_round(*args)
+
+    monkeypatch.setattr(stalefl.engine, "TRACE_LANES", lanes)
+    monkeypatch.setattr(stalefl.engine, "sample_round", counted)
+    res = run(cfg, obj)
+    assert calls == {1: [1] * 50, 21: [7] * 7 + [1], 10**6: [50]}[lanes]
+    assert res.participation_trace.tobytes() == expected.tobytes()
+    assert result_bytes(res) == whole
+
+
+@pytest.mark.parametrize("source", ["exact", "estimator"])
+def test_replaying_a_runs_trace_gives_the_same_metrics_csv(tmp_path, source):
+    obj = two_client_objective(noise=0.1)
+    cfg = base_config(rounds=90, aggregator=AggregatorConfig(weights_source=source))
+    drawn = run(cfg, obj)
+    replayed = run(replace(cfg, replay_schedule=drawn.participation_trace), obj)
+    write_metrics_csv(drawn, tmp_path / "drawn.csv")
+    write_metrics_csv(replayed, tmp_path / "replayed.csv")
+    assert (tmp_path / "drawn.csv").read_bytes() == (tmp_path / "replayed.csv").read_bytes()
+    assert result_bytes(replayed) == result_bytes(drawn)
+    if source == "estimator":
+        assert np.array_equal(replayed.estimator.counts, drawn.estimator.counts)
+
+
 def test_unbiased_rules_make_progress():
     obj = two_client_objective()
     w_star = obj.global_minimizer()
@@ -181,7 +222,7 @@ def test_grid_conventions():
 
 
 def small_softmax_factory(n_clients=4, samples=30):
-    def factory(swap, group2, seed):
+    def factory(swap, group2):
         ds = build_label_swap_dataset(
             n_clients, samples, swap, (0, 1), np.random.default_rng(1),
             class_count=3, feature_dim=2, group2=group2,
@@ -210,7 +251,7 @@ def test_degenerate_grid_equals_run_repeated():
     assert cell.beta_opt_flag
 
     profile = make_two_group_profile(4, 0.2, 2)
-    obj = factory(0.5, profile.group2, 4)
+    obj = factory(0.5, profile.group2)
     cfg = replace(
         grid_base_cfg(), rounds=horizon_for(0.2), profile=profile,
         init_point=np.zeros(obj.dim),
@@ -265,7 +306,7 @@ def test_grid_tie_rule_ignores_rounding_of_the_mean(monkeypatch):
 
     monkeypatch.setattr(stalefl.engine, "run_batch", fake_run_batch)
     grid = run_grid(
-        grid_base_cfg(), lambda swap, group2, seed: SimpleNamespace(dim=1),
+        grid_base_cfg(), lambda swap, group2: SimpleNamespace(dim=1),
         [10.0], [1.0], [0.5, 0.8], [1, 2, 3], n_clients=4, metric_mode="accuracy",
     )
     assert calls == [(1, [0.5, 0.8]), (2, [0.5, 0.8]), (3, [0.5, 0.8])]
@@ -287,13 +328,13 @@ def test_grid_raises_the_first_error_in_beta_lr_seed_order(monkeypatch):
     monkeypatch.setattr(stalefl.engine, "run_batch", fake_run_batch)
     with pytest.raises(DivergenceError) as info:
         run_grid(
-            grid_base_cfg(), lambda swap, group2, seed: SimpleNamespace(dim=1),
+            grid_base_cfg(), lambda swap, group2: SimpleNamespace(dim=1),
             [3.0], [0.0], [0.5, 0.8], [1, 2], n_clients=4,
         )
     assert info.value is failing[(2, 0.5)]
 
 
-def diverging_quadratic_factory(swap, group2, seed):
+def diverging_quadratic_factory(swap, group2):
     return QuadraticObjective.isotropic([np.array([float(i), -1.0]) for i in range(4)])
 
 
@@ -320,7 +361,7 @@ METRICS_OFF_CASES = {
         dict(rule="u_fedavg", weights_source="estimator"),
     ),
     "fedstale_softmax": (
-        lambda: small_softmax_factory()(0.5, None, 1), dict(rule="fedstale", beta=0.5),
+        lambda: small_softmax_factory()(0.5, None), dict(rule="fedstale", beta=0.5),
     ),
 }
 
@@ -378,7 +419,7 @@ MIXED_RULES = [
 ]
 BATCH_CASES = {
     "softmax_betas_and_lrs": (
-        lambda: small_softmax_factory()(0.5, None, 1), BETAS, [0.05, 0.1], {},
+        lambda: small_softmax_factory()(0.5, None), BETAS, [0.05, 0.1], {},
     ),
     "noisy_quadratic_estimator": (
         lambda: two_client_objective(noise=0.3), BETAS, [0.02, 0.04],
@@ -391,7 +432,7 @@ BATCH_CASES = {
     ),
     "mixed_rules": (lambda: two_client_objective(noise=0.3), MIXED_RULES, [0.02], {}),
     "mixed_rules_softmax": (
-        lambda: small_softmax_factory()(0.5, None, 1), MIXED_RULES, [0.05], {},
+        lambda: small_softmax_factory()(0.5, None), MIXED_RULES, [0.05], {},
     ),
 }
 

@@ -8,18 +8,18 @@ from hypothesis import strategies as st
 from stalefl.participation import (
     ParticipationProfile,
     ProbabilityEstimator,
-    RoundParticipation,
     export_trace_csv,
     inverse_prob_weights,
     load_trace_csv,
     make_two_group_profile,
+    philox_uniforms,
     sample_round,
 )
 
 
 def schedule(profile, rounds, master_seed):
     """The (rounds, n_clients) indicator matrix of rounds 1..rounds."""
-    return np.array([sample_round(profile, t, master_seed).present for t in range(1, rounds + 1)])
+    return sample_round(profile, 1, master_seed, rounds)
 
 
 def test_stats_hand_values():
@@ -113,6 +113,33 @@ def test_sample_round_matches_fresh_philox_oracle(seed):
             assert np.array_equal(sample_round(prof, rnd, seed).present, expected), rnd
 
 
+KERNEL_SEEDS = [0, 2**63 - 1, 2**64 - 1, 2**64 + 7, 3**80]
+KERNEL_ROUNDS = [1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**64 + 3]
+
+
+@pytest.mark.parametrize("seed", KERNEL_SEEDS)
+def test_kernel_matches_fresh_philox_oracle_over_extreme_keys(seed):
+    # The 64x64 -> 128 multiply is built from 32-bit halves, so its carries
+    # are checked at keys whose words sit next to 2^32 and 2^64.
+    clients = [0, 1, 5, 2**31 + 1]
+    rounds = np.array([r % 2**64 for r in KERNEL_ROUNDS], dtype=np.uint64)
+    u = philox_uniforms(seed, clients, rounds)
+    assert u.shape == (len(KERNEL_ROUNDS), len(clients))
+    for j, rnd in enumerate(KERNEL_ROUNDS):
+        for c, client in enumerate(clients):
+            assert u[j, c] == philox_uniform(seed, client, rnd), (rnd, client)
+
+
+@pytest.mark.parametrize("first", [1, 2**32 - 2, 2**64 - 3])
+def test_block_of_rounds_equals_single_round_calls(first):
+    # the block past 2^64 - 1 wraps its round keys as the scalar key does
+    prof = ParticipationProfile(np.array([0.3, 1.0, 0.7, 0.05]))
+    block = sample_round(prof, first, 11, 6)
+    assert block.shape == (6, 4) and block.dtype == bool
+    for j in range(6):
+        assert np.array_equal(block[j], sample_round(prof, first + j, 11).present), j
+
+
 def test_empirical_frequency():
     prof = ParticipationProfile(np.array([0.5]))
     sched = schedule(prof, 100_000, master_seed=9)
@@ -148,7 +175,7 @@ def test_trace_csv_roundtrip(tmp_path):
 
 def feed(est, present_rows):
     for t, row in enumerate(present_rows, start=1):
-        est.update(RoundParticipation(t, np.array(row, dtype=bool)))
+        est.update(t, np.array(row, dtype=bool))
     return est
 
 
@@ -176,7 +203,7 @@ def test_estimator_always_present_weight_one():
 def test_estimator_out_of_order_rejected():
     est = ProbabilityEstimator(1, weight_cap=2.0)
     with pytest.raises(ValueError):
-        est.update(RoundParticipation(5, np.array([True])))
+        est.update(5, np.array([True]))
 
 
 def test_estimator_replay_equals_incremental():
@@ -184,7 +211,7 @@ def test_estimator_replay_equals_incremental():
     sched = schedule(prof, 60, master_seed=2)
     est = ProbabilityEstimator(2, weight_cap=20.0)
     for t in range(60):
-        est.update(RoundParticipation(t + 1, sched[t]))
+        est.update(t + 1, sched[t])
     assert np.array_equal(est.counts, sched.sum(axis=0))
     np.testing.assert_allclose(
         est.weights(),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import oracles
@@ -94,6 +95,16 @@ def test_beta_star_no_stochastic_single_step():
 
 def test_beta_star_zero_without_heterogeneity():
     assert beta_star(make_inputs(sg_sq=0.0)) == 0.0
+
+
+def test_beta_star_is_nan_under_full_participation():
+    # With p_var = inf every beta term of the bound vanishes, so every beta
+    # gives the same total and none is optimal.
+    inp = make_inputs(p_var=math.inf, p_avg=1.0, p_min=1.0)
+    totals = [theorem1_bound(replace(inp, beta=b)).total for b in (0.0, 0.5, 1.0)]
+    assert totals[0] == totals[1] == totals[2]
+    assert math.isnan(beta_star(inp))
+    assert 0.0 < beta_star(replace(inp, p_var=1e300)) <= 1.0
 
 
 def test_beta_star_self_consistent_with_bound():
