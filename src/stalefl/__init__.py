@@ -48,8 +48,6 @@ from .objectives import (
 from .participation import (
     ParticipationProfile,
     ProbabilityEstimator,
-    RoundParticipation,
-    inverse_prob_weights,
     make_two_group_profile,
     sample_round,
 )
@@ -65,7 +63,6 @@ from .theory import (
     frontier_bound,
     frontier_gradient_floor,
     lower_bound_curve,
-    minimize_gradient_norm_in_span,
     theorem1_bound,
     track_frontier,
 )

@@ -65,12 +65,17 @@ class MemoryBank:
         self.last_refresh_round = np.zeros(self.n_clients, dtype=np.int64)
 
 
-def _check_round(clients: Sequence[int], deltas: np.ndarray) -> None:
+def _check_round(
+    clients: Sequence[int], deltas: np.ndarray, n_clients: int | None = None,
+) -> None:
     if len(deltas) != len(clients):
         raise ValueError(f"{len(clients)} clients but {len(deltas)} update rows")
     for a, b in zip(clients, clients[1:]):
         if a >= b:
             raise ValueError(f"client indices {list(clients)} are not ascending and distinct")
+    # ascending, so the ends bound every index
+    if n_clients is not None and clients and not (clients[0] >= 0 and clients[-1] < n_clients):
+        raise IndexError(f"client indices {list(clients)} out of range [0, {n_clients})")
 
 
 def fedavg_biased(clients: Sequence[int], deltas: np.ndarray) -> np.ndarray:
@@ -110,7 +115,7 @@ def fedstale(
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
-    _check_round(clients, deltas)
+    _check_round(clients, deltas, bank.n_clients)
     fresh = np.zeros(bank.dim)
     for i, d in zip(clients, deltas):
         # At beta=0 the stale terms are zero; skipping them changes no bit.
@@ -144,7 +149,7 @@ def refresh_memory(
     bank: MemoryBank, clients: Sequence[int], deltas: np.ndarray, rnd: int,
 ) -> MemoryBank:
     """Overwrite participants' slots with their fresh updates; in place."""
-    _check_round(clients, deltas)
+    _check_round(clients, deltas, bank.n_clients)
     for i, d in zip(clients, deltas):
         bank.slots[i] = d
         bank.last_refresh_round[i] = rnd

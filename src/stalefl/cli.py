@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -366,8 +365,8 @@ def cmd_grid(args, cfg: dict[str, dict], out: Path) -> int:
             f"the objective has {o['n_clients']} clients but the participation "
             f"profile has {n_clients}"
         )
+    # run_grid sets each cell's initial point to zeros of its objective's dim
     tc = build_train_config(cfg, profile, 1)
-    tc = replace(tc, init_point=np.zeros(1))
     grid = run_grid(
         tc, lambda swap, group2: _softmax_objective(o, n_clients, swap, group2),
         g["ratios"], g["swap_fractions"], g["betas"], g["seeds"],

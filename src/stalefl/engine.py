@@ -33,7 +33,6 @@ from .objectives import GLOBAL, Objective, SoftmaxObjective, all_finite, check_p
 from .participation import (
     ParticipationProfile,
     ProbabilityEstimator,
-    inverse_prob_weights,
     make_two_group_profile,
     sample_round,
 )
@@ -62,7 +61,6 @@ class TrainConfig:
     profile: ParticipationProfile
     master_seed: int
     init_point: np.ndarray
-    record_trajectory: bool = False
     replay_schedule: np.ndarray | None = None
 
     def __post_init__(self):
@@ -101,7 +99,6 @@ class RunResult:
     final_loss: float
     min_grad_norm_sq: float
     test_accuracy: float | None = None
-    trajectory: np.ndarray | None = None
     participation_trace: np.ndarray | None = None
     estimator: ProbabilityEstimator | None = None
 
@@ -175,7 +172,7 @@ def run(
     ]
     server_lrs = [c.server_lr for c in cfgs]
     banks = [MemoryBank(n, obj.dim) for _ in cfgs]
-    exact_weights = inverse_prob_weights(cfg.profile)
+    exact_weights = 1.0 / cfg.profile.probs
     estimator = None
     if cfg.aggregator.weights_source == "estimator":
         cap = cfg.aggregator.weight_cap
@@ -184,7 +181,6 @@ def run(
         estimator = ProbabilityEstimator(n, cap)
 
     records: list[list[RoundRecord]] = [[] for _ in cfgs]
-    trajectories = [[w[c].copy()] if cfgs[c].record_trajectory else None for c in live]
     min_grads = [math.inf if metrics else math.nan] * len(cfgs)
     errors: list[Exception | None] = [None] * len(cfgs)
     noisy = obj.uses_rng
@@ -280,9 +276,6 @@ def run(
                     dropped.append(row)
                     continue
                 agg.refresh_memory(banks[c], participants, fresh, t)
-
-                if trajectories[c] is not None:
-                    trajectories[c].append(wc.copy())
                 if metrics:
                     norms[c].append(agg.vector_norm(delta))
             if metrics:
@@ -321,11 +314,7 @@ def run(
                 )
                 continue
             acc = obj.test_accuracy(wc) if isinstance(obj, SoftmaxObjective) else None
-            results[c] = RunResult(
-                records[c], wc, final_loss, min_grads[c], acc,
-                np.array(trajectories[c]) if trajectories[c] is not None else None,
-                trace, estimator,
-            )
+            results[c] = RunResult(records[c], wc, final_loss, min_grads[c], acc, trace, estimator)
     if _lockstep is None:
         if isinstance(results[0], Exception):
             raise results[0]
@@ -405,19 +394,14 @@ class RepeatedResult:
         return float(np.mean([r.final_loss for r in self.runs]))
 
 
-def run_repeated(
-    cfg: TrainConfig,
-    obj: Objective,
-    seeds: list[int],
-    *,
-    metrics: bool = True,
-) -> RepeatedResult:
-    """One run per seed. Participation is keyed by the run seed, so every
-    aggregation rule sees the same trace for the same seed. `metrics` goes to
-    `run`; with it off the mean and stderr curves are empty."""
+def run_repeated(cfg: TrainConfig, obj: Objective, seeds: list[int]) -> RepeatedResult:
+    """One run per seed; the seeds must be distinct. Participation is keyed
+    by the run seed, so every aggregation rule sees the same trace for the
+    same seed."""
     if not seeds:
         raise ValueError("need at least one seed")
-    runs = [run(replace(cfg, master_seed=seed), obj, metrics=metrics) for seed in seeds]
+    _check_distinct("seed", seeds)
+    runs = [run(replace(cfg, master_seed=seed), obj) for seed in seeds]
     curves = np.array([r.loss_curve() for r in runs])
     mean = curves.mean(axis=0)
     stderr = (
@@ -465,6 +449,12 @@ class GridResult:
                 ])
 
 
+def _check_distinct(name: str, values) -> None:
+    """A repeated sweep value would run twice and count twice; reject it."""
+    if len(set(values)) != len(values):
+        raise ValueError(f"repeated {name} in {list(values)}")
+
+
 def two_group_prob_for_ratio(ratio: float) -> float:
     """p for the low group so that p_avg/p_min = ratio with two equal groups."""
     if ratio < 1:
@@ -493,7 +483,9 @@ def run_grid(
     """Sweep (participation ratio x swap fraction x beta), pick beta_opt per
     cell by the best mean evaluation metric (ties go to the smaller beta; means
     within a relative 1e-12 of the best count as tied, so an exact tie in the
-    underlying scores is not broken by the rounding of their mean).
+    underlying scores is not broken by the rounding of their mean). The
+    values of each axis, of `client_lr_grid` and of `seeds` must be
+    distinct: a repeated one raises ValueError.
 
     `obj_factory(swap_fraction, group2)` builds the cell objective. When
     `client_lr_grid` is given, the client lr is tuned independently per
@@ -510,11 +502,16 @@ def run_grid(
     be a closure; results are assembled in cell order, so they do not depend
     on `threads`. An exception raised in a worker is raised here.
     """
-    if not participation_axis or not heterogeneity_axis or not beta_axis:
-        raise ValueError("all grid axes must be nonempty")
+    if not (participation_axis and heterogeneity_axis and beta_axis and seeds):
+        raise ValueError("all grid axes and the seeds must be nonempty")
     if metric_mode not in ("loss", "accuracy"):
         raise ValueError("metric_mode must be 'loss' or 'accuracy'")
     lr_grid = client_lr_grid or [base_cfg.local.client_lr]
+    for name, axis in (
+        ("ratio", participation_axis), ("swap fraction", heterogeneity_axis),
+        ("beta", beta_axis), ("client lr", lr_grid), ("seed", seeds),
+    ):
+        _check_distinct(name, axis)
 
     def eval_cell(ratio: float, swap: float) -> list[GridCellSummary]:
         p_low = two_group_prob_for_ratio(ratio)

@@ -88,6 +88,11 @@ class Objective:
     on C-contiguous arrays. A single point gives a float loss and a 1-D
     gradient.
 
+    A kind defines the per-client kernels `_client_loss(w, client)` and
+    `_client_gradient(w, client)`; under GLOBAL, `_loss` and `_gradient`
+    average them over the clients in index order. A kind that stores its
+    global form (HardInstance) overrides `_loss` and `_gradient` instead.
+
     The stochastic oracle is split in two kernels. `_draws(client,
     batch_size, steps, rng)` makes all `steps` draws of a (client, round)
     from the client's noise stream in one call; row k is step k's draw (a
@@ -107,11 +112,19 @@ class Objective:
     # builds the per-(client, round) noise stream only when it does.
     uses_rng: bool = True
 
-    def _loss(self, w: np.ndarray, client: int | None) -> float:
-        raise NotImplementedError
+    def _loss(self, w: np.ndarray, client: int | None) -> np.ndarray:
+        if client is GLOBAL:
+            per_client = [self._client_loss(w, i) for i in range(self.n_clients)]
+            return np.stack(per_client, axis=-1).mean(axis=-1)
+        return self._client_loss(w, client)
 
     def _gradient(self, w: np.ndarray, client: int | None) -> np.ndarray:
-        raise NotImplementedError
+        if client is GLOBAL:
+            g = np.zeros(w.shape)
+            for i in range(self.n_clients):
+                g += self._client_gradient(w, i)
+            return g / self.n_clients
+        return self._client_gradient(w, client)
 
     def _draws(self, client: int, batch_size: int, steps: int, rng: np.random.Generator | None):
         return [None] * steps
@@ -195,19 +208,11 @@ class QuadraticObjective(Objective):
     def stochastic_gradient(self, client, w, batch_size, rng):
         return self._one_stochastic_gradient(client, self._validated(w, client), batch_size, rng)
 
-    def _loss(self, w, client):
-        if client is GLOBAL:
-            per_client = [self._loss(w, i) for i in range(self.n_clients)]
-            return np.stack(per_client, axis=-1).mean(axis=-1)
+    def _client_loss(self, w, client):
         r = w - self.centers[client]
         return 0.5 * (r[..., None, :] @ self.hessians[client] @ r[..., None])[..., 0, 0]
 
-    def _gradient(self, w, client):
-        if client is GLOBAL:
-            g = np.zeros(w.shape)
-            for i in range(self.n_clients):
-                g += self._gradient(w, i)
-            return g / self.n_clients
+    def _client_gradient(self, w, client):
         return (self.hessians[client] @ (w - self.centers[client])[..., None])[..., 0]
 
     def _draws(self, client, batch_size, steps, rng):
@@ -217,8 +222,8 @@ class QuadraticObjective(Objective):
         return rng.normal(0.0, math.sqrt(self.noise_var / self.dim), size=(steps, self.dim))
 
     def _stochastic_gradients(self, clients, w, samples):
-        # One matvec per row, as `_gradient` makes it: BLAS computes a stacked
-        # product with other kernels, whose bits may differ.
+        # One matvec per row, as `_client_gradient` makes it: BLAS computes a
+        # stacked product with other kernels, whose bits may differ.
         g = np.empty_like(w)
         for j, i in enumerate(clients):
             a, c = self.hessians[i], self.centers[i]
@@ -360,13 +365,13 @@ class SoftmaxObjective(Objective):
         z = z - z.max(axis=-1, keepdims=True)
         return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
-    def _client_loss(self, w_mat: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def _samples_loss(self, w_mat: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         logp = self._log_softmax(x @ w_mat.swapaxes(-1, -2))
         # A stack's gathered log-probs are not C-contiguous, and the mean of
         # a non-contiguous row need not have the bits of the 1-D mean.
         return -np.ascontiguousarray(logp[..., np.arange(len(y)), y]).mean(axis=-1)
 
-    def _client_grad(self, w_mat: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def _samples_grad(self, w_mat: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Mean cross-entropy gradient over the samples (x, y). Leading axes
         of `w_mat`, `x` and `y` are batch axes and broadcast; np.matmul
         computes each batch element with the bits of the 2-D product."""
@@ -384,24 +389,12 @@ class SoftmaxObjective(Objective):
     def stochastic_gradient(self, client, w, batch_size, rng):
         return self._one_stochastic_gradient(client, self._validated(w, client), batch_size, rng)
 
-    def _loss(self, w, client):
-        w_mat = self._unpack(w)
-        if client is GLOBAL:
-            per_client = [
-                self._client_loss(w_mat, x, y) for x, y in zip(self.train_x, self.train_y)
-            ]
-            return np.stack(per_client, axis=-1).mean(axis=-1)
-        return self._client_loss(w_mat, self.train_x[client], self.train_y[client])
+    def _client_loss(self, w, client):
+        return self._samples_loss(self._unpack(w), self.train_x[client], self.train_y[client])
 
-    def _gradient(self, w, client):
-        w_mat = self._unpack(w)
-        if client is GLOBAL:
-            g = np.zeros_like(w_mat)
-            for x, y in zip(self.train_x, self.train_y):
-                g += self._client_grad(w_mat, x, y)
-            return (g / self.n_clients).reshape(w.shape)
+    def _client_gradient(self, w, client):
         x, y = self.train_x[client], self.train_y[client]
-        return self._client_grad(w_mat, x, y).reshape(w.shape)
+        return self._samples_grad(self._unpack(w), x, y).reshape(w.shape)
 
     def _draws(self, client, batch_size, steps, rng):
         # Step k's minibatch is the indices of the batch_size smallest of n
@@ -418,7 +411,7 @@ class SoftmaxObjective(Objective):
     def _stochastic_gradients(self, clients, w, samples):
         x = np.stack([self.train_x[i][idx] for i, idx in zip(clients, samples)])
         y = np.stack([self.train_y[i][idx] for i, idx in zip(clients, samples)])
-        return self._client_grad(self._unpack(w), x, y).reshape(w.shape)
+        return self._samples_grad(self._unpack(w), x, y).reshape(w.shape)
 
     def test_accuracy(self, w: np.ndarray) -> float:
         w_mat = self._unpack(check_param(w, self.dim))

@@ -8,8 +8,8 @@ participation trace.
 
 The draws come from one numpy Philox4x64-10 kernel, `philox_uniforms`, which
 gives the first double of `Generator(Philox(key)).random()` for every key of
-a block of rounds at once. `sample_round` draws one round or a block of
-rounds through it; a run draws its whole trace in a few block calls.
+a block of rounds at once. `sample_round` draws a block of rounds through
+it; a run draws its whole trace in a few block calls.
 """
 
 from __future__ import annotations
@@ -55,12 +55,6 @@ class ParticipationProfile:
         mean_ratio = float(np.mean((1.0 - p) / p))
         p_var = math.inf if mean_ratio == 0.0 else 1.0 / mean_ratio
         return ParticipationStats(p_var, float(np.mean(p)), float(np.min(p)))
-
-
-@dataclass(frozen=True)
-class RoundParticipation:
-    round: int
-    present: np.ndarray   # boolean indicator per client
 
 
 def make_two_group_profile(
@@ -129,13 +123,10 @@ def philox_uniforms(master_seed: int, clients, rounds: np.ndarray) -> np.ndarray
 
 
 def sample_round(
-    profile: ParticipationProfile, rnd: int, master_seed: int, n_rounds: int | None = None,
-) -> RoundParticipation | np.ndarray:
-    """Draw the round-`rnd` indicator vector; repeatable bit-for-bit.
-
-    With `n_rounds`, return the (n_rounds, n_clients) indicator matrix of
-    rounds rnd .. rnd + n_rounds - 1 instead, row for row the `present` of
-    the single-round calls, from one `philox_uniforms` call.
+    profile: ParticipationProfile, rnd: int, master_seed: int, n_rounds: int = 1,
+) -> np.ndarray:
+    """The (n_rounds, n_clients) indicator matrix of rounds rnd .. rnd +
+    n_rounds - 1, from one `philox_uniforms` call; repeatable bit for bit.
 
     A client with p = 1 is present without a draw: every draw is at most
     1 - 2^-53 < 1, and no draw depends on another, so skipping it changes
@@ -143,15 +134,14 @@ def sample_round(
     """
     if rnd < 1:
         raise ValueError("round must be >= 1")
-    count = 1 if n_rounds is None else n_rounds
-    present = np.ones((count, profile.n_clients), dtype=bool)
+    present = np.ones((n_rounds, profile.n_clients), dtype=bool)
     drawn = np.flatnonzero(profile.probs < 1.0)
     if len(drawn):
         # rounds mod 2^64; uint64 addition wraps past 2^64 - 1 as the key does
-        rounds = np.uint64(rnd & _MASK64) + np.arange(count, dtype=np.uint64)
+        rounds = np.uint64(rnd & _MASK64) + np.arange(n_rounds, dtype=np.uint64)
         u = philox_uniforms(master_seed, drawn.tolist(), rounds)
         present[:, drawn] = u < profile.probs[drawn]
-    return RoundParticipation(rnd, present[0]) if n_rounds is None else present
+    return present
 
 
 def export_trace_csv(schedule: np.ndarray, path: str | Path) -> None:
@@ -221,6 +211,8 @@ class ProbabilityEstimator:
         return self
 
     def estimated_prob(self, client: int) -> float:
+        if not 0 <= client < self.n_clients:
+            raise IndexError(f"client index {client} out of range [0, {self.n_clients})")
         if self.rounds_seen < 1:
             raise ValueError("no rounds observed yet")
         return max(int(self.counts[client]), 1) / self.rounds_seen
@@ -230,7 +222,3 @@ class ProbabilityEstimator:
             raise ValueError("no rounds observed yet")
         p_hat = np.maximum(self.counts, 1) / self.rounds_seen
         return np.minimum(1.0 / p_hat, self.weight_cap)
-
-
-def inverse_prob_weights(profile: ParticipationProfile) -> np.ndarray:
-    return 1.0 / profile.probs

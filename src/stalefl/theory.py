@@ -168,8 +168,7 @@ class HardInstance(Objective):
     matrix and is stored as its main diagonal and its off-diagonal (the sub-
     and superdiagonal coincide), so the instance holds O(dim) numbers and
     every oracle costs O(dim) per point, and `global_minimizer` is in closed
-    form. Only `tridiagonal_matrix` builds a dense A, for the least-squares
-    check `minimize_gradient_norm_in_span`.
+    form.
     """
 
     uses_rng = False  # the oracle is exact
@@ -229,16 +228,6 @@ class HardInstance(Objective):
             split = np.mean([self.loss(w, i) for i in range(self.n_clients)])
             if not math.isclose(direct, split, rel_tol=1e-9, abs_tol=1e-9):
                 raise AssertionError("client split does not reproduce the global objective")
-
-    def tridiagonal_matrix(self) -> np.ndarray:
-        m = 2 * self.horizon + 1
-        a = np.zeros((self.dim, self.dim))
-        for i in range(m):
-            a[i, i] = 2.0
-            if i + 1 < m:
-                a[i, i + 1] = -1.0
-                a[i + 1, i] = -1.0
-        return a
 
     def loss(self, w: np.ndarray, client: int | None = GLOBAL) -> float | np.ndarray:
         return self._oracle(self._loss, w, client)
@@ -343,24 +332,6 @@ def frontier_gradient_floor(instance: HardInstance, k: int) -> tuple[float, np.n
     for i in range(1, k):
         w[i - 1] = (2 * k**3 - 3 * (i - 1) * k**2 - (3 * i - 1) * k + i**3 - i) / denom
     return floor, w
-
-
-def minimize_gradient_norm_in_span(instance: HardInstance, k: int) -> tuple[float, np.ndarray]:
-    """Independent check of the gradient floor: least-squares minimization of
-    ||grad F(w)||^2 over w restricted to the first k-1 coordinates."""
-    if not 1 <= k <= instance.horizon:
-        raise ValueError("k must lie in [1, horizon]")
-    L = instance.smoothness_L
-    a = instance.tridiagonal_matrix() * (L / 4.0)
-    c = np.zeros(instance.dim)
-    c[0] = L / 4.0
-    if k == 1:
-        x = np.zeros(0)
-    else:
-        x, *_ = np.linalg.lstsq(a[:, : k - 1], c, rcond=None)
-    w = np.zeros(instance.dim)
-    w[: k - 1] = x
-    return float(np.sum((a @ w - c) ** 2)), w
 
 
 def lower_bound_curve(p_min: float, rounds: int, f_gap: float, smoothness_L: float) -> np.ndarray:

@@ -4,8 +4,10 @@ stalefl computes u_fedavg and u_fedvarp as fedstale at beta=0 and beta=1.
 These loops spell out the two formulas on their own, so that tests can check
 fedstale's algebra against code that shares none of it. `hard_instance_forms`
 builds the hard instance's client and global forms as dense matrices, one
-squared-difference term at a time, to check its banded oracles against, and
-`hard_instance_minimizer` solves the dense global form for its minimizer.
+squared-difference term at a time, to check its banded oracles against;
+`hard_instance_minimizer` solves the dense global form for its minimizer, and
+`minimize_gradient_norm_in_span` minimizes its gradient norm over a span by
+least squares.
 """
 
 import numpy as np
@@ -67,3 +69,16 @@ def hard_instance_minimizer(dim, horizon, smoothness_L=1.0, n_clients=2):
     w = np.zeros(dim)
     w[:m] = np.linalg.solve(b[:m, :m], -lin[:m])
     return w
+
+
+def minimize_gradient_norm_in_span(instance, k):
+    """Independent check of the gradient floor: the least-squares minimum of
+    ||grad F(w)||^2 = ||B w + b||^2 over w restricted to the first k-1
+    coordinates, and its minimizer, on the dense global form (B, b)."""
+    b, lin = hard_instance_forms(
+        instance.dim, instance.horizon, instance.smoothness_L, instance.n_clients,
+    )[None]
+    x, *_ = np.linalg.lstsq(b[:, : k - 1], -lin, rcond=None)
+    w = np.zeros(instance.dim)
+    w[: k - 1] = x
+    return float(np.sum((b @ w + lin) ** 2)), w

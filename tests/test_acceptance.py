@@ -47,7 +47,6 @@ from stalefl.theory import (
     frontier_bound,
     frontier_gradient_floor,
     lower_bound_curve,
-    minimize_gradient_norm_in_span,
     track_frontier,
 )
 
@@ -172,7 +171,7 @@ def test_criterion_05_gradient_floor_oracle():
         inst = HardInstance(dim=45, horizon=22, smoothness_L=L, n_clients=2)
         for k in range(1, 21):
             closed, _ = frontier_gradient_floor(inst, k)
-            numeric, _ = minimize_gradient_norm_in_span(inst, k)
+            numeric, _ = oracles.minimize_gradient_norm_in_span(inst, k)
             assert closed == pytest.approx(numeric, abs=1e-8), (L, k)
     elapsed = time.time() - t0
     assert elapsed < 5.0

@@ -214,6 +214,25 @@ def test_duplicate_client_rejected():
     np.testing.assert_array_equal(bank.last_refresh_round, np.zeros(3))
 
 
+@pytest.mark.parametrize("clients", [[-1], [-3, 0], [3], [0, 2, 3], [1, 7]])
+def test_client_out_of_range_rejected(clients):
+    # Every rule that reads the bank, and the refresh, reject a client index
+    # outside [0, N) instead of letting it wrap; the bank stays as it was.
+    bank = MemoryBank(3, 2)
+    deltas = np.ones((len(clients), 2))
+    for call in (
+        lambda: fedstale(clients, deltas, bank, np.ones(3), 3, 0.5),
+        lambda: fedstale(clients, deltas, bank, np.ones(3), 3, 0.0),
+        lambda: u_fedavg(clients, deltas, bank, np.ones(3), 3),
+        lambda: u_fedvarp(clients, deltas, bank, np.ones(3), 3),
+        lambda: refresh_memory(bank, clients, deltas, 1),
+    ):
+        with pytest.raises(IndexError, match="out of range"):
+            call()
+    np.testing.assert_array_equal(bank.slots, np.zeros((3, 2)))
+    np.testing.assert_array_equal(bank.last_refresh_round, np.zeros(3))
+
+
 def test_update_rows_must_match_clients():
     with pytest.raises(ValueError, match="update rows"):
         fedavg_biased([0, 1], np.ones((1, 2)))

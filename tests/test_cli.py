@@ -458,6 +458,29 @@ BAD_INPUTS = {
         ["--threads", "1"], None,
     ),
     "repeat_seeds_malformed": ("repeat", "cfg.ini", QUAD_RUN, ["--seeds", "a"], None),
+    # A repeated sweep value would run twice: `repeat` would overwrite its
+    # metrics file and count the run twice in the mean, and a repeated beta
+    # would flag two beta_opt rows in one grid cell.
+    "repeat_seeds_repeated": ("repeat", "cfg.ini", QUAD_RUN, ["--seeds", "1,1"], None),
+    "repeat_run_seeds_repeated": ("repeat", "cfg.ini", QUAD_RUN + "seeds = 2, 3, 2\n", [], None),
+    **{
+        f"grid_{name}_repeated": (
+            "grid", "cfg.ini", GRID_SMALL.replace(old, new), ["--threads", "1"], None,
+        )
+        for name, (old, new) in {
+            "ratio": ("ratios = 1, 3", "ratios = 3, 1, 3"),
+            "swap_fraction": ("swap_fractions = 0, 0.5", "swap_fractions = 0.5, 0.5"),
+            "beta": ("betas = 0, 1", "betas = 0.5, 0.5, 1"),
+            "client_lr": ("metric = accuracy", "metric = accuracy\nclient_lr_grid = 0.1, 0.1"),
+            "seed": ("seeds = 1", "seeds = 1, 1"),
+        }.items()
+    },
+    "grid_seeds_empty": (
+        "grid", "cfg.ini", GRID_SMALL.replace("seeds = 1", "seeds = "), ["--threads", "1"], None,
+    ),
+    "grid_seeds_flag_repeated": (
+        "grid", "cfg.ini", GRID_SMALL, ["--threads", "1", "--seeds", "4,4"], None,
+    ),
     "grid_zero_threads": ("grid", "cfg.ini", GRID_SMALL, ["--threads", "0"], None),
     **{
         f"run_noise_var_{value}": (

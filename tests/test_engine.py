@@ -64,20 +64,30 @@ def test_run_is_deterministic():
     np.testing.assert_array_equal(a.participation_trace, b.participation_trace)
 
 
+def iterates(cfg, obj):
+    """w_0 .. w_T of a run: w_t is the final iterate of the run cut at
+    round t, which is the t-th iterate of the whole run (see
+    test_a_shorter_run_is_a_prefix_of_a_longer_one)."""
+    return [cfg.init_point] + [
+        run(replace(cfg, rounds=t), obj).final_w for t in range(1, cfg.rounds + 1)
+    ]
+
+
 def test_server_step_identity():
     obj = two_client_objective()
-    res = run(base_config(record_trajectory=True, server_lr=0.7), obj)
-    traj = res.trajectory
-    for t, rec in enumerate(res.records):
+    cfg = base_config(server_lr=0.7)
+    traj = iterates(cfg, obj)
+    for t, rec in enumerate(run(cfg, obj).records):
         step = float(np.linalg.norm(traj[t + 1] - traj[t]))
         assert step == pytest.approx(0.7 * rec.update_norm, abs=1e-12)
 
 
 def test_metric_integrity_against_trajectory():
     obj = two_client_objective(noise=0.05)
-    res = run(base_config(record_trajectory=True), obj)
-    for t, rec in enumerate(res.records):
-        w = res.trajectory[t]  # metrics are logged at the pre-update iterate
+    cfg = base_config()
+    traj = iterates(cfg, obj)
+    for t, rec in enumerate(run(cfg, obj).records):
+        w = traj[t]  # metrics are logged at the pre-update iterate
         assert rec.global_loss == pytest.approx(obj.loss(w, GLOBAL), abs=1e-10)
         assert rec.grad_norm_sq == pytest.approx(
             float(np.sum(obj.gradient(w, GLOBAL) ** 2)), abs=1e-10
@@ -91,13 +101,83 @@ def test_centralized_gd_reduction():
         rounds=25, server_lr=1.0, local=LocalConfig(1, 0.3),
         aggregator=AggregatorConfig(rule="u_fedavg"),
         profile=ParticipationProfile(np.array([1.0])),
-        master_seed=0, init_point=np.zeros(2), record_trajectory=True,
+        master_seed=0, init_point=np.zeros(2),
     )
-    res = run(cfg, obj)
+    traj = iterates(cfg, obj)
     w = np.zeros(2)
     for t in range(25):
         w = w - 0.3 * obj.gradient(w, 0)
-        np.testing.assert_allclose(res.trajectory[t + 1], w, atol=1e-14)
+        np.testing.assert_allclose(traj[t + 1], w, atol=1e-14)
+
+
+PREFIX_OBJECTIVES = {
+    "noisy_quadratic": lambda: two_client_objective(noise=0.3),
+    "softmax": lambda: small_softmax_factory()(0.5, None),
+    "hard_instance": lambda: HardInstance(21, 10, 1.0, 3),
+}
+PREFIX_WEIGHTS = {
+    "exact": AggregatorConfig(beta=0.5),
+    "estimator_cap": AggregatorConfig(beta=0.5, weights_source="estimator", weight_cap=4.0),
+}
+
+
+def prefix_config(obj, aggregator, rounds):
+    return base_config(
+        rounds=rounds, aggregator=aggregator,
+        profile=ParticipationProfile(np.linspace(1.0, 0.3, obj.n_clients)),
+        init_point=np.full(obj.dim, -1.0),
+    )
+
+
+def record_reprs(records):
+    return [tuple(map(repr, vars(r).values())) for r in records]
+
+
+def first_rounds(longer, t):
+    """Rounds 1..t of a run as exact reprs and bytes: their records, their
+    trace, and the metrics of the iterate after round t, which round t + 1
+    is taken at."""
+    after = longer.records[t]
+    return (
+        record_reprs(longer.records[:t]),
+        longer.participation_trace[:t].tobytes(),
+        repr(after.global_loss), repr(after.grad_norm_sq),
+    )
+
+
+def as_prefix(short, obj):
+    """The same view of a whole run, its metrics taken at its final iterate."""
+    w = short.final_w
+    return (
+        record_reprs(short.records),
+        short.participation_trace.tobytes(),
+        repr(obj.loss(w, GLOBAL)), repr(float((obj.gradient(w, GLOBAL) ** 2).sum())),
+    )
+
+
+@pytest.mark.parametrize("weights", list(PREFIX_WEIGHTS))
+@pytest.mark.parametrize("kind", list(PREFIX_OBJECTIVES))
+def test_a_shorter_run_is_a_prefix_of_a_longer_one(kind, weights):
+    # Nothing in a round depends on the run's length: a t-round run is the
+    # first t rounds of a longer one, bit for bit, so its final iterate is
+    # the longer run's t-th.
+    obj = PREFIX_OBJECTIVES[kind]()
+    longer = run(prefix_config(obj, PREFIX_WEIGHTS[weights], 40), obj)
+    for t in (1, 9, 25, 39):
+        short = run(prefix_config(obj, PREFIX_WEIGHTS[weights], t), obj)
+        assert as_prefix(short, obj) == first_rounds(longer, t), t
+
+
+def test_the_default_weight_cap_breaks_the_prefix_property():
+    # The default estimator cap grows with the rounds (default_weight_cap):
+    # 2 for a 10-round run, 8 for a 40-round one, so their weights, and then
+    # their iterates, part once an estimated weight exceeds 2.
+    obj = two_client_objective(noise=0.3)
+    aggregator = AggregatorConfig(beta=0.5, weights_source="estimator")
+    longer = run(prefix_config(obj, aggregator, 40), obj)
+    short = run(prefix_config(obj, aggregator, 10), obj)
+    assert as_prefix(short, obj) != first_rounds(longer, 10)
+    assert short.participation_trace.tobytes() == longer.participation_trace[:10].tobytes()
 
 
 def test_wall_ns_is_work_counter():
@@ -142,7 +222,7 @@ def test_trace_is_the_same_whatever_the_chunk(monkeypatch, lanes):
     prof = ParticipationProfile(np.array([0.6, 1.0, 0.3, 0.9]))
     obj = QuadraticObjective.isotropic([np.array([float(i), 1.0]) for i in range(4)])
     cfg = base_config(rounds=50, profile=prof)
-    expected = np.array([sample_round(prof, t, cfg.master_seed).present for t in range(1, 51)])
+    expected = np.concatenate([sample_round(prof, t, cfg.master_seed) for t in range(1, 51)])
     whole = result_bytes(run(cfg, obj))
     calls = []
 
@@ -388,12 +468,11 @@ def result_bytes(res):
     """Everything a run exports, as exact bytes and reprs."""
     return (
         res.final_w.tobytes(),
-        [tuple(map(repr, vars(r).values())) for r in res.records],
+        record_reprs(res.records),
         res.participation_trace.tobytes(),
         repr(res.final_loss),
         repr(res.min_grad_norm_sq),
         repr(res.test_accuracy),
-        None if res.trajectory is None else res.trajectory.tobytes(),
     )
 
 
@@ -423,8 +502,7 @@ BATCH_CASES = {
     ),
     "noisy_quadratic_estimator": (
         lambda: two_client_objective(noise=0.3), BETAS, [0.02, 0.04],
-        dict(aggregator=AggregatorConfig(weights_source="estimator"),
-             record_trajectory=True),
+        dict(aggregator=AggregatorConfig(weights_source="estimator")),
     ),
     "hard_instance": (
         lambda: HardInstance(201, 100, 1.0, 3), BETAS, [0.1, 0.3],
@@ -533,7 +611,7 @@ def test_metric_blocks_change_no_bit(monkeypatch):
     rounds = 2 * stalefl.engine.METRIC_BLOCK + 9
     obj = two_client_objective(noise=0.3)
     cfgs = batch_case_configs(
-        obj, BETAS, [0.02, 0.04], rounds=rounds, record_trajectory=True,
+        obj, BETAS, [0.02, 0.04], rounds=rounds,
         profile=ParticipationProfile(np.array([0.6, 0.3])),
         aggregator=AggregatorConfig(weights_source="estimator"),
     )

@@ -156,7 +156,7 @@ def test_softmax_singleton_batches_average_to_gradient():
     obj = small_softmax()
     w = np.random.default_rng(2).normal(size=obj.dim)
     x, y = obj.train_x[0], obj.train_y[0]
-    singles = [obj._client_grad(obj._unpack(w), x[i : i + 1], y[i : i + 1]).ravel()
+    singles = [obj._samples_grad(obj._unpack(w), x[i : i + 1], y[i : i + 1]).ravel()
                for i in range(len(y))]
     np.testing.assert_allclose(np.mean(singles, axis=0), obj.gradient(w, 0), atol=1e-12)
 
@@ -166,7 +166,7 @@ def test_softmax_batch_enumeration_unbiased():
     w = np.random.default_rng(3).normal(size=obj.dim)
     x, y = obj.train_x[0], obj.train_y[0]
     batches = [
-        obj._client_grad(obj._unpack(w), x[list(c)], y[list(c)]).ravel()
+        obj._samples_grad(obj._unpack(w), x[list(c)], y[list(c)]).ravel()
         for c in itertools.combinations(range(len(y)), 3)
     ]
     np.testing.assert_allclose(np.mean(batches, axis=0), obj.gradient(w, 0), atol=1e-12)

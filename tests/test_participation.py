@@ -9,7 +9,6 @@ from stalefl.participation import (
     ParticipationProfile,
     ProbabilityEstimator,
     export_trace_csv,
-    inverse_prob_weights,
     load_trace_csv,
     make_two_group_profile,
     philox_uniforms,
@@ -74,15 +73,15 @@ def test_two_group_full_participation_sentinel():
 def test_always_present_client():
     prof = ParticipationProfile(np.array([1.0, 0.3]))
     for t in range(1, 501):
-        assert sample_round(prof, t, master_seed=1).present[0]
+        assert sample_round(prof, t, master_seed=1)[0, 0]
 
 
 def test_schedule_determinism_and_per_round_equality():
     prof = ParticipationProfile(np.array([0.7, 0.2, 1.0]))
-    a = [sample_round(prof, t, 42).present for t in range(1, 101)]
-    b = [sample_round(prof, t, 42).present for t in range(1, 101)]
+    a = [sample_round(prof, t, 42)[0] for t in range(1, 101)]
+    b = [sample_round(prof, t, 42)[0] for t in range(1, 101)]
     assert np.array_equal(a, b)
-    other = [sample_round(prof, t, 43).present for t in range(1, 101)]
+    other = [sample_round(prof, t, 43)[0] for t in range(1, 101)]
     assert not np.array_equal(a, other)
 
 
@@ -110,7 +109,7 @@ def test_sample_round_matches_fresh_philox_oracle(seed):
         prof = ParticipationProfile(probs)
         for rnd in (1, 2, 999, 2**64 - 1, 2**64, 2**64 + 3):
             expected = np.array([philox_uniform(seed, i, rnd) < p for i, p in enumerate(probs)])
-            assert np.array_equal(sample_round(prof, rnd, seed).present, expected), rnd
+            assert np.array_equal(sample_round(prof, rnd, seed)[0], expected), rnd
 
 
 KERNEL_SEEDS = [0, 2**63 - 1, 2**64 - 1, 2**64 + 7, 3**80]
@@ -137,7 +136,7 @@ def test_block_of_rounds_equals_single_round_calls(first):
     block = sample_round(prof, first, 11, 6)
     assert block.shape == (6, 4) and block.dtype == bool
     for j in range(6):
-        assert np.array_equal(block[j], sample_round(prof, first + j, 11).present), j
+        assert np.array_equal(block[j], sample_round(prof, first + j, 11)[0]), j
 
 
 def test_empirical_frequency():
@@ -206,6 +205,14 @@ def test_estimator_out_of_order_rejected():
         est.update(5, np.array([True]))
 
 
+@pytest.mark.parametrize("client", [-1, -2, 2, 3])
+def test_estimator_rejects_a_client_out_of_range(client):
+    # a negative index must not wrap to the last client's estimate
+    est = feed(ProbabilityEstimator(2, weight_cap=5.0), [[True, False]] * 4)
+    with pytest.raises(IndexError, match="out of range"):
+        est.estimated_prob(client)
+
+
 def test_estimator_replay_equals_incremental():
     prof = ParticipationProfile(np.array([0.8, 0.3]))
     sched = schedule(prof, 60, master_seed=2)
@@ -235,8 +242,3 @@ def test_estimator_consistency(p):
         if abs(est.estimated_prob(0) - p) <= tol:
             hits += 1
     assert hits >= 0.99 * trials
-
-
-def test_inverse_prob_weights():
-    prof = ParticipationProfile(np.array([1.0, 0.25]))
-    np.testing.assert_array_equal(inverse_prob_weights(prof), np.array([1.0, 4.0]))

@@ -18,7 +18,6 @@ from stalefl.theory import (
     frontier_bound,
     frontier_gradient_floor,
     lower_bound_curve,
-    minimize_gradient_norm_in_span,
     theorem1_bound,
     track_frontier,
 )
@@ -272,7 +271,7 @@ def test_gradient_floor_matches_lstsq_oracle(L):
     inst = HardInstance(dim=45, horizon=22, smoothness_L=L, n_clients=2)
     for k in range(1, 21):
         floor, w_closed = frontier_gradient_floor(inst, k)
-        val, w_num = minimize_gradient_norm_in_span(inst, k)
+        val, w_num = oracles.minimize_gradient_norm_in_span(inst, k)
         assert floor == pytest.approx(val, abs=1e-8)
         # the closed-form minimizer attains the floor
         attained = float(np.sum(inst.gradient(w_closed, GLOBAL) ** 2))
