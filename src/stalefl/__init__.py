@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .aggregation import (
     AggregatorConfig,
-    MemoryBank,
     NoParticipantsError,
     fedavg_biased,
     fedstale,
@@ -47,7 +46,8 @@ from .objectives import (
 )
 from .participation import (
     ParticipationProfile,
-    ProbabilityEstimator,
+    estimated_probs,
+    estimated_weights,
     make_two_group_profile,
     sample_round,
 )

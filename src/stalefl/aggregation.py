@@ -1,4 +1,4 @@
-"""Server update rules, plus the server-side memory of stale updates.
+"""Server update rules, plus the refresh and error of the stale-update memory.
 
 Two kernels: biased plain averaging, and fedstale, the fresh/stale convex
 combination whose beta=0 and beta=1 cases are the unbiased u_fedavg and
@@ -8,14 +8,15 @@ Every rule takes a round's participants as `(clients, deltas)`: an ascending
 list of distinct client indices and the (len(clients), dim) array of their
 updates, row k for client clients[k]. The rules are pure functions of their
 inputs and sum client contributions in that ascending order for bitwise
-reproducibility.
+reproducibility. The memory of stale updates is a plain (N, dim) array whose
+row i is client i's most recent update, zeros before its first.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,20 +50,6 @@ class AggregatorConfig:
     def staleness_weight(self) -> float:
         """The beta that fedstale applies for this rule (unused by fedavg_biased)."""
         return self._RULE_BETA.get(self.rule, self.beta)
-
-
-@dataclass
-class MemoryBank:
-    """Most recent update per client, zero-initialized."""
-
-    n_clients: int
-    dim: int
-    slots: np.ndarray = field(init=False)
-    last_refresh_round: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.slots = np.zeros((self.n_clients, self.dim))
-        self.last_refresh_round = np.zeros(self.n_clients, dtype=np.int64)
 
 
 def _check_round(
@@ -99,71 +86,66 @@ def vector_norm(x: np.ndarray) -> float:
 def fedstale(
     clients: Sequence[int],
     deltas: np.ndarray,
-    bank: MemoryBank,
+    slots: np.ndarray,
     weights: np.ndarray,
-    n_clients: int,
     beta: float,
 ) -> np.ndarray:
     """Convex fresh/stale combination:
     (beta/N) sum_i h_i + (1/N) sum_{i in S} (delta_i - beta*h_i)/p_i.
 
-    `deltas[k]` is client `clients[k]`'s fresh update and `weights[i]` is
-    1/p_i (or its estimate). Does not mutate the bank. beta=0 is the
-    unbiased average of fresh updates (u_fedavg), beta=1 the stale-proxy
-    rule (u_fedvarp). With no participants the update is the stale term
-    alone.
+    `deltas[k]` is client `clients[k]`'s fresh update, `slots` the (N, dim)
+    memory whose row i is h_i, and `weights[i]` is 1/p_i (or its estimate).
+    Does not mutate the memory. beta=0 is the unbiased average of fresh
+    updates (u_fedavg), beta=1 the stale-proxy rule (u_fedvarp). With no
+    participants the update is the stale term alone.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
-    _check_round(clients, deltas, bank.n_clients)
-    fresh = np.zeros(bank.dim)
+    n_clients = len(slots)
+    _check_round(clients, deltas, n_clients)
+    fresh = np.zeros(slots.shape[1])
     for i, d in zip(clients, deltas):
         # At beta=0 the stale terms are zero; skipping them changes no bit.
         if beta:
-            d = d - beta * bank.slots[i]
+            d = d - beta * slots[i]
         fresh += weights[i] * d
     fresh /= n_clients
     if not beta:
         return fresh
-    return beta * bank.slots.sum(axis=0) / n_clients + fresh
+    return beta * slots.sum(axis=0) / n_clients + fresh
 
 
 def u_fedavg(
-    clients: Sequence[int], deltas: np.ndarray, bank: MemoryBank, weights: np.ndarray,
-    n_clients: int,
+    clients: Sequence[int], deltas: np.ndarray, slots: np.ndarray, weights: np.ndarray,
 ) -> np.ndarray:
     """(1/N) sum_{i in S} delta_i/p_i: fedstale at beta=0, which reads no slot."""
-    return fedstale(clients, deltas, bank, weights, n_clients, 0.0)
+    return fedstale(clients, deltas, slots, weights, 0.0)
 
 
 def u_fedvarp(
-    clients: Sequence[int], deltas: np.ndarray, bank: MemoryBank, weights: np.ndarray,
-    n_clients: int,
+    clients: Sequence[int], deltas: np.ndarray, slots: np.ndarray, weights: np.ndarray,
 ) -> np.ndarray:
     """Stale updates as proxies for absent clients, fedstale at beta=1:
     (1/N) sum_i h_i + (1/N) sum_{i in S} (delta_i - h_i)/p_i."""
-    return fedstale(clients, deltas, bank, weights, n_clients, 1.0)
+    return fedstale(clients, deltas, slots, weights, 1.0)
 
 
-def refresh_memory(
-    bank: MemoryBank, clients: Sequence[int], deltas: np.ndarray, rnd: int,
-) -> MemoryBank:
-    """Overwrite participants' slots with their fresh updates; in place."""
-    _check_round(clients, deltas, bank.n_clients)
+def refresh_memory(slots: np.ndarray, clients: Sequence[int], deltas: np.ndarray) -> None:
+    """Overwrite participants' rows of the (N, dim) memory with their fresh
+    updates; in place."""
+    _check_round(clients, deltas, len(slots))
     for i, d in zip(clients, deltas):
-        bank.slots[i] = d
-        bank.last_refresh_round[i] = rnd
-    return bank
+        slots[i] = d
 
 
 def memory_error(slots: np.ndarray, obj: Objective, w: np.ndarray) -> float | np.ndarray:
     """Mean squared deviation of the memory slots from the local gradients
     at w: (1/N) sum_i ||grad F_i(w) - slots[i]||^2, summed in client order.
 
-    `slots` is a bank's (N, dim) slots array and `w` a point. Both may carry
-    the same leading axes, `slots` (..., N, dim) and `w` (..., dim), one bank
-    per point; the result then has shape (...), and each entry has the bits
-    of the call on its bank and point alone.
+    `slots` is an (N, dim) memory and `w` a point. Both may carry the same
+    leading axes, `slots` (..., N, dim) and `w` (..., dim), one memory per
+    point; the result then has shape (...), and each entry has the bits of
+    the call on its memory and point alone.
     """
     w = check_param(w, obj.dim, stacked=True)
     slots = np.asarray(slots, dtype=float)

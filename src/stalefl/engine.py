@@ -8,8 +8,8 @@ the betas and client lrs of a cell this way, one batch per seed.
 No indicator depends on the iterate, so `run` takes the whole trace before
 the first round: the replayed one, or one drawn by `sample_round` a chunk of
 rounds per call (at most `TRACE_LANES` keyed draws a chunk). Each round's
-participant list is a slice of that trace, and the probability estimator
-counts its rows.
+participant list is a slice of that trace, and estimated weights are
+computed from its running counts for every round at once.
 
 The per-round metrics are evaluated a block of `METRIC_BLOCK` rounds at a
 time: the loop keeps the points they are taken at, and one call each of the
@@ -27,12 +27,12 @@ from pathlib import Path
 import numpy as np
 
 from . import aggregation as agg
-from .aggregation import AggregatorConfig, MemoryBank
+from .aggregation import AggregatorConfig
 from .local_solver import LocalConfig, local_train
 from .objectives import GLOBAL, Objective, SoftmaxObjective, all_finite, check_param
 from .participation import (
     ParticipationProfile,
-    ProbabilityEstimator,
+    estimated_weights,
     make_two_group_profile,
     sample_round,
 )
@@ -68,6 +68,9 @@ class TrainConfig:
             raise ValueError("rounds must be >= 1")
         if not (self.server_lr > 0 and math.isfinite(self.server_lr)):
             raise ValueError("server_lr must be finite and positive")
+        # the participation key takes the seed mod 2^64
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
         object.__setattr__(self, "init_point", np.asarray(self.init_point, dtype=float))
         if self.replay_schedule is not None:
             shape = np.shape(self.replay_schedule)
@@ -97,10 +100,13 @@ class RunResult:
     records: list[RoundRecord]
     final_w: np.ndarray
     final_loss: float
-    min_grad_norm_sq: float
     test_accuracy: float | None = None
     participation_trace: np.ndarray | None = None
-    estimator: ProbabilityEstimator | None = None
+
+    @property
+    def min_grad_norm_sq(self) -> float:
+        """The least recorded squared gradient norm; nan with no records."""
+        return min((r.grad_norm_sq for r in self.records), default=math.nan)
 
     def loss_curve(self) -> np.ndarray:
         return np.array([r.global_loss for r in self.records])
@@ -160,8 +166,8 @@ def run(
     n = obj.n_clients
     if cfg.profile.n_clients != n:
         raise ValueError("participation profile and objective disagree on client count")
-    # Row r of w (and of client_lrs) is config live[r]; a dropped config's
-    # row is deleted.
+    # Row r of w, client_lrs and slots is config live[r]; a dropped config's
+    # row is deleted. slots[r] is its memory of stale updates.
     live = list(range(len(cfgs)))
     w = np.array([check_param(c.init_point, obj.dim) for c in cfgs])
     client_lrs = np.array([c.local.client_lr for c in cfgs])
@@ -171,17 +177,9 @@ def run(
         for c in cfgs
     ]
     server_lrs = [c.server_lr for c in cfgs]
-    banks = [MemoryBank(n, obj.dim) for _ in cfgs]
-    exact_weights = 1.0 / cfg.profile.probs
-    estimator = None
-    if cfg.aggregator.weights_source == "estimator":
-        cap = cfg.aggregator.weight_cap
-        if cap is None:
-            cap = default_weight_cap(cfg.rounds)
-        estimator = ProbabilityEstimator(n, cap)
+    slots = np.zeros((len(cfgs), n, obj.dim))
 
     records: list[list[RoundRecord]] = [[] for _ in cfgs]
-    min_grads = [math.inf if metrics else math.nan] * len(cfgs)
     errors: list[Exception | None] = [None] * len(cfgs)
     noisy = obj.uses_rng
     work = cfg.local.local_steps * cfg.local.batch_size
@@ -225,6 +223,12 @@ def run(
         return out if isinstance(out, Exception) else None
 
     trace = _participation_trace(cfg)
+    # round t's aggregation weights, 1/p_i or their estimate, are row t - 1
+    if cfg.aggregator.weights_source == "estimator":
+        cap = cfg.aggregator.weight_cap
+        weights = estimated_weights(trace, default_weight_cap(cfg.rounds) if cap is None else cap)
+    else:
+        weights = np.broadcast_to(1.0 / cfg.profile.probs, trace.shape)
     # round t's participants are flat[ends[t - 1]:ends[t]], in ascending order
     flat = np.nonzero(trace)[1].tolist()
     ends = [0, *np.cumsum(np.count_nonzero(trace, axis=1)).tolist()]
@@ -243,12 +247,6 @@ def run(
                 )
                 deltas, diverged = local_train(obj, participants, w, cfg.local, rngs, client_lrs)
 
-            if estimator is not None:
-                estimator.update(t, trace[t - 1])
-                weights = estimator.weights()
-            else:
-                weights = exact_weights
-
             dropped = []
             for row, c in enumerate(live):
                 if participants and diverged[row] is not None:
@@ -256,13 +254,13 @@ def run(
                     dropped.append(row)
                     continue
                 fresh = deltas[row] if participants else no_deltas
-                wc = w[row]
+                wc, mem = w[row], slots[row]
                 if metrics:
                     w_block[c, j] = wc
-                    slot_block[c, j] = banks[c].slots
+                    slot_block[c, j] = mem
 
                 if betas[c] is not None:
-                    delta = agg.fedstale(participants, fresh, banks[c], weights, n, betas[c])
+                    delta = agg.fedstale(participants, fresh, mem, weights[t - 1], betas[c])
                 elif participants:
                     delta = agg.fedavg_biased(participants, fresh)
                 else:
@@ -275,7 +273,7 @@ def run(
                     )
                     dropped.append(row)
                     continue
-                agg.refresh_memory(banks[c], participants, fresh, t)
+                agg.refresh_memory(mem, participants, fresh)
                 if metrics:
                     norms[c].append(agg.vector_norm(delta))
             if metrics:
@@ -294,13 +292,13 @@ def run(
                             RoundRecord, range(t0, t + 1), losses, grad_sqs, hs,
                             counts, norms[c], [m * work for m in counts],
                         )
-                        min_grads[c] = min(min_grads[c], *grad_sqs)
                         norms[c] = []
                     counts = []
             if dropped:
                 live = [c for c in live if errors[c] is None]
                 w = np.delete(w, dropped, axis=0)
                 client_lrs = np.delete(client_lrs, dropped)
+                slots = np.delete(slots, dropped, axis=0)
                 if not live:
                     break
 
@@ -314,7 +312,7 @@ def run(
                 )
                 continue
             acc = obj.test_accuracy(wc) if isinstance(obj, SoftmaxObjective) else None
-            results[c] = RunResult(records[c], wc, final_loss, min_grads[c], acc, trace, estimator)
+            results[c] = RunResult(records[c], wc, final_loss, acc, trace)
     if _lockstep is None:
         if isinstance(results[0], Exception):
             raise results[0]
@@ -370,8 +368,7 @@ def run_batch(cfgs: list[TrainConfig], obj: Objective, *, metrics: bool = True) 
     call on the shared minibatches; aggregation and the memory refresh then
     run per config, and each block of metrics is evaluated for all configs
     at once.
-    The results share one participation trace array and, with estimated
-    weights, one estimator.
+    The results share one participation trace array.
 
     A config whose iterate goes non-finite is dropped from the batch at that
     point and the others run on; its outcome is the error that `run` raises

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -188,37 +188,22 @@ def load_trace_csv(path: str | Path) -> np.ndarray:
     return out
 
 
-@dataclass
-class ProbabilityEstimator:
-    """Running per-client participation counts with a capped inverse weight."""
+def estimated_probs(trace: np.ndarray) -> np.ndarray:
+    """The online estimate of each client's participation probability after
+    every round of a (rounds, N) trace: row t - 1 is max(c_i, 1)/t, where c_i
+    counts client i's presences in rounds 1..t (floored at 1, so a client
+    never seen gets 1/t, not 0)."""
+    trace = np.asarray(trace)
+    if trace.ndim != 2:
+        raise ValueError(f"a trace must be a (rounds, clients) matrix, got shape {trace.shape}")
+    counts = np.cumsum(trace, axis=0)
+    return np.maximum(counts, 1, out=counts) / np.arange(1, len(trace) + 1)[:, None]
 
-    n_clients: int
-    weight_cap: float
-    counts: np.ndarray = field(init=False)
-    rounds_seen: int = field(init=False, default=0)
 
-    def __post_init__(self):
-        if not self.weight_cap > 1:   # nan fails this too
-            raise ValueError(f"weight_cap must be > 1, got {self.weight_cap}")
-        self.counts = np.zeros(self.n_clients, dtype=np.int64)
-
-    def update(self, rnd: int, present: np.ndarray) -> "ProbabilityEstimator":
-        """Count round `rnd`'s indicator row; rounds must come in order."""
-        if rnd != self.rounds_seen + 1:
-            raise ValueError(f"out-of-order round {rnd}; expected {self.rounds_seen + 1}")
-        self.counts += present
-        self.rounds_seen += 1
-        return self
-
-    def estimated_prob(self, client: int) -> float:
-        if not 0 <= client < self.n_clients:
-            raise IndexError(f"client index {client} out of range [0, {self.n_clients})")
-        if self.rounds_seen < 1:
-            raise ValueError("no rounds observed yet")
-        return max(int(self.counts[client]), 1) / self.rounds_seen
-
-    def weights(self) -> np.ndarray:
-        if self.rounds_seen < 1:
-            raise ValueError("no rounds observed yet")
-        p_hat = np.maximum(self.counts, 1) / self.rounds_seen
-        return np.minimum(1.0 / p_hat, self.weight_cap)
+def estimated_weights(trace: np.ndarray, cap: float) -> np.ndarray:
+    """The inverse of `estimated_probs(trace)`, capped at `cap`: row t - 1
+    holds the weights of round t."""
+    if not cap > 1:   # nan fails this too
+        raise ValueError(f"weight_cap must be > 1, got {cap}")
+    weights = 1.0 / estimated_probs(trace)
+    return np.minimum(weights, cap, out=weights)

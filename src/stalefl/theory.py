@@ -39,6 +39,14 @@ class BoundInputs:
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
+        # p_var = +inf stands for full participation; the checks below reject
+        # a nan or negative one.
+        for name in ("smoothness_L", "sigma_sq", "sg_sq", "p_avg", "p_min", "client_lr",
+                     "server_lr", "f_init_gap", "h_init", "a1", "a2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not (self.client_lr > 0 and self.server_lr > 0):
+            raise ValueError("client_lr and server_lr must be positive")
         for name in ("smoothness_L", "sigma_sq", "sg_sq", "f_init_gap", "h_init"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -177,10 +185,14 @@ class HardInstance(Objective):
                  i0: int = 0, i1: int = 1):
         if n_clients < 2:
             raise ValueError("need at least 2 clients")
+        if not (math.isfinite(smoothness_L) and smoothness_L > 0):
+            raise ValueError(f"smoothness must be finite and > 0, got {smoothness_L}")
         if horizon < 1 or 2 * horizon + 1 > dim:
             raise ValueError("horizon must satisfy 1 <= t <= (d-1)/2")
         if i0 == i1:
             raise ValueError("i0 and i1 must differ")
+        if not (0 <= i0 < n_clients and 0 <= i1 < n_clients):
+            raise ValueError(f"i0 and i1 must lie in [0, {n_clients}), got {i0} and {i1}")
         self.dim = dim
         self.horizon = horizon
         self.smoothness_L = float(smoothness_L)

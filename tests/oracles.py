@@ -2,8 +2,10 @@
 
 stalefl computes u_fedavg and u_fedvarp as fedstale at beta=0 and beta=1.
 These loops spell out the two formulas on their own, so that tests can check
-fedstale's algebra against code that shares none of it. `hard_instance_forms`
-builds the hard instance's client and global forms as dense matrices, one
+fedstale's algebra against code that shares none of it.
+`incremental_weights` counts a trace one round at a time; the vectorised
+estimated weights must reproduce it bit for bit. `hard_instance_forms` builds
+the hard instance's client and global forms as dense matrices, one
 squared-difference term at a time, to check its banded oracles against;
 `hard_instance_minimizer` solves the dense global form for its minimizer, and
 `minimize_gradient_norm_in_span` minimizes its gradient norm over a span by
@@ -22,12 +24,27 @@ def u_fedavg(clients, deltas, weights, n_clients):
     return delta / n_clients
 
 
-def u_fedvarp(clients, deltas, bank, weights, n_clients):
-    """(1/N) sum_i h_i + (1/N) sum_{i in S} (delta_i - h_i)/p_i."""
-    fresh = np.zeros(bank.dim)
+def u_fedvarp(clients, deltas, slots, weights, n_clients):
+    """(1/N) sum_i h_i + (1/N) sum_{i in S} (delta_i - h_i)/p_i, with h_i
+    row i of the (N, dim) memory `slots`."""
+    fresh = np.zeros(np.shape(slots)[1])
     for i, d in sorted(zip(clients, deltas), key=lambda pair: pair[0]):
-        fresh += weights[i] * (d - bank.slots[i])
-    return bank.slots.sum(axis=0) / n_clients + fresh / n_clients
+        fresh += weights[i] * (d - slots[i])
+    return slots.sum(axis=0) / n_clients + fresh / n_clients
+
+
+def incremental_weights(trace, cap):
+    """The capped inverse participation estimates of every round of a
+    (rounds, N) trace, counted one round at a time: after round t, with c_i
+    client i's presences so far, p_hat_i = max(c_i, 1)/t and the weight is
+    min(1/p_hat_i, cap)."""
+    counts = np.zeros(np.shape(trace)[1], dtype=np.int64)
+    rows = []
+    for t, present in enumerate(trace, start=1):
+        counts += present
+        p_hat = np.maximum(counts, 1) / t
+        rows.append(np.minimum(1.0 / p_hat, cap))
+    return np.array(rows)
 
 
 def hard_instance_forms(dim, horizon, smoothness_L, n_clients, i0=0, i1=1):

@@ -17,7 +17,6 @@ from scipy.stats import spearmanr
 
 from stalefl.aggregation import (
     AggregatorConfig,
-    MemoryBank,
     fedavg_biased,
     fedstale,
 )
@@ -37,7 +36,11 @@ from stalefl.objectives import (
     SoftmaxObjective,
     build_label_swap_dataset,
 )
-from stalefl.participation import ParticipationProfile, make_two_group_profile
+from stalefl.participation import (
+    ParticipationProfile,
+    estimated_probs,
+    make_two_group_profile,
+)
 from stalefl.theory import (
     BoundInputs,
     HardInstance,
@@ -62,8 +65,7 @@ def test_criterion_01_unbiasedness_by_enumeration():
     n, dim = 3, 3
     probs = [1.0, 0.5, 0.2]
     deltas = rng.normal(size=(n, dim))
-    bank = MemoryBank(n, dim)
-    bank.slots[:] = rng.normal(size=(n, dim))
+    slots = rng.normal(size=(n, dim))
     weights = 1.0 / np.array(probs)
     target = np.mean(deltas, axis=0)
 
@@ -79,9 +81,9 @@ def test_criterion_01_unbiasedness_by_enumeration():
 
     rules = [
         ("u_fedavg", lambda s, d: oracles.u_fedavg(s, d, weights, n)),
-        ("u_fedvarp", lambda s, d: oracles.u_fedvarp(s, d, bank, weights, n)),
+        ("u_fedvarp", lambda s, d: oracles.u_fedvarp(s, d, slots, weights, n)),
     ] + [
-        (f"fedstale(beta={b})", lambda s, d, b=b: fedstale(s, d, bank, weights, n, b))
+        (f"fedstale(beta={b})", lambda s, d, b=b: fedstale(s, d, slots, weights, b))
         for b in (0.0, 0.3, 0.7, 1.0)
     ]
     for name, rule in rules:
@@ -102,16 +104,15 @@ def test_criterion_02_interpolation_identity():
     for _ in range(1000):
         present = [i for i in range(n) if rng.random() < 0.6]
         deltas = rng.normal(size=(len(present), dim))
-        bank = MemoryBank(n, dim)
-        bank.slots[:] = rng.normal(size=(n, dim))
+        slots = rng.normal(size=(n, dim))
         weights = rng.uniform(1.0, 10.0, size=n)
         beta = rng.random()
         combo = (
             (1.0 - beta) * oracles.u_fedavg(present, deltas, weights, n)
-            + beta * oracles.u_fedvarp(present, deltas, bank, weights, n)
+            + beta * oracles.u_fedvarp(present, deltas, slots, weights, n)
         )
         np.testing.assert_allclose(
-            fedstale(present, deltas, bank, weights, n, beta), combo, atol=1e-14
+            fedstale(present, deltas, slots, weights, beta), combo, atol=1e-14
         )
     elapsed = time.time() - t0
     assert elapsed < 1.0
@@ -311,8 +312,8 @@ def test_criterion_10_online_estimation_robustness():
             )
             results[source] = run(cfg, obj)
         assert results["estimator"].final_loss <= 2.0 * results["exact"].final_loss, rule
-        est = results["estimator"].estimator
-        p_hat = np.mean([est.estimated_prob(i) for i in profile.group2])
+        est = estimated_probs(results["estimator"].participation_trace)[-1]
+        p_hat = np.mean([est[i] for i in profile.group2])
         assert abs(p_hat - p_low) <= 0.05, (rule, p_hat)
     elapsed = time.time() - t0
     assert elapsed < 120.0

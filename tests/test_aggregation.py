@@ -6,7 +6,6 @@ import pytest
 
 from stalefl.aggregation import (
     AggregatorConfig,
-    MemoryBank,
     NoParticipantsError,
     fedavg_biased,
     fedstale,
@@ -23,11 +22,12 @@ def rows(*vals):
     return np.array(vals, dtype=float)
 
 
-def bank_with(n, dim, rows):
-    bank = MemoryBank(n, dim)
+def memory_with(n, dim, rows):
+    """An (n, dim) memory, zeros but for the given {client: row} slots."""
+    slots = np.zeros((n, dim))
     for i, row in rows.items():
-        bank.slots[i] = row
-    return bank
+        slots[i] = row
+    return slots
 
 
 def test_fedavg_single_participant_identity():
@@ -47,18 +47,18 @@ def test_fedavg_empty_raises():
 
 def test_u_fedavg_hand_value():
     # N=2, only client 1 present with p=0.5: (1/2)(1/0.5)(1,0) = (1,0).
-    out = u_fedavg([1], rows([1.0, 0.0]), MemoryBank(2, 2), np.array([1.0, 2.0]), 2)
+    out = u_fedavg([1], rows([1.0, 0.0]), np.zeros((2, 2)), np.array([1.0, 2.0]))
     np.testing.assert_array_equal(out, np.array([1.0, 0.0]))
 
 
 def test_u_fedavg_all_equal_updates_full_participation():
-    out = u_fedavg([0, 1, 2], rows(*[[5.0, -2.0]] * 3), MemoryBank(3, 2), np.ones(3), 3)
+    out = u_fedavg([0, 1, 2], rows(*[[5.0, -2.0]] * 3), np.zeros((3, 2)), np.ones(3))
     np.testing.assert_allclose(out, np.array([5.0, -2.0]), atol=1e-15)
 
 
 def test_u_fedavg_empty_is_zero():
-    bank = bank_with(2, 3, {0: [1.0, 2.0, 3.0]})  # u_fedavg reads no slot
-    out = u_fedavg([], np.empty((0, 3)), bank, np.ones(2), 2)
+    slots = memory_with(2, 3, {0: [1.0, 2.0, 3.0]})  # u_fedavg reads no slot
+    out = u_fedavg([], np.empty((0, 3)), slots, np.ones(2))
     np.testing.assert_array_equal(out, np.zeros(3))
 
 
@@ -66,31 +66,31 @@ def test_fedstale_hand_value():
     # N=2, p=(1, 0.5), only the p=1 client present with delta=(2,0), both
     # memory slots (1,1), beta=0.5:
     # (0.25)(2,2) + (1/2)(1/1)((2,0)-(0.5,0.5)) = (0.5,0.5)+(0.75,-0.25) = (1.25,0.25)
-    bank = bank_with(2, 2, {0: [1.0, 1.0], 1: [1.0, 1.0]})
-    out = fedstale([0], rows([2.0, 0.0]), bank, np.array([1.0, 2.0]), 2, beta=0.5)
+    slots = memory_with(2, 2, {0: [1.0, 1.0], 1: [1.0, 1.0]})
+    out = fedstale([0], rows([2.0, 0.0]), slots, np.array([1.0, 2.0]), beta=0.5)
     np.testing.assert_allclose(out, np.array([1.25, 0.25]), atol=1e-15)
     # cross-check against the convex-combination identity on the same inputs
     combo = (
         0.5 * oracles.u_fedavg([0], rows([2.0, 0.0]), np.array([1.0, 2.0]), 2)
-        + 0.5 * oracles.u_fedvarp([0], rows([2.0, 0.0]), bank, np.array([1.0, 2.0]), 2)
+        + 0.5 * oracles.u_fedvarp([0], rows([2.0, 0.0]), slots, np.array([1.0, 2.0]), 2)
     )
     np.testing.assert_allclose(out, combo, atol=1e-15)
 
 
 def test_fedstale_does_not_mutate_bank():
-    bank = bank_with(2, 2, {0: [1.0, 1.0], 1: [1.0, 1.0]})
-    before = bank.slots.copy()
-    fedstale([1], rows([2.0, 0.0]), bank, np.array([1.0, 2.0]), 2, beta=0.7)
-    np.testing.assert_array_equal(bank.slots, before)
+    slots = memory_with(2, 2, {0: [1.0, 1.0], 1: [1.0, 1.0]})
+    before = slots.copy()
+    fedstale([1], rows([2.0, 0.0]), slots, np.array([1.0, 2.0]), beta=0.7)
+    np.testing.assert_array_equal(slots, before)
 
 
 def test_fedstale_beta0_equals_u_fedavg():
     rng = np.random.default_rng(0)
     for _ in range(50):
         deltas = rows(*[rng.normal(size=3) for i in (0, 2)])
-        bank = bank_with(4, 3, {i: rng.normal(size=3) for i in range(4)})
+        slots = memory_with(4, 3, {i: rng.normal(size=3) for i in range(4)})
         weights = rng.uniform(1.0, 10.0, size=4)
-        a = fedstale([0, 2], deltas, bank, weights, 4, beta=0.0)
+        a = fedstale([0, 2], deltas, slots, weights, beta=0.0)
         b = oracles.u_fedavg([0, 2], deltas, weights, 4)
         np.testing.assert_allclose(a, b, atol=1e-14)
 
@@ -99,10 +99,10 @@ def test_fedstale_beta1_equals_u_fedvarp():
     rng = np.random.default_rng(1)
     for _ in range(50):
         deltas = rows(*[rng.normal(size=3) for i in (1, 3)])
-        bank = bank_with(4, 3, {i: rng.normal(size=3) for i in range(4)})
+        slots = memory_with(4, 3, {i: rng.normal(size=3) for i in range(4)})
         weights = rng.uniform(1.0, 10.0, size=4)
-        a = fedstale([1, 3], deltas, bank, weights, 4, beta=1.0)
-        b = oracles.u_fedvarp([1, 3], deltas, bank, weights, 4)
+        a = fedstale([1, 3], deltas, slots, weights, beta=1.0)
+        b = oracles.u_fedvarp([1, 3], deltas, slots, weights, 4)
         np.testing.assert_allclose(a, b, atol=1e-14)
 
 
@@ -112,15 +112,15 @@ def test_interpolation_identity():
         n, dim = 4, 2
         present = [i for i in range(n) if rng.random() < 0.6]
         deltas = rng.normal(size=(len(present), dim))
-        bank = bank_with(n, dim, {i: rng.normal(size=dim) for i in range(n)})
+        slots = memory_with(n, dim, {i: rng.normal(size=dim) for i in range(n)})
         weights = rng.uniform(1.0, 8.0, size=n)
         beta = rng.random()
         combo = (
             (1.0 - beta) * oracles.u_fedavg(present, deltas, weights, n)
-            + beta * oracles.u_fedvarp(present, deltas, bank, weights, n)
+            + beta * oracles.u_fedvarp(present, deltas, slots, weights, n)
         )
         np.testing.assert_allclose(
-            fedstale(present, deltas, bank, weights, n, beta), combo, atol=1e-14
+            fedstale(present, deltas, slots, weights, beta), combo, atol=1e-14
         )
 
 
@@ -144,17 +144,17 @@ def test_unbiasedness_by_enumeration():
     n, dim = 3, 2
     probs = [1.0, 0.5, 0.2]
     deltas = [rng.normal(size=dim) for _ in range(n)]
-    bank = bank_with(n, dim, {i: rng.normal(size=dim) for i in range(n)})
+    slots = memory_with(n, dim, {i: rng.normal(size=dim) for i in range(n)})
     weights = 1.0 / np.array(probs)
     target = np.mean(deltas, axis=0)
 
     rules = {
         "u_fedavg": lambda s, d: oracles.u_fedavg(s, d, weights, n),
-        "u_fedvarp": lambda s, d: oracles.u_fedvarp(s, d, bank, weights, n),
+        "u_fedvarp": lambda s, d: oracles.u_fedvarp(s, d, slots, weights, n),
     }
     for beta in (0.0, 0.3, 0.7, 1.0):
         rules[f"fedstale_{beta}"] = (
-            lambda s, d, b=beta: fedstale(s, d, bank, weights, n, b)
+            lambda s, d, b=beta: fedstale(s, d, slots, weights, b)
         )
     for name, rule in rules.items():
         exp = enumerate_expectation(rule, probs, deltas)
@@ -175,19 +175,19 @@ def test_permutation_invariance():
     rng = np.random.default_rng(4)
     present = [0, 1, 3, 4]
     deltas = rng.normal(size=(4, 3))
-    bank = bank_with(5, 3, {i: rng.normal(size=3) for i in range(5)})
+    slots = memory_with(5, 3, {i: rng.normal(size=3) for i in range(5)})
     weights = rng.uniform(1.0, 4.0, size=5)
     perm = rng.permutation(5)   # client i becomes client perm[i]
     order = np.argsort(perm[present])
     relabelled = sorted(perm[present].tolist())
-    moved = bank_with(5, 3, {perm[i]: bank.slots[i] for i in range(5)})
+    moved = memory_with(5, 3, {perm[i]: slots[i] for i in range(5)})
     moved_weights = np.empty(5)
     moved_weights[perm] = weights
     for rule, args, moved_args in (
         (fedavg_biased, (), ()),
-        (u_fedavg, (bank, weights, 5), (moved, moved_weights, 5)),
-        (u_fedvarp, (bank, weights, 5), (moved, moved_weights, 5)),
-        (lambda *a: fedstale(*a, 0.4), (bank, weights, 5), (moved, moved_weights, 5)),
+        (u_fedavg, (slots, weights), (moved, moved_weights)),
+        (u_fedvarp, (slots, weights), (moved, moved_weights)),
+        (lambda *a: fedstale(*a, 0.4), (slots, weights), (moved, moved_weights)),
     ):
         np.testing.assert_allclose(
             rule(present, deltas, *args), rule(relabelled, deltas[order], *moved_args),
@@ -197,40 +197,38 @@ def test_permutation_invariance():
 
 def test_duplicate_client_rejected():
     # Every rule and the refresh take ascending, distinct client indices:
-    # repeated or unsorted ones raise, and the bank stays as it was.
-    bank = MemoryBank(3, 2)
+    # repeated or unsorted ones raise, and the memory stays as it was.
+    slots = np.zeros((3, 2))
     for clients in ([0, 0], [1, 0], [0, 2, 1]):
         deltas = np.ones((len(clients), 2))
         for call in (
             lambda: fedavg_biased(clients, deltas),
-            lambda: fedstale(clients, deltas, bank, np.ones(3), 3, 0.5),
-            lambda: u_fedavg(clients, deltas, bank, np.ones(3), 3),
-            lambda: u_fedvarp(clients, deltas, bank, np.ones(3), 3),
-            lambda: refresh_memory(bank, clients, deltas, 1),
+            lambda: fedstale(clients, deltas, slots, np.ones(3), 0.5),
+            lambda: u_fedavg(clients, deltas, slots, np.ones(3)),
+            lambda: u_fedvarp(clients, deltas, slots, np.ones(3)),
+            lambda: refresh_memory(slots, clients, deltas),
         ):
             with pytest.raises(ValueError, match="ascending and distinct"):
                 call()
-    np.testing.assert_array_equal(bank.slots, np.zeros((3, 2)))
-    np.testing.assert_array_equal(bank.last_refresh_round, np.zeros(3))
+    np.testing.assert_array_equal(slots, np.zeros((3, 2)))
 
 
 @pytest.mark.parametrize("clients", [[-1], [-3, 0], [3], [0, 2, 3], [1, 7]])
 def test_client_out_of_range_rejected(clients):
-    # Every rule that reads the bank, and the refresh, reject a client index
-    # outside [0, N) instead of letting it wrap; the bank stays as it was.
-    bank = MemoryBank(3, 2)
+    # Every rule that reads the memory, and the refresh, reject a client index
+    # outside [0, N) instead of letting it wrap; the memory stays as it was.
+    slots = np.zeros((3, 2))
     deltas = np.ones((len(clients), 2))
     for call in (
-        lambda: fedstale(clients, deltas, bank, np.ones(3), 3, 0.5),
-        lambda: fedstale(clients, deltas, bank, np.ones(3), 3, 0.0),
-        lambda: u_fedavg(clients, deltas, bank, np.ones(3), 3),
-        lambda: u_fedvarp(clients, deltas, bank, np.ones(3), 3),
-        lambda: refresh_memory(bank, clients, deltas, 1),
+        lambda: fedstale(clients, deltas, slots, np.ones(3), 0.5),
+        lambda: fedstale(clients, deltas, slots, np.ones(3), 0.0),
+        lambda: u_fedavg(clients, deltas, slots, np.ones(3)),
+        lambda: u_fedvarp(clients, deltas, slots, np.ones(3)),
+        lambda: refresh_memory(slots, clients, deltas),
     ):
         with pytest.raises(IndexError, match="out of range"):
             call()
-    np.testing.assert_array_equal(bank.slots, np.zeros((3, 2)))
-    np.testing.assert_array_equal(bank.last_refresh_round, np.zeros(3))
+    np.testing.assert_array_equal(slots, np.zeros((3, 2)))
 
 
 def test_update_rows_must_match_clients():
@@ -247,59 +245,56 @@ def test_config_validation():
         AggregatorConfig(weights_source="oracle")
 
 
-# --- memory bank --------------------------------------------------------------
+# --- memory -------------------------------------------------------------------
 
 
 def test_refresh_empty_is_identity():
-    bank = bank_with(3, 2, {0: [1.0, 2.0]})
-    before = bank.slots.copy()
-    refresh_memory(bank, [], np.empty((0, 2)), 5)
-    np.testing.assert_array_equal(bank.slots, before)
+    slots = memory_with(3, 2, {0: [1.0, 2.0]})
+    before = slots.copy()
+    refresh_memory(slots, [], np.empty((0, 2)))
+    np.testing.assert_array_equal(slots, before)
 
 
 def test_non_participant_slot_unchanged_over_rounds():
-    bank = bank_with(2, 2, {1: [7.0, 7.0]})
+    slots = memory_with(2, 2, {1: [7.0, 7.0]})
     rng = np.random.default_rng(6)
-    for t in range(1, 101):
-        refresh_memory(bank, [0], rng.normal(size=(1, 2)), t)
-    np.testing.assert_array_equal(bank.slots[1], np.array([7.0, 7.0]))
-    assert bank.last_refresh_round[1] == 0
+    for _ in range(100):
+        refresh_memory(slots, [0], rng.normal(size=(1, 2)))
+    np.testing.assert_array_equal(slots[1], np.array([7.0, 7.0]))
 
 
 def test_participant_slot_equals_update():
-    bank = MemoryBank(2, 2)
-    refresh_memory(bank, [1], rows([4.0, -4.0]), 3)
-    np.testing.assert_array_equal(bank.slots[1], np.array([4.0, -4.0]))
-    assert bank.last_refresh_round[1] == 3
+    slots = np.zeros((2, 2))
+    refresh_memory(slots, [1], rows([4.0, -4.0]))
+    np.testing.assert_array_equal(slots[1], np.array([4.0, -4.0]))
 
 
 def test_trace_replay_reconstructs_bank():
     rng = np.random.default_rng(7)
     n, dim, rounds = 4, 3, 30
     history = []
-    incremental = MemoryBank(n, dim)
-    for t in range(1, rounds + 1):
+    incremental = np.zeros((n, dim))
+    for _ in range(rounds):
         present = [i for i in range(n) if rng.random() < 0.5]
         deltas = rng.normal(size=(len(present), dim))
         history.append((present, deltas))
-        refresh_memory(incremental, present, deltas, t)
-    replayed = MemoryBank(n, dim)
-    for t, (present, deltas) in enumerate(history, start=1):
-        refresh_memory(replayed, present, deltas, t)
-    np.testing.assert_array_equal(incremental.slots, replayed.slots)
-    np.testing.assert_array_equal(incremental.last_refresh_round, replayed.last_refresh_round)
+        refresh_memory(incremental, present, deltas)
+    replayed = np.zeros((n, dim))
+    for present, deltas in history:
+        refresh_memory(replayed, present, deltas)
+    np.testing.assert_array_equal(incremental, replayed)
 
 
 def test_memory_error_zero_when_exact():
     obj = QuadraticObjective.isotropic([np.zeros(2), np.ones(2)])
     w = np.array([0.5, -0.5])
-    bank = bank_with(2, 2, {0: obj.gradient(w, 0), 1: obj.gradient(w, 1)})
-    assert memory_error(bank.slots, obj, w) == 0.0
+    slots = memory_with(2, 2, {0: obj.gradient(w, 0), 1: obj.gradient(w, 1)})
+    assert memory_error(slots, obj, w) == 0.0
 
 
 def test_memory_error_hand_value():
     obj = QuadraticObjective.isotropic([np.zeros(2), np.ones(2)])
     w = np.array([1.0, 1.0])
-    bank = MemoryBank(2, 2)  # zeros
+    slots = np.zeros((2, 2))
     # grads: (1,1) and (0,0); mean of ||g_i - 0||^2 = (2 + 0)/2 = 1.
-    assert memory_error(bank.slots, obj, w) == pytest.approx(1.0, abs=1e-15)
+    assert memory_error(slots, obj, w) == pytest.approx(1.0, abs=1e-15)

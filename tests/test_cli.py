@@ -508,6 +508,49 @@ BAD_INPUTS = {
         )
         for value in ("nan", "0")
     },
+    # The participation key is injective only for seeds in [0, 2^64): -1 and
+    # 2^64 would draw seed 2^64 - 1's and seed 0's traces.
+    **{
+        f"run_{kind}_master_seed_{value}": (
+            "run", "cfg.ini",
+            QUAD_RUN.replace("kind = quadratic2d", f"kind = quadratic2d\nnoise_var = {noise}")
+            .replace("master_seed = 3", f"master_seed = {value}"),
+            [], None,
+        )
+        for kind, noise in (("exact", 0.0), ("noisy", 0.1))
+        for value in ("-1", str(2**64))
+    },
+    "repeat_seeds_negative": ("repeat", "cfg.ini", QUAD_RUN, ["--seeds", "-1"], None),
+    "grid_seed_negative": (
+        "grid", "cfg.ini", GRID_SMALL.replace("seeds = 1", "seeds = -1"), ["--threads", "1"], None,
+    ),
+    # A smoothness that is not finite and positive breaks the hard instance's
+    # own split check.
+    **{
+        f"lowerbound_smoothness_{value}": (
+            "lowerbound", "cfg.ini", LOWERBOUND.replace("smoothness = 1", f"smoothness = {value}"),
+            [], None,
+        )
+        for value in ("nan", "inf", "0", "-1")
+    },
+    "run_hard_instance_smoothness_nan": (
+        "run", "cfg.ini",
+        "[objective]\nkind = hard_instance\ndim = 21\nhorizon = 10\nsmoothness = nan\n", [], None,
+    ),
+    # These would give nan totals, a negative bound on a squared norm, or
+    # constraints_ok = 1 at a nan server lr.
+    **{
+        f"theory_{name}": ("theory", "cfg.ini", THEORY.replace(old, new), [], None)
+        for name, (old, new) in {
+            "smoothness_nan": ("smoothness = 1", "smoothness = nan"),
+            "sigma_sq_inf": ("sigma_sq = 1", "sigma_sq = inf"),
+            "p_avg_inf": ("p_avg = 0.6", "p_avg = inf"),
+            "client_lr_negative": ("client_lr = 0.02", "client_lr = -0.01"),
+            "client_lr_zero": ("client_lr = 0.02", "client_lr = 0"),
+            "server_lr_nan": ("server_lr = 0.1", "server_lr = nan"),
+            "server_lr_zero": ("server_lr = 0.1", "server_lr = 0"),
+        }.items()
+    },
     **{
         f"grid_holdout_fraction_{value}": (
             "grid", "cfg.ini",
@@ -519,12 +562,27 @@ BAD_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("name", list(BAD_INPUTS))
-def test_bad_input_is_a_config_error(tmp_path, capsys, name):
+def run_bad_input(tmp_path, name):
     command, cfg_name, text, extra, trace = BAD_INPUTS[name]
     argv = [command, "--config", str(write(tmp_path, text, cfg_name)),
             "--out", str(tmp_path / "o"), *extra]
     if trace is not None:
         argv += ["--trace", str(write(tmp_path, trace, "trace.csv"))]
-    assert main(argv) == EXIT_CONFIG
+    return main(argv)
+
+
+@pytest.mark.parametrize("name", list(BAD_INPUTS))
+def test_bad_input_is_a_config_error(tmp_path, capsys, name):
+    assert run_bad_input(tmp_path, name) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("name", [
+    name for name in BAD_INPUTS
+    if "master_seed" in name or name in ("repeat_seeds_negative", "grid_seed_negative")
+])
+def test_a_seed_outside_the_key_range_is_named(tmp_path, capsys, name):
+    # The message names the seed's range on every objective, noisy ones
+    # included, whose noise streams numpy could not seed from -1.
+    assert run_bad_input(tmp_path, name) == EXIT_CONFIG
+    assert "master_seed must lie in [0, 2^64)" in capsys.readouterr().err

@@ -1,13 +1,15 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stalefl.participation import (
     ParticipationProfile,
-    ProbabilityEstimator,
+    estimated_probs,
+    estimated_weights,
     export_trace_csv,
     load_trace_csv,
     make_two_group_profile,
@@ -172,59 +174,58 @@ def test_trace_csv_roundtrip(tmp_path):
 # --- estimator ---------------------------------------------------------------
 
 
-def feed(est, present_rows):
-    for t, row in enumerate(present_rows, start=1):
-        est.update(t, np.array(row, dtype=bool))
-    return est
+def column(present):
+    """A one-client trace: one row per round."""
+    return np.array(present, dtype=bool)[:, None]
 
 
 def test_estimator_hand_values():
-    est = ProbabilityEstimator(1, weight_cap=50.0)
-    feed(est, [[c < 5] for c in range(10)])  # 5 of 10 rounds
-    assert est.estimated_prob(0) == pytest.approx(0.5)
-    assert est.weights()[0] == pytest.approx(2.0)
+    trace = column([c < 5 for c in range(10)])  # 5 of 10 rounds
+    assert estimated_probs(trace)[-1, 0] == pytest.approx(0.5)
+    assert estimated_weights(trace, 50.0)[-1, 0] == pytest.approx(2.0)
 
 
 def test_estimator_never_present_floor_and_cap():
-    est = ProbabilityEstimator(1, weight_cap=5.0)
-    feed(est, [[False]] * 10)
-    assert est.counts[0] == 0
-    assert est.estimated_prob(0) == pytest.approx(0.1)  # floored count 1 over t=10
-    assert est.weights()[0] == pytest.approx(5.0)  # raw 10 capped
+    trace = column([False] * 10)
+    assert estimated_probs(trace)[-1, 0] == pytest.approx(0.1)  # floored count 1 over t=10
+    assert estimated_weights(trace, 5.0)[-1, 0] == pytest.approx(5.0)  # raw 10 capped
 
 
 def test_estimator_always_present_weight_one():
-    est = ProbabilityEstimator(1, weight_cap=10.0)
-    feed(est, [[True]] * 7)
-    assert est.weights()[0] == pytest.approx(1.0)
-
-
-def test_estimator_out_of_order_rejected():
-    est = ProbabilityEstimator(1, weight_cap=2.0)
-    with pytest.raises(ValueError):
-        est.update(5, np.array([True]))
-
-
-@pytest.mark.parametrize("client", [-1, -2, 2, 3])
-def test_estimator_rejects_a_client_out_of_range(client):
-    # a negative index must not wrap to the last client's estimate
-    est = feed(ProbabilityEstimator(2, weight_cap=5.0), [[True, False]] * 4)
-    with pytest.raises(IndexError, match="out of range"):
-        est.estimated_prob(client)
+    assert estimated_weights(column([True] * 7), 10.0)[-1, 0] == pytest.approx(1.0)
 
 
 def test_estimator_replay_equals_incremental():
     prof = ParticipationProfile(np.array([0.8, 0.3]))
     sched = schedule(prof, 60, master_seed=2)
-    est = ProbabilityEstimator(2, weight_cap=20.0)
-    for t in range(60):
-        est.update(t + 1, sched[t])
-    assert np.array_equal(est.counts, sched.sum(axis=0))
     np.testing.assert_allclose(
-        est.weights(),
+        estimated_weights(sched, 20.0)[-1],
         np.minimum(60.0 / np.maximum(sched.sum(axis=0), 1), 20.0),
         atol=1e-14,
     )
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_estimated_weights_are_the_per_round_counts_bit_for_bit(seed):
+    # Drawn traces of 1-80 rounds; client 0 is never present, the cap binds
+    # whenever an estimate falls below 1/cap.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    probs = np.concatenate([[0.0], rng.uniform(0.02, 1.0, size=n - 1)])
+    trace = rng.random((int(rng.integers(1, 81)), n)) < probs
+    cap = float(rng.choice([1.5, 4.0, 1e9]))
+    got = estimated_weights(trace, cap)
+    assert got.tobytes() == oracles.incremental_weights(trace, cap).tobytes()
+    if cap == 1.5 and len(trace) > 1:
+        assert got[-1, 0] == 1.5
+
+
+@pytest.mark.parametrize("trace", [np.ones(5, dtype=bool), np.ones((2, 3, 4), dtype=bool)])
+def test_estimator_rejects_a_trace_that_is_not_a_matrix(trace):
+    # a 1-D trace of T rounds would broadcast to a (T, T) estimate
+    for call in (lambda: estimated_probs(trace), lambda: estimated_weights(trace, 5.0)):
+        with pytest.raises(ValueError, match="rounds, clients"):
+            call()
 
 
 @pytest.mark.parametrize("p", [0.2, 0.5])
@@ -236,9 +237,7 @@ def test_estimator_consistency(p):
     tol = 3.0 * math.sqrt(p * (1.0 - p) / t)
     for _ in range(trials):
         counts = rng.binomial(t, p)
-        est = ProbabilityEstimator(1, weight_cap=100.0)
-        est.counts[0] = counts
-        est.rounds_seen = t
-        if abs(est.estimated_prob(0) - p) <= tol:
+        p_hat = estimated_probs(column(np.arange(t) < counts))[-1, 0]
+        if abs(p_hat - p) <= tol:
             hits += 1
     assert hits >= 0.99 * trials

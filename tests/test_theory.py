@@ -87,6 +87,25 @@ def test_constraint_enforcement():
         theorem1_bound(make_inputs(client_lr=0.5))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("smoothness_L", math.nan), ("sigma_sq", math.inf), ("sg_sq", math.nan),
+    ("p_avg", math.inf), ("p_min", math.nan), ("f_init_gap", math.inf),
+    ("h_init", math.nan), ("a1", math.inf), ("a2", math.nan),
+    ("client_lr", math.nan), ("server_lr", math.inf),
+])
+def test_bound_inputs_reject_a_non_finite_value(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        make_inputs(**{field: value})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("client_lr", 0.0), ("client_lr", -0.01), ("server_lr", 0.0), ("server_lr", -1.0),
+])
+def test_bound_inputs_reject_a_learning_rate_of_at_most_zero(field, value):
+    with pytest.raises(ValueError, match="must be positive"):
+        make_inputs(**{field: value})
+
+
 def test_beta_star_no_stochastic_single_step():
     # sigma^2 = 0 and K = 1 leave only the (1/N) sg^2 denominator term.
     assert beta_star(make_inputs(sigma_sq=0.0, local_steps=1)) == pytest.approx(1.0)
@@ -148,6 +167,12 @@ def test_hard_instance_inactive_clients_zero(inst):
     w = np.random.default_rng(1).normal(size=25)
     assert inst.loss(w, 2) == 0.0
     np.testing.assert_array_equal(inst.gradient(w, 2), np.zeros(25))
+
+
+@pytest.mark.parametrize("i0,i1", [(0, 2), (2, 1), (-1, 1), (0, -2)])
+def test_hard_instance_rejects_a_client_out_of_range(i0, i1):
+    with pytest.raises(ValueError, match=r"must lie in \[0, 2\)"):
+        HardInstance(25, 12, 1.0, 2, i0, i1)
 
 
 @pytest.mark.parametrize("L", [1.0, 0.7, 10.0])
