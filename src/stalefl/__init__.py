@@ -47,7 +47,7 @@ from .objectives import (
 from .participation import (
     ParticipationProfile,
     estimated_probs,
-    estimated_weights,
+    estimated_weight_blocks,
     make_two_group_profile,
     sample_round,
 )

@@ -1,15 +1,19 @@
 """Round-loop orchestration, metric recording, repetitions, and grids.
 
 There is one round loop, in `run`. Through `run_batch` it runs a batch of
-configs that share the participation trace and the per-(client, round)
-minibatch stream in lockstep; a single run is the batch of one. The grid runs
+configs that share the participation trace and each round's noise stream
+in lockstep; a single run is the batch of one. The grid runs
 the betas and client lrs of a cell this way, one batch per seed.
 
 No indicator depends on the iterate, so `run` takes the whole trace before
 the first round: the replayed one, or one drawn by `sample_round` a chunk of
 rounds per call (at most `TRACE_LANES` keyed draws a chunk). Each round's
 participant list is a slice of that trace, and estimated weights are
-computed from its running counts for every round at once.
+computed from its running counts a block of rounds at a time.
+
+Round t's local noise (minibatches, or a noisy oracle's noise) comes from one
+Philox stream keyed (key_word(master_seed, NOISE_WORD) << 64) | t, built
+once per round for all its participants.
 
 The per-round metrics are evaluated a block of `METRIC_BLOCK` rounds at a
 time: the loop keeps the points they are taken at, and one call each of the
@@ -22,6 +26,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +36,10 @@ from .aggregation import AggregatorConfig
 from .local_solver import LocalConfig, local_train
 from .objectives import GLOBAL, Objective, SoftmaxObjective, all_finite, check_param
 from .participation import (
+    NOISE_WORD,
     ParticipationProfile,
-    estimated_weights,
+    estimated_weight_blocks,
+    key_word,
     make_two_group_profile,
     sample_round,
 )
@@ -115,12 +122,6 @@ class RunResult:
         return np.array([r.grad_norm_sq for r in self.records])
 
 
-def _noise_rng(master_seed: int, client: int, rnd: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(client, rnd))
-    )
-
-
 def default_weight_cap(rounds: int) -> float:
     # Under the horizon convention T = ceil(10/p_min), the least participating
     # client is expected about 10 times; cap inverse weights at twice T/10.
@@ -181,7 +182,8 @@ def run(
 
     records: list[list[RoundRecord]] = [[] for _ in cfgs]
     errors: list[Exception | None] = [None] * len(cfgs)
-    noisy = obj.uses_rng
+    # round t's noise stream is Philox keyed noise_key | t, or None
+    noise_key = key_word(cfg.master_seed, NOISE_WORD) << 64 if obj.uses_rng else None
     work = cfg.local.local_steps * cfg.local.batch_size
     no_deltas = np.empty((0, obj.dim))   # the updates of a round nobody joins
     # The rounds whose metrics are pending form a block that starts at round
@@ -223,12 +225,13 @@ def run(
         return out if isinstance(out, Exception) else None
 
     trace = _participation_trace(cfg)
-    # round t's aggregation weights, 1/p_i or their estimate, are row t - 1
+    # round t's aggregation weights, 1/p_i or their estimate, are item t - 1
     if cfg.aggregator.weights_source == "estimator":
         cap = cfg.aggregator.weight_cap
-        weights = estimated_weights(trace, default_weight_cap(cfg.rounds) if cap is None else cap)
+        cap = default_weight_cap(cfg.rounds) if cap is None else cap
+        weight_rows = chain.from_iterable(estimated_weight_blocks(trace, cap))
     else:
-        weights = np.broadcast_to(1.0 / cfg.profile.probs, trace.shape)
+        weight_rows = repeat(1.0 / cfg.profile.probs)
     # round t's participants are flat[ends[t - 1]:ends[t]], in ascending order
     flat = np.nonzero(trace)[1].tolist()
     ends = [0, *np.cumsum(np.count_nonzero(trace, axis=1)).tolist()]
@@ -236,16 +239,17 @@ def run(
     # A diverging run overflows before the finiteness checks below catch it;
     # those checks drop the run, so the overflow warnings would only be noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, cfg.rounds + 1):
+        for t, weights in zip(range(1, cfg.rounds + 1), weight_rows):
             participants = flat[ends[t - 1]:ends[t]]
             j = len(counts)   # this round's row in the block buffers
             t0 = t - j
 
             if participants:
-                rngs = (
-                    [_noise_rng(cfg.master_seed, i, t) for i in participants] if noisy else None
+                rng = (
+                    None if noise_key is None
+                    else np.random.Generator(np.random.Philox(key=noise_key | t))
                 )
-                deltas, diverged = local_train(obj, participants, w, cfg.local, rngs, client_lrs)
+                deltas, diverged = local_train(obj, participants, w, cfg.local, rng, client_lrs)
 
             dropped = []
             for row, c in enumerate(live):
@@ -260,7 +264,7 @@ def run(
                     slot_block[c, j] = mem
 
                 if betas[c] is not None:
-                    delta = agg.fedstale(participants, fresh, mem, weights[t - 1], betas[c])
+                    delta = agg.fedstale(participants, fresh, mem, weights, betas[c])
                 elif participants:
                     delta = agg.fedavg_biased(participants, fresh)
                 else:
@@ -363,8 +367,8 @@ def run_batch(cfgs: list[TrainConfig], obj: Objective, *, metrics: bool = True) 
     and batch size (a ValueError names the first field that differs). They
     may differ in the aggregation rule and beta, the client and server lrs
     and the initial point. Then the batch draws one participation trace,
-    and every round builds each participant's noise stream once and steps
-    all (config, participant) iterates together through one `local_train`
+    and every round builds its one noise stream once and steps all
+    (config, participant) iterates together through one `local_train`
     call on the shared minibatches; aggregation and the memory refresh then
     run per config, and each block of metrics is evaluated for all configs
     at once.

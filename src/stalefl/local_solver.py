@@ -46,7 +46,7 @@ def local_train(
     clients: Sequence[int],
     w_global: np.ndarray,
     cfg: LocalConfig,
-    rngs: Sequence[np.random.Generator] | None,
+    rng: np.random.Generator | None,
     client_lrs: Sequence[float],
 ) -> tuple[np.ndarray, list[DivergenceError | None]]:
     """Run K stochastic-gradient steps for every (config, client) pair in
@@ -55,13 +55,13 @@ def local_train(
     `w_global` holds one global iterate per config, shape (configs, dim), and
     `client_lrs` one client lr per config (`cfg.client_lr` is not read).
     Every config starts each client from its own iterate; the configs share
-    `cfg`'s K and batch size and, per client, one stream of samples.
-    `rngs[j]` is client `clients[j]`'s noise stream. Its K draws are made
-    in one `obj._draws` call per client, before any step (for a softmax
-    minibatch, one (K, n) block of uniform keys, O(K * n)), and fed to every
-    config, so a config's iterates have the same bits as when it runs alone.
-    engine builds these streams only when `obj.uses_rng` is true, and passes
-    None to an exact oracle, which never draws.
+    `cfg`'s K and batch size and, per client, the samples. `rng` is the
+    round's noise stream. Every client's K draws come from it in one
+    `obj._draws` call, before any step (for a softmax objective, one block
+    of uniform keys and one gather of the minibatch rows), and are fed to
+    every config, so a config's iterates have the same bits as when it runs
+    alone. engine builds the stream only when `obj.uses_rng` is true, and
+    passes None to an exact oracle, which never draws.
 
     All iterates take one step at a time through the oracle's batched kernel
     `obj._stochastic_gradients`. A non-finite entry stays non-finite, so
@@ -81,12 +81,7 @@ def local_train(
     for i in clients:
         obj._check_client(i)
     lr = np.asarray(client_lrs, dtype=float)[:, None, None]
-    # one list of per-client draws per step; an exact oracle draws nothing
-    if rngs is None:
-        draws = [[None] * len(clients)] * cfg.local_steps
-    else:
-        rows = [obj._draws(i, cfg.batch_size, cfg.local_steps, r) for i, r in zip(clients, rngs)]
-        draws = [[d[k] for d in rows] for k in range(cfg.local_steps)]
+    draws = obj._draws(clients, cfg.batch_size, cfg.local_steps, rng)
     w = _steps(obj, clients, w_global, lr, draws)
     errors: list[DivergenceError | None] = [None] * len(w_global)
     if not all_finite(w):
@@ -108,8 +103,8 @@ def _steps(obj, clients, w_global, lr, draws, first_bad=None) -> np.ndarray:
     first step whose iterate is non-finite (entries left at -1 stay finite)."""
     w = np.empty((len(w_global), len(clients), obj.dim))
     w[...] = w_global[:, None, :]
-    for k, samples in enumerate(draws):
-        w -= lr * obj._stochastic_gradients(clients, w, samples)
+    for k, sample in enumerate(draws):
+        w -= lr * obj._stochastic_gradients(clients, w, sample)
         if first_bad is not None:
             bad = ~np.isfinite(w).all(axis=2)
             first_bad[bad & (first_bad < 0)] = k

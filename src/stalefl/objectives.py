@@ -93,23 +93,33 @@ class Objective:
     average them over the clients in index order. A kind that stores its
     global form (HardInstance) overrides `_loss` and `_gradient` instead.
 
-    The stochastic oracle is split in two kernels. `_draws(client,
-    batch_size, steps, rng)` makes all `steps` draws of a (client, round)
-    from the client's noise stream in one call; row k is step k's draw (a
-    sorted minibatch, a noise vector, or None for an exact oracle, which
-    draws nothing). A softmax minibatch costs O(steps * n) for a client with
-    n training samples, whatever the batch size.
-    `_stochastic_gradients(clients, w, samples)` is batched: `w` has shape
-    (configs, len(clients), dim), row (c, j) is config c's iterate at client
-    `clients[j]`, and `samples[j]` is that client's draw, shared by every
-    config. Each row's gradient has the same bits as the row computed alone.
+    The stochastic oracle is split in two kernels.
+    `_draws(clients, batch_size, steps, rng)` makes every draw of a round for
+    all of `clients` in one call on the round's one noise stream `rng`, and
+    returns a sequence whose item k is step k's draw for every client, in the
+    order of `clients` (for an exact oracle, which draws nothing, None).
+    Client i's draws are row i of one block drawn for all N clients, so they
+    depend on the stream and on i alone, never on which other clients are
+    asked for. `_stochastic_gradients(clients, w, sample)` is batched: `w`
+    has shape (configs, len(clients), dim), row (c, j) is config c's iterate
+    at client `clients[j]`, and `sample` is one item of `_draws`, shared by
+    every config. Each row's gradient has the same bits as the row computed
+    alone.
+
+    A noisy quadratic draws an (N, steps, dim) normal block. A softmax
+    objective draws an (N, steps, n_max) block of uniform keys, where n_max
+    is the largest client's sample count, and takes each client's minibatch
+    as the indices of its batch_size smallest keys: O(N * steps * n_max)
+    whatever the batch size or the number of clients. It keeps its training
+    samples in one flat array, so a round gathers every step's minibatch
+    rows with one index.
     """
 
     n_clients: int
     dim: int
 
     # Whether `stochastic_gradient` draws from its `rng` argument; engine.run
-    # builds the per-(client, round) noise stream only when it does.
+    # builds a round's noise stream only when it does.
     uses_rng: bool = True
 
     def _loss(self, w: np.ndarray, client: int | None) -> np.ndarray:
@@ -126,16 +136,16 @@ class Objective:
             return g / self.n_clients
         return self._client_gradient(w, client)
 
-    def _draws(self, client: int, batch_size: int, steps: int, rng: np.random.Generator | None):
+    def _draws(self, clients, batch_size: int, steps: int, rng: np.random.Generator | None):
         return [None] * steps
 
-    def _stochastic_gradients(self, clients, w: np.ndarray, samples) -> np.ndarray:
+    def _stochastic_gradients(self, clients, w: np.ndarray, sample) -> np.ndarray:
         raise NotImplementedError
 
     def _one_stochastic_gradient(self, client, w, batch_size, rng) -> np.ndarray:
         """`stochastic_gradient` on a validated vector: a batch of one."""
-        sample = self._draws(client, batch_size, 1, rng)[0]
-        return self._stochastic_gradients([client], w[None, None], [sample])[0, 0]
+        sample = self._draws([client], batch_size, 1, rng)[0]
+        return self._stochastic_gradients([client], w[None, None], sample)[0, 0]
 
     def _validated(self, w: np.ndarray, client: int | None) -> np.ndarray:
         w = check_param(w, self.dim)
@@ -215,13 +225,14 @@ class QuadraticObjective(Objective):
     def _client_gradient(self, w, client):
         return (self.hessians[client] @ (w - self.centers[client])[..., None])[..., 0]
 
-    def _draws(self, client, batch_size, steps, rng):
+    def _draws(self, clients, batch_size, steps, rng):
         if self.noise_var == 0.0:
             return [None] * steps
-        # row k has the bits of the k-th of `steps` calls of size dim
-        return rng.normal(0.0, math.sqrt(self.noise_var / self.dim), size=(steps, self.dim))
+        sd = math.sqrt(self.noise_var / self.dim)
+        noise = rng.normal(0.0, sd, size=(self.n_clients, steps, self.dim))
+        return noise[clients].swapaxes(0, 1)
 
-    def _stochastic_gradients(self, clients, w, samples):
+    def _stochastic_gradients(self, clients, w, sample):
         # One matvec per row, as `_client_gradient` makes it: BLAS computes a
         # stacked product with other kernels, whose bits may differ.
         g = np.empty_like(w)
@@ -230,7 +241,7 @@ class QuadraticObjective(Objective):
             for row in range(len(w)):
                 np.matmul(a, w[row, j] - c, out=g[row, j])
         if self.noise_var != 0.0:
-            g += np.stack(samples)
+            g += sample
         return g
 
     def global_minimizer(self) -> np.ndarray:
@@ -343,8 +354,7 @@ class SoftmaxObjective(Objective):
         self.n_features = dataset.feature_dim
         self.dim = self.n_classes * (self.n_features + 1)
         self._classes = np.arange(self.n_classes)
-        self.train_x: list[np.ndarray] = []
-        self.train_y: list[np.ndarray] = []
+        train_x, train_y = [], []
         self.test_x: list[np.ndarray] = []
         self.test_y: list[np.ndarray] = []
         for x, y in zip(dataset.features, dataset.labels):
@@ -352,10 +362,24 @@ class SoftmaxObjective(Objective):
             n_train = len(y) - n_test
             if n_train < 1:
                 raise ValueError("holdout_fraction leaves a client with no training data")
-            self.train_x.append(np.hstack([x[:n_train], np.ones((n_train, 1))]))
-            self.train_y.append(y[:n_train])
+            train_x.append(np.hstack([x[:n_train], np.ones((n_train, 1))]))
+            train_y.append(y[:n_train])
             self.test_x.append(np.hstack([x[n_train:], np.ones((n_test, 1))]))
             self.test_y.append(y[n_train:])
+        # Every client's training samples, client after client, in one flat
+        # (sum n_i, features + 1) array; train_x[i] and train_y[i] are views
+        # of client i's rows, which start at _offsets[i].
+        self._n_train = np.array([len(y) for y in train_y])
+        self._offsets = np.cumsum(self._n_train) - self._n_train
+        self._flat_x = np.concatenate(train_x)
+        self._flat_y = np.concatenate(train_y)
+        self.train_x = np.split(self._flat_x, self._offsets[1:])
+        self.train_y = np.split(self._flat_y, self._offsets[1:])
+        # Added to a client's (steps, n_max) keys: 2 past its own samples, so
+        # a padded slot never ranks among the batch_size smallest keys.
+        self._key_pad = np.where(
+            np.arange(self._n_train.max()) < self._n_train[:, None], 0.0, 2.0,
+        )
 
     def _unpack(self, w: np.ndarray) -> np.ndarray:
         return w.reshape(*w.shape[:-1], self.n_classes, self.n_features + 1)
@@ -396,21 +420,30 @@ class SoftmaxObjective(Objective):
         x, y = self.train_x[client], self.train_y[client]
         return self._samples_grad(self._unpack(w), x, y).reshape(w.shape)
 
-    def _draws(self, client, batch_size, steps, rng):
-        # Step k's minibatch is the indices of the batch_size smallest of n
-        # uniform keys (row k of one (steps, n) block), in ascending order:
-        # a uniform subset, and every index when batch_size = n.
-        n = len(self.train_y[client])
-        if not 1 <= batch_size <= n:
-            raise ValueError(f"batch_size must be in [1, {n}]")
-        keys = rng.random((steps, n))
-        idx = np.argpartition(keys, batch_size - 1, axis=1)[:, :batch_size]
-        idx.sort(axis=1)
-        return idx
+    def _minibatches(self, clients, batch_size, steps, rng):
+        """The (steps, len(clients), batch_size) sample indices of a round:
+        [k, j] is client clients[j]'s step-k minibatch, the indices of the
+        batch_size smallest of its n keys in row clients[j] of one
+        (N, steps, n_max) uniform block, in ascending order. That is a
+        uniform subset, and every index when batch_size = n."""
+        n = self._n_train[clients]
+        if batch_size < 1 or batch_size > n.min():
+            raise ValueError(f"batch_size must be in [1, {n.min()}]")
+        keys = rng.random((self.n_clients, steps, self._key_pad.shape[1]))[clients]
+        keys += self._key_pad[clients][:, None, :]
+        idx = np.argpartition(keys, batch_size - 1, axis=2)[..., :batch_size]
+        idx.sort(axis=2)
+        return idx.swapaxes(0, 1)
 
-    def _stochastic_gradients(self, clients, w, samples):
-        x = np.stack([self.train_x[i][idx] for i, idx in zip(clients, samples)])
-        y = np.stack([self.train_y[i][idx] for i, idx in zip(clients, samples)])
+    def _draws(self, clients, batch_size, steps, rng):
+        # One gather: the (steps, P, batch_size) flat row indices give
+        # C-contiguous (P, batch_size, features + 1) rows for every step.
+        rows = self._minibatches(clients, batch_size, steps, rng)
+        rows = rows + self._offsets[clients][:, None]
+        return list(zip(self._flat_x[rows], self._flat_y[rows]))
+
+    def _stochastic_gradients(self, clients, w, sample):
+        x, y = sample
         return self._samples_grad(self._unpack(w), x, y).reshape(w.shape)
 
     def test_accuracy(self, w: np.ndarray) -> float:

@@ -10,6 +10,9 @@ The draws come from one numpy Philox4x64-10 kernel, `philox_uniforms`, which
 gives the first double of `Generator(Philox(key)).random()` for every key of
 a block of rounds at once. `sample_round` draws a block of rounds through
 it; a run draws its whole trace in a few block calls.
+
+A round's local noise comes from a Philox stream keyed the same way, with
+`NOISE_WORD` in place of the client index (`key_word`).
 """
 
 from __future__ import annotations
@@ -24,6 +27,21 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _MIX_A = 0x9E3779B97F4A7C15
 _MIX_B = 0xBF58476D1CE4E5B9
+
+# The word that keys a round's local-noise stream where a participation key
+# has a client index. No profile has 2^63 clients, and x -> x*B mod 2^64 is a
+# bijection (B is odd), so under one master seed no noise key equals a
+# participation key. An unstructured constant keeps the xor algebra of the
+# mix from pairing small seeds: with the word 2^64 - 1, seed 1's noise key
+# would be seed 2^64 - 1's key of client 1.
+NOISE_WORD = 0xE7037ED1A0B428DB
+
+
+def key_word(master_seed: int, word: int) -> int:
+    """The high word of a stream's Philox key, (master_seed*A ^ word*B) mod
+    2^64; the key is this word << 64 | (round mod 2^64). `word` is a client
+    index for a participation draw and `NOISE_WORD` for a round's noise."""
+    return ((master_seed * _MIX_A) ^ (word * _MIX_B)) & _MASK64
 
 
 @dataclass(frozen=True)
@@ -100,15 +118,13 @@ def philox_uniforms(master_seed: int, clients, rounds: np.ndarray) -> np.ndarray
     double of Generator(Philox(key)).random() for the stream key of
     (master_seed, clients[c], rounds[j]), bit for bit.
 
-    The key is ((master_seed*A ^ client*B) mod 2^64) << 64 | (round mod 2^64);
+    The key is key_word(master_seed, client) << 64 | (round mod 2^64);
     `rounds` holds the rounds mod 2^64 as uint64. A fresh generator's first
     output is word 0 of the Philox block at counter 1, and its double is that
     word's top 53 bits times 2^-53.
     """
     k0 = np.asarray(rounds, dtype=np.uint64)[:, None]
-    k1 = np.array(
-        [((master_seed * _MIX_A) ^ (c * _MIX_B)) & _MASK64 for c in clients], dtype=np.uint64
-    )
+    k1 = np.array([key_word(master_seed, c) for c in clients], dtype=np.uint64)
     # Round 1 on the counter (1, 0, 0, 0) multiplies only by 1 and 0, which
     # leaves (k0, 0, k1, M0).
     x0, x1, x2, x3 = k0, np.uint64(0), k1, np.uint64(_PHILOX_M[0])
@@ -188,22 +204,40 @@ def load_trace_csv(path: str | Path) -> np.ndarray:
     return out
 
 
+def _trace_matrix(trace) -> np.ndarray:
+    trace = np.asarray(trace)
+    if trace.ndim != 2:
+        raise ValueError(f"a trace must be a (rounds, clients) matrix, got shape {trace.shape}")
+    return trace
+
+
 def estimated_probs(trace: np.ndarray) -> np.ndarray:
     """The online estimate of each client's participation probability after
     every round of a (rounds, N) trace: row t - 1 is max(c_i, 1)/t, where c_i
     counts client i's presences in rounds 1..t (floored at 1, so a client
     never seen gets 1/t, not 0)."""
-    trace = np.asarray(trace)
-    if trace.ndim != 2:
-        raise ValueError(f"a trace must be a (rounds, clients) matrix, got shape {trace.shape}")
+    trace = _trace_matrix(trace)
     counts = np.cumsum(trace, axis=0)
     return np.maximum(counts, 1, out=counts) / np.arange(1, len(trace) + 1)[:, None]
 
 
-def estimated_weights(trace: np.ndarray, cap: float) -> np.ndarray:
-    """The inverse of `estimated_probs(trace)`, capped at `cap`: row t - 1
-    holds the weights of round t."""
+def estimated_weight_blocks(trace: np.ndarray, cap: float, block: int = 64):
+    """Yield the inverse of `estimated_probs(trace)`, capped at `cap`, as
+    (block, N) arrays of consecutive rows (the last may be shorter). Row
+    t - 1 of their concatenation holds the weights of round t.
+
+    Each block comes from the running counts at its start, so the weights
+    take O(block * N) memory whatever the trace's length. The counts are
+    integers, so every row has the bits of one computed from the whole trace.
+    """
     if not cap > 1:   # nan fails this too
         raise ValueError(f"weight_cap must be > 1, got {cap}")
-    weights = 1.0 / estimated_probs(trace)
-    return np.minimum(weights, cap, out=weights)
+    trace = _trace_matrix(trace)
+    counts = np.zeros(trace.shape[1], dtype=np.int64)
+    for t0 in range(0, len(trace), block):
+        c = np.cumsum(trace[t0:t0 + block], axis=0)
+        c += counts
+        counts = c[-1].copy()
+        weights = np.maximum(c, 1, out=c) / np.arange(t0 + 1, t0 + len(c) + 1)[:, None]
+        np.divide(1.0, weights, out=weights)
+        yield np.minimum(weights, cap, out=weights)

@@ -54,6 +54,11 @@ class BoundInputs:
             raise ValueError("a1 and a2 must be positive")
         if not (self.p_var > 0 and self.p_avg > 0 and self.p_min > 0):
             raise ValueError("p_var, p_avg and p_min must be positive")
+        # p_avg is not capped at 1: criterion 8 sweeps it past 1 as a ratio.
+        if self.p_min > 1:
+            raise ValueError(f"p_min is a probability, at most 1, got {self.p_min}")
+        if self.p_min > self.p_avg:
+            raise ValueError(f"p_min ({self.p_min}) cannot exceed p_avg ({self.p_avg})")
         if min(self.n_clients, self.local_steps, self.rounds) < 1:
             raise ValueError("n_clients, local_steps and rounds must be >= 1")
 
@@ -266,7 +271,7 @@ class HardInstance(Objective):
         diag, off, lin = form
         return _tridiagonal_product(diag, off, w) + lin
 
-    def _stochastic_gradients(self, clients, w, samples):
+    def _stochastic_gradients(self, clients, w, sample):
         g = np.zeros_like(w)
         for j, i in enumerate(clients):
             if i in self._forms:

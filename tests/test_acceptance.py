@@ -288,11 +288,16 @@ def test_criterion_09_regime_structure_grid():
     corr_swap = spearmanr(bopts, swaps).statistic
     corr_ratio = spearmanr(bopts, ratios).statistic
     elapsed = time.time() - t0
+    n_swaps = len(GRID_SWAPS)
+    table = f"beta_opt per ratio over swaps {GRID_SWAPS}: " + "; ".join(
+        f"{r:g}: " + " ".join(f"{b:g}" for b in bopts[k * n_swaps:(k + 1) * n_swaps])
+        for k, r in enumerate(GRID_RATIOS)
+    )
     assert elapsed < 600.0
-    assert corr_swap >= 0.0, f"beta_opt vs swap correlation {corr_swap:.3f}"
-    assert corr_ratio <= 0.0, f"beta_opt vs ratio correlation {corr_ratio:.3f}"
+    assert corr_swap >= 0.0, f"beta_opt vs swap correlation {corr_swap:.3f}; {table}"
+    assert corr_ratio <= 0.0, f"beta_opt vs ratio correlation {corr_ratio:.3f}; {table}"
     announce(9, "regime-structure grid directions",
-             f"spearman swap {corr_swap:+.3f}, ratio {corr_ratio:+.3f}; {elapsed:.0f}s")
+             f"spearman swap {corr_swap:+.3f}, ratio {corr_ratio:+.3f}; {elapsed:.0f}s; {table}")
 
 
 def test_criterion_10_online_estimation_robustness():

@@ -538,7 +538,7 @@ BAD_INPUTS = {
         "[objective]\nkind = hard_instance\ndim = 21\nhorizon = 10\nsmoothness = nan\n", [], None,
     ),
     # These would give nan totals, a negative bound on a squared norm, or
-    # constraints_ok = 1 at a nan server lr.
+    # constraints_ok = 1 at a nan server lr or at p_min > p_avg.
     **{
         f"theory_{name}": ("theory", "cfg.ini", THEORY.replace(old, new), [], None)
         for name, (old, new) in {
@@ -549,6 +549,9 @@ BAD_INPUTS = {
             "client_lr_zero": ("client_lr = 0.02", "client_lr = 0"),
             "server_lr_nan": ("server_lr = 0.1", "server_lr = nan"),
             "server_lr_zero": ("server_lr = 0.1", "server_lr = 0"),
+            # a minimum above the mean; p_avg may exceed 1 (criterion 8), p_min not
+            "p_min_above_p_avg": ("p_avg = 0.6\np_min = 0.2", "p_avg = 0.2\np_min = 0.9"),
+            "p_min_above_one": ("p_avg = 0.6\np_min = 0.2", "p_avg = 2\np_min = 1.5"),
         }.items()
     },
     **{

@@ -29,7 +29,7 @@ from stalefl.objectives import (
 )
 from stalefl.participation import (
     ParticipationProfile,
-    estimated_weights,
+    estimated_weight_blocks,
     make_two_group_profile,
     sample_round,
 )
@@ -219,9 +219,12 @@ def test_comparability_traces_identical_across_rules():
 @pytest.mark.parametrize("lanes", [1, 3 * 7, 10**6])
 def test_trace_is_the_same_whatever_the_chunk(monkeypatch, lanes):
     # 3 clients draw: chunks of 1 round, of 7 rounds (the last one holds 1
-    # round) and one chunk for the whole run
+    # round) and one chunk for the whole run; the noisy oracle's draws do
+    # not depend on the chunks either
     prof = ParticipationProfile(np.array([0.6, 1.0, 0.3, 0.9]))
-    obj = QuadraticObjective.isotropic([np.array([float(i), 1.0]) for i in range(4)])
+    obj = QuadraticObjective.isotropic(
+        [np.array([float(i), 1.0]) for i in range(4)], noise_var=0.2,
+    )
     cfg = base_config(rounds=50, profile=prof)
     expected = np.concatenate([sample_round(prof, t, cfg.master_seed) for t in range(1, 51)])
     whole = result_bytes(run(cfg, obj))
@@ -237,6 +240,47 @@ def test_trace_is_the_same_whatever_the_chunk(monkeypatch, lanes):
     assert calls == {1: [1] * 50, 21: [7] * 7 + [1], 10**6: [50]}[lanes]
     assert res.participation_trace.tobytes() == expected.tobytes()
     assert result_bytes(res) == whole
+
+
+@pytest.mark.parametrize("kind", ["noisy_quadratic", "softmax"])
+def test_a_clients_draws_do_not_depend_on_the_other_clients_presence(monkeypatch, kind):
+    # Two replayed traces that differ only in client 2's presence: in every
+    # round, every other client present in both draws the same minibatches
+    # or noise, bit for bit.
+    obj = {
+        "noisy_quadratic": lambda: QuadraticObjective.isotropic(
+            [np.array([float(i), 1.0]) for i in range(4)], noise_var=0.3,
+        ),
+        "softmax": lambda: small_softmax_factory()(0.5, None),
+    }[kind]()
+    trace = np.random.default_rng(1).random((30, obj.n_clients)) < 0.6
+    other = trace.copy()
+    other[:, 2] = ~other[:, 2]
+    draws_of = []
+    for replay in (trace, other):
+        seen: dict[tuple[int, int], bytes] = {}
+        rounds = iter(np.flatnonzero(replay.any(axis=1)))
+        draws = obj._draws
+
+        def spy(clients, *args, seen=seen, rounds=rounds, draws=draws):
+            out = draws(clients, *args)
+            t = next(rounds)
+            for j, i in enumerate(clients):
+                seen[t, i] = b"".join(
+                    np.ascontiguousarray(part[j]).tobytes()
+                    for step in out for part in (step if isinstance(step, tuple) else (step,))
+                )
+            return out
+
+        monkeypatch.setattr(obj, "_draws", spy)
+        run(replace(prefix_config(obj, PREFIX_WEIGHTS["exact"], 30), replay_schedule=replay),
+            obj, metrics=False)
+        monkeypatch.undo()
+        draws_of.append(seen)
+    shared = [key for key in draws_of[0] if key[1] != 2 and key in draws_of[1]]
+    assert len(shared) > 30
+    for key in shared:
+        assert draws_of[0][key] == draws_of[1][key], key
 
 
 @pytest.mark.parametrize("source", ["exact", "estimator"])
@@ -269,8 +313,8 @@ def test_estimator_mode_runs_and_tracks():
     )
     res = run(cfg, obj)
     assert res.participation_trace.shape == (60, 2)
-    weights = estimated_weights(res.participation_trace, default_weight_cap(60))
-    assert np.all(np.isfinite(weights))
+    for weights in estimated_weight_blocks(res.participation_trace, default_weight_cap(60)):
+        assert np.all(np.isfinite(weights))
     assert np.isfinite(res.final_loss)
 
 

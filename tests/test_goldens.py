@@ -174,14 +174,14 @@ CASES = {
         "metrics.csv": "9c08caf8797d6f522d9695e52df76aac07e2ac509eb2217eb4305ca4ae1caabf",
     }),
     "run_noisy_estimator": ("run", NOISY_ESTIMATOR_CONFIG, (), {
-        "metrics.csv": "27261fc7a80c432fad3b096b321e2921e081b6c093d75ecce6c90601978cc14e",
+        "metrics.csv": "35493f7211d1cfc3124af5e7839385758139a44f66d3405f7a0c7e007d7d044e",
         "trace.csv": "09059dfe1946822bc3654b7525243193c104d8b3d85d357608f040198cc0e5c8",
     }),
     # Runs whose per-round metrics span several blocks of engine.METRIC_BLOCK
     # rounds; hashed before metrics were evaluated per block.
     "run_noisy_estimator_1000_rounds": (
         "run", NOISY_ESTIMATOR_CONFIG.replace("rounds = 60", "rounds = 1000"), (), {
-            "metrics.csv": "066d2131f80e6f2b84786c39287a3662546edbcb0f1c6d65257709a21f34dc7f",
+            "metrics.csv": "9fdc56d486dfd61e5b65f66bd98b018a58c3b031d0cfa1db143e38944fd73da8",
             "trace.csv": "71a082e03b6ff439cd875608a28f4645acf8a949e1414006331f143c50d08b13",
         },
     ),
@@ -191,7 +191,7 @@ CASES = {
         },
     ),
     "run_softmax": ("run", SOFTMAX_RUN_CONFIG, (), {
-        "metrics.csv": "682436074bbd152f26772cd81ca69327aa93e94a1d14332ee2cdf9ea69991acc",
+        "metrics.csv": "3a59fc6d2b7e7d0f5546ede86270c3ed696a0bbd30c7a18a9e7b9c86ef42ef95",
     }),
     "repeat_u_fedavg": (
         "repeat", QUAD_REPEAT_CONFIG + "\n[aggregator]\nrule = u_fedavg\n", REPEAT_ARGS, {
@@ -216,10 +216,10 @@ CASES = {
         },
     ),
     "grid": ("grid", GRID_CONFIG, ("--threads", "1"), {
-        "grid.csv": "758385d1a618b3287ec10d23ca4c610052b5dc0fff4e73eebfaee42aae381cf5",
+        "grid.csv": "6d76741fc6b566f38b2f1ab1e44af8bb3f7d95ca4f64ec27974270775745d0c6",
     }),
     "grid_loss_lr_grid": ("grid", GRID_LOSS_CONFIG, ("--threads", "1"), {
-        "grid.csv": "decb1a8310d682c5785582c32be6d62c0db1a82aa367f55e820ab25518a9e573",
+        "grid.csv": "93089fe2354f0a7645555bdaf89a8bafd8b1af18a02b37c93526288335d99ba1",
     }),
     "run_hard_instance": ("run", HARD_RUN_CONFIG, (), {
         "metrics.csv": "fef719badafd9373e2b80ddfe93eeb5d7551d32ab1a2948adb983a8bb8352628",

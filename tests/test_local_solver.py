@@ -21,21 +21,30 @@ def noisy_origin_quadratic(n_clients=1):
 
 
 def train_one(obj, client, w, cfg, rng):
-    """local_train on a batch of one config and one client: its update and
-    its divergence (None when every iterate stayed finite)."""
-    deltas, errors = local_train(obj, [client], np.asarray(w)[None], cfg, [rng], [cfg.client_lr])
+    """local_train on a batch of one config and one client, on the round
+    stream `rng`: its update and its divergence (None when every iterate
+    stayed finite)."""
+    deltas, errors = local_train(obj, [client], np.asarray(w)[None], cfg, rng, [cfg.client_lr])
     assert deltas.shape == (1, 1, obj.dim)
     return deltas[0, 0], errors[0]
 
 
+def quadratic_noise(obj, steps, seed):
+    """A quadratic's noise for a round on the stream seeded `seed`, by hand:
+    one (N, steps, dim) normal block, [i, k] client i's step-k noise."""
+    sd = math.sqrt(obj.noise_var / obj.dim)
+    return np.random.default_rng(seed).normal(0.0, sd, size=(obj.n_clients, steps, obj.dim))
+
+
 def first_bad_step(obj, client, w, lr, steps, seed):
     """The first local step whose iterate is non-finite, found by a hand
-    loop over `stochastic_gradient` on the rng seeded `seed`; None if every
-    iterate stays finite."""
-    rng, w = np.random.default_rng(seed), np.array(w, dtype=float)
+    loop of exact gradients plus, for a noisy quadratic, the round's noise
+    on the stream seeded `seed`; None if every iterate stays finite."""
+    noise = quadratic_noise(obj, steps, seed)[client] if obj.uses_rng else np.zeros((steps, 1))
+    w = np.array(w, dtype=float)
     for k in range(steps):
         with np.errstate(over="ignore", invalid="ignore"):
-            w = w - lr * obj.stochastic_gradient(client, w, 1, rng)
+            w = w - lr * (obj.gradient(w, client) + noise[k])
         if not np.isfinite(w).all():
             return k
     return None
@@ -79,10 +88,10 @@ def test_telescoping_identity():
     cfg = LocalConfig(local_steps=7, client_lr=0.03)
     w0 = rng.normal(size=3)
     delta, _ = train_one(obj, 0, w0, cfg, np.random.default_rng(9))
-    # replay the K step gradients from the same rng seed
-    step_rng, w, grads = np.random.default_rng(9), w0.copy(), []
-    for _ in range(cfg.local_steps):
-        grads.append(obj.stochastic_gradient(0, w, cfg.batch_size, step_rng))
+    # replay the K step gradients on the round's noise from the same seed
+    noise, w, grads = quadratic_noise(obj, cfg.local_steps, 9)[0], w0.copy(), []
+    for k in range(cfg.local_steps):
+        grads.append(obj.gradient(w, 0) + noise[k])
         w -= cfg.client_lr * grads[-1]
     total = cfg.client_lr * np.sum(grads, axis=0)
     np.testing.assert_allclose(delta, total, atol=1e-12)
@@ -115,7 +124,8 @@ def test_divergence_detected_with_step_info():
     assert error.step == first
 
     # With a noisy oracle the reported step is the hand loop's on the same
-    # stream, and the stream has made exactly its K draws, none more.
+    # stream, and the stream has made exactly one (N, K, dim) block of
+    # draws, none more.
     obj = noisy_origin_quadratic()
     with np.errstate(over="ignore", invalid="ignore"):
         rng = np.random.default_rng(3)
@@ -124,13 +134,14 @@ def test_divergence_detected_with_step_info():
     assert error.client == 0
     assert error.step == first_bad_step(obj, 0, [1.0, 1.0], 1000.0, 300, 3)
     drawn = np.random.default_rng(3)
-    drawn.normal(size=(cfg.local_steps, obj.dim))
+    drawn.normal(size=(obj.n_clients, cfg.local_steps, obj.dim))
     assert rng.random() == drawn.random()
 
 
 def test_softmax_clients_draw_one_block_of_keys_a_round():
-    # Each client's stream gives one (K, n) block of uniform keys, no more,
-    # and the deltas are those of K stochastic_gradient calls on that stream.
+    # The round's stream gives one (N, K, n) block of uniform keys, no more,
+    # and each step of each client is the mean gradient over its minibatch
+    # of that step, indexed from the client's own training samples.
     data = build_label_swap_dataset(
         3, 11, 0.5, (0, 1), np.random.default_rng(2), class_count=3, feature_dim=2,
     )
@@ -138,17 +149,36 @@ def test_softmax_clients_draw_one_block_of_keys_a_round():
     cfg = LocalConfig(local_steps=4, client_lr=0.1, batch_size=3)
     w = np.random.default_rng(5).normal(size=(1, obj.dim))
     clients = [0, 2]
-    rngs = [np.random.default_rng(20 + i) for i in clients]
-    deltas, errors = local_train(obj, clients, w, cfg, rngs, [cfg.client_lr])
+    rng = np.random.default_rng(20)
+    deltas, errors = local_train(obj, clients, w, cfg, rng, [cfg.client_lr])
     assert errors == [None]
+    drawn = np.random.default_rng(20)
+    drawn.random((3, cfg.local_steps, 11))
+    assert rng.random() == drawn.random()
+    batches = obj._minibatches(clients, cfg.batch_size, cfg.local_steps, np.random.default_rng(20))
     for j, i in enumerate(clients):
-        drawn = np.random.default_rng(20 + i)
-        drawn.random((cfg.local_steps, 11))
-        assert rngs[j].random() == drawn.random()
-        step_rng, w_i = np.random.default_rng(20 + i), w[0].copy()
-        for _ in range(cfg.local_steps):
-            w_i = w_i - cfg.client_lr * obj.stochastic_gradient(i, w_i, cfg.batch_size, step_rng)
+        w_i = w[0].copy()
+        for k in range(cfg.local_steps):
+            rows = batches[k, j]
+            g = obj._samples_grad(obj._unpack(w_i), obj.train_x[i][rows], obj.train_y[i][rows])
+            w_i = w_i - cfg.client_lr * g.ravel()
         assert deltas[0, j].tobytes() == (w[0] - w_i).tobytes()
+
+
+def test_a_single_step_is_the_stochastic_gradient_on_its_draw():
+    # With K = 1 a round draws what one stochastic_gradient call on the
+    # same stream draws, so each client's update is lr times that gradient.
+    data = build_label_swap_dataset(
+        4, 9, 0.5, (0, 1), np.random.default_rng(3), class_count=3, feature_dim=2,
+    )
+    cfg = LocalConfig(local_steps=1, client_lr=0.2, batch_size=4)
+    for obj in (SoftmaxObjective(data), noisy_origin_quadratic(4)):
+        w = np.random.default_rng(6).normal(size=(1, obj.dim))
+        clients = [1, 2, 3]
+        deltas, _ = local_train(obj, clients, w, cfg, np.random.default_rng(30), [0.2])
+        for j, i in enumerate(clients):
+            g = obj.stochastic_gradient(i, w[0], cfg.batch_size, np.random.default_rng(30))
+            assert deltas[0, j].tobytes() == (w[0] - (w[0] - 0.2 * g)).tobytes()
 
 
 def test_input_left_unmodified():
@@ -182,13 +212,11 @@ def test_batch_rows_equal_single_runs():
     w = rng.normal(size=(2, 3))
     lrs = np.array([0.05, 0.11])
     clients = [0, 2, 3]
-    deltas, errors = local_train(
-        obj, clients, w, cfg, [np.random.default_rng(10 + i) for i in clients], lrs,
-    )
+    deltas, errors = local_train(obj, clients, w, cfg, np.random.default_rng(10), lrs)
     assert errors == [None, None]
     for c, lr in enumerate(lrs):
         for j, i in enumerate(clients):
-            delta, _ = train_one(obj, i, w[c], LocalConfig(4, lr), np.random.default_rng(10 + i))
+            delta, _ = train_one(obj, i, w[c], LocalConfig(4, lr), np.random.default_rng(10))
             assert deltas[c, j].tobytes() == delta.tobytes()
 
 
@@ -196,19 +224,17 @@ def test_divergence_is_reported_per_config_at_the_first_bad_client():
     # Config 0 stays finite and config 1 diverges at both clients; config 1
     # reports client 1's first non-finite step, and config 0's deltas have
     # the bits of config 0 run alone. Once with an exact and once with a
-    # noisy oracle, whose clients draw from the streams seeded 11 and 12.
+    # noisy oracle, whose round draws from the stream seeded 11.
     cfg = LocalConfig(local_steps=300, client_lr=0.5)
     w = np.array([[1.0, 1.0], [1.0, 1.0]])
     for obj in (QuadraticObjective.isotropic([np.zeros(2)] * 3), noisy_origin_quadratic(3)):
-        def rngs():
-            return [np.random.default_rng(10 + i) for i in (1, 2)] if obj.uses_rng else None
+        def rng():
+            return np.random.default_rng(11) if obj.uses_rng else None
 
         with np.errstate(over="ignore", invalid="ignore"):
-            deltas, errors = local_train(obj, [1, 2], w, cfg, rngs(), np.array([0.5, 1000.0]))
-            _, alone = train_one(
-                obj, 1, w[1], LocalConfig(300, 1000.0), rngs()[0] if obj.uses_rng else None,
-            )
-        kept, kept_errors = local_train(obj, [1, 2], w[:1], cfg, rngs(), np.array([0.5]))
+            deltas, errors = local_train(obj, [1, 2], w, cfg, rng(), np.array([0.5, 1000.0]))
+            _, alone = train_one(obj, 1, w[1], LocalConfig(300, 1000.0), rng())
+        kept, kept_errors = local_train(obj, [1, 2], w[:1], cfg, rng(), np.array([0.5]))
         assert errors[0] is None and kept_errors == [None]
         assert deltas[0].tobytes() == kept[0].tobytes()
         assert errors[1].client == 1

@@ -13,6 +13,7 @@ from stalefl.objectives import (
     DimensionMismatchError,
     QuadraticObjective,
     SoftmaxObjective,
+    SyntheticDataset,
     build_label_swap_dataset,
     estimate_stats,
 )
@@ -176,20 +177,56 @@ def test_softmax_draws_are_distinct_ascending_in_range():
     obj = small_softmax(samples=9)
     n = len(obj.train_y[0])
     for batch_size in (1, 4, n - 1, n):
-        draws = obj._draws(0, batch_size, 6, np.random.default_rng(batch_size))
+        draws = obj._minibatches([0], batch_size, 6, np.random.default_rng(batch_size))[:, 0]
         assert draws.shape == (6, batch_size)
         assert (np.diff(draws, axis=1) > 0).all()  # distinct and ascending
         assert draws.min() >= 0 and draws.max() < n
     assert (draws == np.arange(n)).all()  # batch_size = n takes every sample
     with pytest.raises(ValueError, match="batch_size"):
-        obj._draws(0, n + 1, 1, np.random.default_rng(0))
+        obj._draws([0], n + 1, 1, np.random.default_rng(0))
+
+
+def unequal_softmax(sizes=(3, 7, 12)):
+    """A softmax objective whose clients hold `sizes` training samples."""
+    rng = np.random.default_rng(4)
+    data = SyntheticDataset(
+        [rng.normal(size=(n, 2)) for n in sizes],
+        [rng.integers(0, 3, size=n) for n in sizes],
+        np.ones(len(sizes), dtype=int), 3, 0.0, (0, 1),
+    )
+    return SoftmaxObjective(data)
+
+
+def test_softmax_draws_with_unequal_sample_counts():
+    # Client j's minibatches are distinct ascending indices below its own n,
+    # a client with n = batch_size takes every sample, and the gathered
+    # rows are the client's own rows at those indices.
+    obj = unequal_softmax()
+    sizes = [3, 7, 12]
+    clients = [2, 0, 1]
+    for seed in range(20):
+        batches = obj._minibatches(clients, 3, 5, np.random.default_rng(seed))
+        assert batches.shape == (5, 3, 3)
+        draws = obj._draws(clients, 3, 5, np.random.default_rng(seed))
+        for j, i in enumerate(clients):
+            b = batches[:, j]
+            assert (np.diff(b, axis=1) > 0).all() and b.min() >= 0 and b.max() < sizes[i]
+            for k, (x, y) in enumerate(draws):
+                assert x[j].tobytes() == obj.train_x[i][b[k]].tobytes()
+                assert y[j].tobytes() == obj.train_y[i][b[k]].tobytes()
+        assert (batches[:, 1] == np.arange(3)).all()
+    # the smallest asked-for client bounds the batch size
+    with pytest.raises(ValueError, match=r"batch_size must be in \[1, 7\]"):
+        obj._draws([1, 2], 8, 1, np.random.default_rng(0))
+    assert obj._minibatches([2], 8, 1, np.random.default_rng(0)).shape == (1, 1, 8)
 
 
 def test_softmax_draws_are_uniform_subsets():
     # 60000 draws of 2 of 6 samples: each of the 15 subsets has frequency
     # 1/15, with a standard deviation near 0.001, so 0.005 is about 5 sigma.
-    obj = small_softmax(samples=6)
-    draws = obj._draws(0, 2, 60000, np.random.default_rng(8))
+    # Client 1 has 11 samples, so client 0's keys are padded past its 6.
+    obj = unequal_softmax(sizes=(6, 11))
+    draws = obj._minibatches([0], 2, 60000, np.random.default_rng(8))[:, 0]
     counts = {c: 0 for c in itertools.combinations(range(6), 2)}
     for row in draws.tolist():
         counts[tuple(row)] += 1
@@ -198,19 +235,35 @@ def test_softmax_draws_are_uniform_subsets():
 
 
 def test_noisy_quadratic_draws_have_the_bits_of_single_calls():
-    obj = QuadraticObjective.isotropic([np.zeros(7)], noise_var=0.5)
+    # Client i's step-k noise is entry [i, k] of one normal call over an
+    # (N, K, dim) block, whichever other clients a round asks for.
+    obj = QuadraticObjective.isotropic([np.zeros(7)] * 4, noise_var=0.5)
     sd = math.sqrt(0.5 / 7)
-    for seed in range(200):
-        rows = obj._draws(0, 1, 5, np.random.default_rng(seed))
-        rng = np.random.default_rng(seed)
-        singles = np.array([rng.normal(0.0, sd, size=7) for _ in range(5)])
-        assert rows.tobytes() == singles.tobytes()
+    for seed in range(50):
+        block = np.random.default_rng(seed).normal(0.0, sd, size=(4, 5, 7))
+        for clients in ([0, 1, 2, 3], [2], [3, 1]):
+            noise = obj._draws(clients, 1, 5, np.random.default_rng(seed))
+            for j, i in enumerate(clients):
+                for k in range(5):
+                    assert noise[k][j].tobytes() == block[i, k].tobytes()
+
+
+def test_softmax_minibatches_do_not_depend_on_the_other_clients():
+    # Client i's keys are row i of one block drawn for all N clients, so its
+    # minibatches have the same bits whichever other clients a round asks for.
+    obj = unequal_softmax(sizes=(5, 9, 4, 8))
+    for seed in range(20):
+        for clients in ([0, 1, 2, 3], [2], [3, 1], [1, 3]):
+            together = obj._minibatches(clients, 2, 3, np.random.default_rng(seed))
+            for j, i in enumerate(clients):
+                alone = obj._minibatches([i], 2, 3, np.random.default_rng(seed))
+                assert together[:, j].tobytes() == alone[:, 0].tobytes()
 
 
 def test_exact_oracles_draw_nothing():
     rng = np.random.default_rng(0)
     for obj in (two_quadratic(), HardInstance(5, 2, 1.0, 2)):
-        assert obj._draws(0, 1, 4, rng) == [None] * 4
+        assert obj._draws([0, 1], 1, 4, rng) == [None] * 4
     assert rng.random() == np.random.default_rng(0).random()
 
 

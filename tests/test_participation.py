@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -7,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stalefl.participation import (
+    NOISE_WORD,
     ParticipationProfile,
     estimated_probs,
-    estimated_weights,
+    estimated_weight_blocks,
     export_trace_csv,
+    key_word,
     load_trace_csv,
     make_two_group_profile,
     philox_uniforms,
@@ -171,7 +174,27 @@ def test_trace_csv_roundtrip(tmp_path):
     assert np.array_equal(load_trace_csv(path), sched)
 
 
+def test_noise_keys_differ_from_every_participation_key():
+    # Both keys are key_word(seed, word) << 64 | round, so two keys of one
+    # round differ when their high words do. Under one seed the noise word
+    # is no client's; across the seeds tested here no pair collides either.
+    seeds = [*range(200), 2**63 - 1, 2**64 - 1, 3**80 % 2**64]
+    clients = range(5_000)
+    noise = {key_word(s, NOISE_WORD) for s in seeds}
+    assert len(noise) == len(seeds)
+    assert not noise & {key_word(s, c) for s in seeds for c in clients}
+    assert NOISE_WORD >= 2**63
+    for s in (1, 2**64 - 1):
+        expected = ((s * KEY_MIX_A) ^ (NOISE_WORD * KEY_MIX_B)) % 2**64
+        assert key_word(s, NOISE_WORD) == expected
+
+
 # --- estimator ---------------------------------------------------------------
+
+
+def estimated_weights(trace, cap, block=64):
+    """Every round's weights: the blocks of `estimated_weight_blocks`, joined."""
+    return np.concatenate(list(estimated_weight_blocks(trace, cap, block)))
 
 
 def column(present):
@@ -214,10 +237,26 @@ def test_estimated_weights_are_the_per_round_counts_bit_for_bit(seed):
     probs = np.concatenate([[0.0], rng.uniform(0.02, 1.0, size=n - 1)])
     trace = rng.random((int(rng.integers(1, 81)), n)) < probs
     cap = float(rng.choice([1.5, 4.0, 1e9]))
-    got = estimated_weights(trace, cap)
-    assert got.tobytes() == oracles.incremental_weights(trace, cap).tobytes()
+    expected = oracles.incremental_weights(trace, cap).tobytes()
+    for block in (1, 7, 64):
+        got = estimated_weights(trace, cap, block)
+        assert got.tobytes() == expected, block
     if cap == 1.5 and len(trace) > 1:
         assert got[-1, 0] == 1.5
+
+
+def test_estimated_weights_take_memory_of_a_block_not_of_the_trace():
+    # 10^5 rounds x 24 clients: every row in float64 would take 19.2 MB, a
+    # block of 64 rounds 12 kB.
+    trace = np.random.default_rng(0).random((100_000, 24)) < 0.3
+    tracemalloc.start()
+    try:
+        rows = sum(len(b) for b in estimated_weight_blocks(trace, 50.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows == 100_000
+    assert peak < 200_000, peak
 
 
 @pytest.mark.parametrize("trace", [np.ones(5, dtype=bool), np.ones((2, 3, 4), dtype=bool)])

@@ -106,6 +106,16 @@ def test_bound_inputs_reject_a_learning_rate_of_at_most_zero(field, value):
         make_inputs(**{field: value})
 
 
+@pytest.mark.parametrize("p_avg,p_min,message", [
+    (0.2, 0.9, "cannot exceed p_avg"), (0.6, 0.61, "cannot exceed p_avg"),
+    (2.0, 1.5, "at most 1"),
+])
+def test_bound_inputs_reject_an_impossible_minimum_probability(p_avg, p_min, message):
+    with pytest.raises(ValueError, match=message):
+        make_inputs(p_avg=p_avg, p_min=p_min)
+    make_inputs(p_avg=p_avg, p_min=min(p_avg, 1.0))   # the bounds themselves pass
+
+
 def test_beta_star_no_stochastic_single_step():
     # sigma^2 = 0 and K = 1 leave only the (1/N) sg^2 denominator term.
     assert beta_star(make_inputs(sigma_sq=0.0, local_steps=1)) == pytest.approx(1.0)
