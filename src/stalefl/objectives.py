@@ -113,6 +113,12 @@ class Objective:
     whatever the batch size or the number of clients. It keeps its training
     samples in one flat array, so a round gathers every step's minibatch
     rows with one index.
+
+    The public `stochastic_gradient(client, w, batch_size, rng)` is
+    `_draws([client], batch_size, 1, rng)` and its gradient, so each call
+    draws one step of that N-client block from `rng`: O(N) draws for one
+    client's gradient. `estimate_stats` draws one block a probe for all
+    clients instead of one per client and draw.
     """
 
     n_clients: int
@@ -500,13 +506,16 @@ def estimate_stats(
         for i in range(obj.n_clients):
             sg_sq = max(sg_sq, float(np.sum((obj.gradient(p, i) - g_global) ** 2)))
 
+    # One `_draws` call a probe serves every client: n_noise_draws steps of
+    # the (N, steps, ...) block a round of local training draws.
+    clients = list(range(obj.n_clients))
     sigma_sq = 0.0
     for p in probes:
-        for i in range(obj.n_clients):
-            g_full = obj.gradient(p, i)
-            dev = np.mean([
-                np.sum((obj.stochastic_gradient(i, p, batch_size, rng) - g_full) ** 2)
-                for _ in range(n_noise_draws)
-            ])
-            sigma_sq = max(sigma_sq, float(dev))
+        g_full = np.stack([obj.gradient(p, i) for i in clients])
+        w = np.broadcast_to(p, (1, obj.n_clients, obj.dim))
+        dev = np.mean([
+            np.sum((obj._stochastic_gradients(clients, w, sample)[0] - g_full) ** 2, axis=1)
+            for sample in obj._draws(clients, batch_size, n_noise_draws, rng)
+        ], axis=0)
+        sigma_sq = max(sigma_sq, float(dev.max()))
     return ObjectiveStats(smoothness, sg_sq, sigma_sq)

@@ -36,6 +36,11 @@ _MIX_B = 0xBF58476D1CE4E5B9
 # would be seed 2^64 - 1's key of client 1.
 NOISE_WORD = 0xE7037ED1A0B428DB
 
+# Rounds per array that `estimated_weight_blocks` yields. A block's float64
+# rows take 8 * WEIGHT_BLOCK * N bytes, and a block of a few dozen rounds
+# already spreads the per-call overhead of its numpy calls thin.
+WEIGHT_BLOCK = 64
+
 
 def key_word(master_seed: int, word: int) -> int:
     """The high word of a stream's Philox key, (master_seed*A ^ word*B) mod
@@ -221,18 +226,24 @@ def estimated_probs(trace: np.ndarray) -> np.ndarray:
     return np.maximum(counts, 1, out=counts) / np.arange(1, len(trace) + 1)[:, None]
 
 
-def estimated_weight_blocks(trace: np.ndarray, cap: float, block: int = 64):
-    """Yield the inverse of `estimated_probs(trace)`, capped at `cap`, as
-    (block, N) arrays of consecutive rows (the last may be shorter). Row
-    t - 1 of their concatenation holds the weights of round t.
+def estimated_weight_blocks(trace: np.ndarray, cap: float):
+    """The inverse of `estimated_probs(trace)`, capped at `cap`, as an
+    iterator over (WEIGHT_BLOCK, N) arrays of consecutive rows (the last may
+    be shorter). Row t - 1 of their concatenation holds the weights of round
+    t. The cap and the trace's shape are checked when this is called, before
+    any block is made.
 
     Each block comes from the running counts at its start, so the weights
-    take O(block * N) memory whatever the trace's length. The counts are
-    integers, so every row has the bits of one computed from the whole trace.
+    take O(WEIGHT_BLOCK * N) memory whatever the trace's length. The counts
+    are integers, so every row has the bits of one computed from the whole
+    trace.
     """
     if not cap > 1:   # nan fails this too
         raise ValueError(f"weight_cap must be > 1, got {cap}")
-    trace = _trace_matrix(trace)
+    return _weight_blocks(_trace_matrix(trace), cap, WEIGHT_BLOCK)
+
+
+def _weight_blocks(trace: np.ndarray, cap: float, block: int):
     counts = np.zeros(trace.shape[1], dtype=np.int64)
     for t0 in range(0, len(trace), block):
         c = np.cumsum(trace[t0:t0 + block], axis=0)

@@ -326,6 +326,30 @@ def test_two_client_heterogeneity_matches_direct_formula():
     assert stats.smoothness_L == pytest.approx(1.0)
 
 
+def test_noise_variance_estimate_draws_one_block_a_probe(monkeypatch):
+    # A noisy quadratic's oracle noise has E||g~ - g||^2 = noise_var; the
+    # estimate is the max over 3 probes x 5 clients of means over 400 draws.
+    obj = random_spd_quadratic(3, 5, 0.5, seed=1)
+    draws, calls = obj._draws, []
+
+    def counted(clients, batch_size, steps, rng):
+        calls.append((list(clients), steps))
+        return draws(clients, batch_size, steps, rng)
+
+    monkeypatch.setattr(obj, "_draws", counted)
+    probes = [np.zeros(3), np.ones(3), np.array([2.0, -1.0, 0.5])]
+    stats = estimate_stats(obj, probes, n_noise_draws=400)
+    assert calls == [([0, 1, 2, 3, 4], 400)] * 3
+    assert 0.45 < stats.sigma_sq < 0.6
+
+
+def test_full_batch_softmax_has_no_noise_variance():
+    obj = STACKED_CASES["softmax"]()
+    probes = [np.zeros(obj.dim), np.full(obj.dim, 0.1)]
+    stats = estimate_stats(obj, probes, batch_size=9, n_noise_draws=3)
+    assert stats.sigma_sq < 1e-28
+
+
 # --- stacked oracles ---------------------------------------------------------
 
 

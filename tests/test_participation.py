@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stalefl.participation
 from stalefl.participation import (
     NOISE_WORD,
     ParticipationProfile,
@@ -192,9 +193,9 @@ def test_noise_keys_differ_from_every_participation_key():
 # --- estimator ---------------------------------------------------------------
 
 
-def estimated_weights(trace, cap, block=64):
+def estimated_weights(trace, cap):
     """Every round's weights: the blocks of `estimated_weight_blocks`, joined."""
-    return np.concatenate(list(estimated_weight_blocks(trace, cap, block)))
+    return np.concatenate(list(estimated_weight_blocks(trace, cap)))
 
 
 def column(present):
@@ -229,7 +230,7 @@ def test_estimator_replay_equals_incremental():
 
 
 @pytest.mark.parametrize("seed", range(30))
-def test_estimated_weights_are_the_per_round_counts_bit_for_bit(seed):
+def test_estimated_weights_are_the_per_round_counts_bit_for_bit(seed, monkeypatch):
     # Drawn traces of 1-80 rounds; client 0 is never present, the cap binds
     # whenever an estimate falls below 1/cap.
     rng = np.random.default_rng(seed)
@@ -239,7 +240,8 @@ def test_estimated_weights_are_the_per_round_counts_bit_for_bit(seed):
     cap = float(rng.choice([1.5, 4.0, 1e9]))
     expected = oracles.incremental_weights(trace, cap).tobytes()
     for block in (1, 7, 64):
-        got = estimated_weights(trace, cap, block)
+        monkeypatch.setattr(stalefl.participation, "WEIGHT_BLOCK", block)
+        got = estimated_weights(trace, cap)
         assert got.tobytes() == expected, block
     if cap == 1.5 and len(trace) > 1:
         assert got[-1, 0] == 1.5
@@ -261,10 +263,17 @@ def test_estimated_weights_take_memory_of_a_block_not_of_the_trace():
 
 @pytest.mark.parametrize("trace", [np.ones(5, dtype=bool), np.ones((2, 3, 4), dtype=bool)])
 def test_estimator_rejects_a_trace_that_is_not_a_matrix(trace):
-    # a 1-D trace of T rounds would broadcast to a (T, T) estimate
-    for call in (lambda: estimated_probs(trace), lambda: estimated_weights(trace, 5.0)):
+    # a 1-D trace of T rounds would broadcast to a (T, T) estimate; the
+    # weights reject it when called, before a block is asked for
+    for call in (lambda: estimated_probs(trace), lambda: estimated_weight_blocks(trace, 5.0)):
         with pytest.raises(ValueError, match="rounds, clients"):
             call()
+
+
+@pytest.mark.parametrize("cap", [1.0, 0.5, float("nan")])
+def test_estimated_weights_reject_a_cap_when_called(cap):
+    with pytest.raises(ValueError, match="weight_cap must be > 1"):
+        estimated_weight_blocks(np.ones((3, 2), dtype=bool), cap)
 
 
 @pytest.mark.parametrize("p", [0.2, 0.5])
