@@ -10,6 +10,14 @@ updates, row k for client clients[k]. The rules are pure functions of their
 inputs and sum client contributions in that ascending order for bitwise
 reproducibility. The memory of stale updates is a plain (N, dim) array whose
 row i is client i's most recent update, zeros before its first.
+
+The rules, the refresh and `memory_error` also take a stack of rounds that
+share the participants, one per config of a lockstep batch: `deltas` of
+shape (..., len(clients), dim) and a memory `slots` of shape (..., N, dim)
+with the same leading axes, and fedstale a beta per leading entry. The loop
+over the participants stays; each of its operations acts on the whole stack,
+and every leading entry of the result has the bits of the call on its own
+deltas, memory and beta alone.
 """
 
 from __future__ import annotations
@@ -53,16 +61,23 @@ class AggregatorConfig:
 
 
 def _check_round(
-    clients: Sequence[int], deltas: np.ndarray, n_clients: int | None = None,
+    clients: Sequence[int], deltas: np.ndarray, slots: np.ndarray | None = None,
 ) -> None:
-    if len(deltas) != len(clients):
-        raise ValueError(f"{len(clients)} clients but {len(deltas)} update rows")
+    if deltas.shape[-2] != len(clients):
+        raise ValueError(f"{len(clients)} clients but {deltas.shape[-2]} update rows")
     for a, b in zip(clients, clients[1:]):
         if a >= b:
             raise ValueError(f"client indices {list(clients)} are not ascending and distinct")
+    if slots is None:
+        return
+    if slots.shape[:-2] != deltas.shape[:-2]:
+        raise DimensionMismatchError(
+            f"updates of shape {deltas.shape} and a memory of shape {slots.shape} "
+            "differ in their leading axes"
+        )
     # ascending, so the ends bound every index
-    if n_clients is not None and clients and not (clients[0] >= 0 and clients[-1] < n_clients):
-        raise IndexError(f"client indices {list(clients)} out of range [0, {n_clients})")
+    if clients and not (clients[0] >= 0 and clients[-1] < slots.shape[-2]):
+        raise IndexError(f"client indices {list(clients)} out of range [0, {slots.shape[-2]})")
 
 
 def fedavg_biased(clients: Sequence[int], deltas: np.ndarray) -> np.ndarray:
@@ -70,9 +85,9 @@ def fedavg_biased(clients: Sequence[int], deltas: np.ndarray) -> np.ndarray:
     _check_round(clients, deltas)
     if not len(clients):
         raise NoParticipantsError("no participants this round")
-    delta = np.zeros(deltas.shape[1])
-    for d in deltas:
-        delta += d
+    delta = np.zeros(deltas.shape[:-2] + deltas.shape[-1:])
+    for k in range(len(clients)):
+        delta += deltas[..., k, :]
     delta /= len(clients)
     return delta
 
@@ -88,7 +103,7 @@ def fedstale(
     deltas: np.ndarray,
     slots: np.ndarray,
     weights: np.ndarray,
-    beta: float,
+    beta: float | np.ndarray,
 ) -> np.ndarray:
     """Convex fresh/stale combination:
     (beta/N) sum_i h_i + (1/N) sum_{i in S} (delta_i - beta*h_i)/p_i.
@@ -98,21 +113,48 @@ def fedstale(
     Does not mutate the memory. beta=0 is the unbiased average of fresh
     updates (u_fedavg), beta=1 the stale-proxy rule (u_fedvarp). With no
     participants the update is the stale term alone.
+
+    On a stack, `deltas` (..., P, dim) and `slots` (..., N, dim), `beta` is
+    one value for every entry or an array of the leading shape (...), one
+    per entry.
     """
-    if not 0.0 <= beta <= 1.0:
+    beta = np.asarray(beta, dtype=float)
+    values = beta.ravel().tolist()
+    # One beta is kept as a float, which broadcasts like the array at a
+    # smaller per-call cost.
+    if len(values) == 1:
+        b = values[0]
+        in_range = 0.0 <= b <= 1.0
+    else:
+        b = beta[..., None]
+        in_range = all(0.0 <= v <= 1.0 for v in values)
+    if not in_range:
         raise ValueError("beta must lie in [0, 1]")
-    n_clients = len(slots)
-    _check_round(clients, deltas, n_clients)
-    fresh = np.zeros(slots.shape[1])
-    for i, d in zip(clients, deltas):
-        # At beta=0 the stale terms are zero; skipping them changes no bit.
-        if beta:
-            d = d - beta * slots[i]
+    lead = deltas.shape[:-2]
+    if beta.ndim and beta.shape != lead:
+        raise DimensionMismatchError(f"{beta.shape} betas for updates of shape {deltas.shape}")
+    _check_round(clients, deltas, slots)
+    # At beta=0 the stale terms are zero; when every beta is 0, skipping
+    # them changes no bit.
+    stale = any(values)
+    n_clients = slots.shape[-2]
+    fresh = np.zeros(lead + deltas.shape[-1:])
+    for k, i in enumerate(clients):
+        d = deltas[..., k, :]
+        if stale:
+            d = d - b * slots[..., i, :]
         fresh += weights[i] * d
     fresh /= n_clients
-    if not beta:
+    if not stale:
         return fresh
-    return beta * slots.sum(axis=0) / n_clients + fresh
+    update = b * slots.sum(axis=-2) / n_clients + fresh
+    if not all(values):
+        # A beta=0 entry among stale ones: its loop terms d - 0*h sum to the
+        # bits of d (the sum starts at +0.0, so a flipped signed zero never
+        # shows), but 0 * sum(h) is nan if that sum overflows. Take its
+        # fresh sum as it is.
+        update = np.where(b != 0.0, update, fresh)
+    return update
 
 
 def u_fedavg(
@@ -131,11 +173,11 @@ def u_fedvarp(
 
 
 def refresh_memory(slots: np.ndarray, clients: Sequence[int], deltas: np.ndarray) -> None:
-    """Overwrite participants' rows of the (N, dim) memory with their fresh
-    updates; in place."""
-    _check_round(clients, deltas, len(slots))
-    for i, d in zip(clients, deltas):
-        slots[i] = d
+    """Overwrite participants' rows of the (N, dim) memory, or of every
+    memory of a (..., N, dim) stack, with their fresh updates; in place."""
+    _check_round(clients, deltas, slots)
+    for k, i in enumerate(clients):
+        slots[..., i, :] = deltas[..., k, :]
 
 
 def memory_error(slots: np.ndarray, obj: Objective, w: np.ndarray) -> float | np.ndarray:

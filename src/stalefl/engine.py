@@ -12,8 +12,13 @@ participant list is a slice of that trace, and estimated weights are
 computed from its running counts a block of rounds at a time.
 
 Round t's local noise (minibatches, or a noisy oracle's noise) comes from one
-Philox stream keyed (key_word(master_seed, NOISE_WORD) << 64) | t, built
-once per round for all its participants.
+Philox stream keyed (key_word(master_seed, NOISE_WORD) << 64) | t for all
+its participants. A run builds one bit generator and re-keys it each round.
+
+Each round aggregates the whole batch at once: one rule call per rule family
+on the batch's stacked updates and (configs, N, dim) memory, one server
+step, one finiteness check and one memory refresh. Work per config runs only
+after a check fails, to give the config the error it raises alone.
 
 The per-round metrics are evaluated a block of `METRIC_BLOCK` rounds at a
 time: the loop keeps the points they are taken at, and one call each of the
@@ -167,47 +172,53 @@ def run(
     n = obj.n_clients
     if cfg.profile.n_clients != n:
         raise ValueError("participation profile and objective disagree on client count")
-    # Row r of w, client_lrs and slots is config live[r]; a dropped config's
-    # row is deleted. slots[r] is its memory of stale updates.
-    live = list(range(len(cfgs)))
-    w = np.array([check_param(c.init_point, obj.dim) for c in cfgs])
-    client_lrs = np.array([c.local.client_lr for c in cfgs])
-    # fedstale's beta per config, None for plain averaging
-    betas = [
-        None if c.aggregator.rule == "fedavg_biased" else c.aggregator.staleness_weight
-        for c in cfgs
-    ]
-    server_lrs = [c.server_lr for c in cfgs]
+    inits = [check_param(c.init_point, obj.dim) for c in cfgs]
+    # Row r of the per-row arrays (w, client_lrs, server_lrs, slots, the
+    # metric blocks) is config live[r], and a dropped config's row is
+    # deleted; slots[r] is its memory of stale updates. The first
+    # `stale_rows` rows are the fedstale family's (u_fedavg, u_fedvarp and
+    # fedstale, each at its beta in `betas`), the rest plain averaging's, so
+    # each family aggregates a round in one call on a slice of the stack.
+    live = sorted(range(len(cfgs)), key=lambda c: cfgs[c].aggregator.rule == "fedavg_biased")
+    stale_rows = sum(cfgs[c].aggregator.rule != "fedavg_biased" for c in live)
+    betas = np.array([cfgs[c].aggregator.staleness_weight for c in live[:stale_rows]])
+    w = np.array([inits[c] for c in live])
+    client_lrs = np.array([cfgs[c].local.client_lr for c in live])
+    server_lrs = np.array([[cfgs[c].server_lr] for c in live])
     slots = np.zeros((len(cfgs), n, obj.dim))
 
     records: list[list[RoundRecord]] = [[] for _ in cfgs]
     errors: list[Exception | None] = [None] * len(cfgs)
-    # round t's noise stream is Philox keyed noise_key | t, or None
-    noise_key = key_word(cfg.master_seed, NOISE_WORD) << 64 if obj.uses_rng else None
+    # Round t's noise stream is Philox keyed noise_key | t. One bit
+    # generator serves the run: each round sets its key and restarts its
+    # counter, which gives the draws of a fresh Generator(Philox(key)).
+    noise_rng = None
+    if obj.uses_rng:
+        noise_rng = np.random.Generator(
+            np.random.Philox(key=key_word(cfg.master_seed, NOISE_WORD) << 64)
+        )
+        noise_state = noise_rng.bit_generator.state   # key word 0 is the round
     work = cfg.local.local_steps * cfg.local.batch_size
-    no_deltas = np.empty((0, obj.dim))   # the updates of a round nobody joins
     # The rounds whose metrics are pending form a block that starts at round
-    # t0; config c's pending round t0 + j is taken at w_block[c, j] and
-    # slot_block[c, j]. With metrics off nothing is pending.
+    # t0; row r's pending round t0 + j is taken at w_block[r, j] and
+    # slot_block[r, j]. With metrics off nothing is pending.
     counts: list[int] = []   # participants per pending round
     if metrics:
         w_block = np.empty((len(cfgs), METRIC_BLOCK, obj.dim))
         slot_block = np.empty((len(cfgs), METRIC_BLOCK, n, obj.dim))
-        norms: list[list[float]] = [[] for _ in cfgs]   # update norm per pending round
+        norms: list[list[float]] = [[] for _ in cfgs]   # config c's pending update norms
 
-    def evaluate(cs: list[int], b: int, t0: int) -> list:
-        """The metrics of configs `cs`'s first `b` pending rounds: per
-        config, lists of the losses, squared gradient norms and H, or the
-        error of the first round whose metrics are non-finite."""
-        # a view while every config is live, which saves copying the block
-        sel = slice(None) if len(cs) == len(cfgs) else cs
-        wb, sb = w_block[sel, :b], slot_block[sel, :b]
+    def evaluate(rows: slice, b: int, t0: int) -> list:
+        """The metrics of the first `b` pending rounds of the rows in
+        `rows`: per row, lists of the losses, squared gradient norms and H,
+        or the error of the first round whose metrics are non-finite."""
+        wb, sb = w_block[rows, :b], slot_block[rows, :b]
         loss = obj.loss(wb, GLOBAL)
         grad_sq = (obj.gradient(wb, GLOBAL) ** 2).sum(axis=-1)
         h = agg.memory_error(sb, obj, wb)
         finite = np.isfinite(loss) & np.isfinite(grad_sq) & np.isfinite(h)
         out = []
-        for r in range(len(cs)):
+        for r in range(len(wb)):
             if finite[r].all():
                 out.append((loss[r].tolist(), grad_sq[r].tolist(), h[r].tolist()))
             else:
@@ -215,14 +226,18 @@ def run(
                 out.append(FloatingPointError(f"metrics are non-finite at round {bad}"))
         return out
 
-    def pending_error(c: int, b: int, t0: int) -> FloatingPointError | None:
-        """The metric error among config c's first b pending rounds, if any.
-        A round-by-round evaluation meets it before a divergence that comes
+    def pending_error(row: int, b: int, t0: int) -> FloatingPointError | None:
+        """The metric error among row's first b pending rounds, if any. A
+        round-by-round evaluation meets it before a divergence that comes
         after those rounds' metrics, so it is the run's error."""
         if not (metrics and b):
             return None
-        (out,) = evaluate([c], b, t0)
+        (out,) = evaluate(slice(row, row + 1), b, t0)
         return out if isinstance(out, Exception) else None
+
+    def fail(row: int, error: Exception) -> None:
+        errors[live[row]] = error
+        dropped.append(row)
 
     trace = _participation_trace(cfg)
     # round t's aggregation weights, 1/p_i or their estimate, are item t - 1
@@ -241,55 +256,62 @@ def run(
     with np.errstate(over="ignore", invalid="ignore"):
         for t, weights in zip(range(1, cfg.rounds + 1), weight_rows):
             participants = flat[ends[t - 1]:ends[t]]
-            j = len(counts)   # this round's row in the block buffers
+            j = len(counts)   # this round's column in the block buffers
             t0 = t - j
+            dropped: list[int] = []
 
+            # A dropped row's arrays take part in the rest of the round,
+            # row by row apart from the others, and are deleted at its end.
             if participants:
-                rng = (
-                    None if noise_key is None
-                    else np.random.Generator(np.random.Philox(key=noise_key | t))
+                if noise_rng is not None:
+                    noise_state["state"]["key"][0] = t
+                    noise_rng.bit_generator.state = noise_state
+                deltas, diverged = local_train(
+                    obj, participants, w, cfg.local, noise_rng, client_lrs,
                 )
-                deltas, diverged = local_train(obj, participants, w, cfg.local, rng, client_lrs)
+                if any(diverged):
+                    for row, err in enumerate(diverged):
+                        if err is not None:
+                            fail(row, pending_error(row, j, t0) or err)
+            else:
+                deltas = np.empty((len(w), 0, obj.dim))
+            if metrics:
+                w_block[:, j] = w
+                slot_block[:, j] = slots
 
-            dropped = []
-            for row, c in enumerate(live):
-                if participants and diverged[row] is not None:
-                    errors[c] = pending_error(c, j, t0) or diverged[row]
-                    dropped.append(row)
-                    continue
-                fresh = deltas[row] if participants else no_deltas
-                wc, mem = w[row], slots[row]
-                if metrics:
-                    w_block[c, j] = wc
-                    slot_block[c, j] = mem
-
-                if betas[c] is not None:
-                    delta = agg.fedstale(participants, fresh, mem, weights, betas[c])
-                elif participants:
-                    delta = agg.fedavg_biased(participants, fresh)
-                else:
-                    delta = np.zeros(obj.dim)
-                # in place, so a diverged config's row changes too; it is dropped
-                wc -= server_lrs[c] * delta
-                if not all_finite(wc):
-                    errors[c] = pending_error(c, j + 1, t0) or FloatingPointError(
-                        f"global iterate diverged at round {t}"
+            if stale_rows == len(w):
+                delta = agg.fedstale(participants, deltas, slots, weights, betas)
+            else:
+                delta = np.zeros(w.shape)
+                if stale_rows:
+                    delta[:stale_rows] = agg.fedstale(
+                        participants, deltas[:stale_rows], slots[:stale_rows], weights, betas,
                     )
-                    dropped.append(row)
-                    continue
-                agg.refresh_memory(mem, participants, fresh)
-                if metrics:
-                    norms[c].append(agg.vector_norm(delta))
+                if participants:
+                    delta[stale_rows:] = agg.fedavg_biased(participants, deltas[stale_rows:])
+            if metrics:
+                for c, d in zip(live, delta):
+                    norms[c].append(agg.vector_norm(d))
+            # the bits of w -= server_lrs * delta: IEEE multiplication commutes
+            delta *= server_lrs
+            w -= delta
+            if not all_finite(w):
+                for row in np.flatnonzero(~np.isfinite(w).all(axis=1)).tolist():
+                    if errors[live[row]] is None:
+                        fail(row, pending_error(row, j + 1, t0) or FloatingPointError(
+                            f"global iterate diverged at round {t}"
+                        ))
+            agg.refresh_memory(slots, participants, deltas)
+
             if metrics:
                 counts.append(len(participants))
                 if len(counts) == METRIC_BLOCK or t == cfg.rounds:
-                    rows = [row for row, c in enumerate(live) if errors[c] is None]
-                    cs = [live[row] for row in rows]
-                    outs = evaluate(cs, len(counts), t0) if cs else []
-                    for row, c, out in zip(rows, cs, outs):
+                    outs = evaluate(slice(None), len(counts), t0)
+                    for row, (c, out) in enumerate(zip(live, outs)):
+                        if errors[c] is not None:
+                            continue
                         if isinstance(out, Exception):
-                            errors[c] = out
-                            dropped.append(row)
+                            fail(row, out)
                             continue
                         losses, grad_sqs, hs = out
                         records[c] += map(
@@ -300,23 +322,36 @@ def run(
                     counts = []
             if dropped:
                 live = [c for c in live if errors[c] is None]
-                w = np.delete(w, dropped, axis=0)
-                client_lrs = np.delete(client_lrs, dropped)
-                slots = np.delete(slots, dropped, axis=0)
+                betas = np.delete(betas, [row for row in dropped if row < stale_rows])
+                stale_rows = len(betas)
+                w, client_lrs, server_lrs, slots = (
+                    np.delete(a, dropped, axis=0) for a in (w, client_lrs, server_lrs, slots)
+                )
+                if metrics:
+                    w_block, slot_block = (
+                        np.delete(a, dropped, axis=0) for a in (w_block, slot_block)
+                    )
                 if not live:
                     break
 
+        # One loss and one accuracy call for the whole batch.
         results: list = errors.copy()
-        for row, c in enumerate(live):
-            wc = w[row].copy()
-            final_loss = obj.loss(wc, GLOBAL)
-            if metrics and not math.isfinite(final_loss):
-                results[c] = FloatingPointError(
-                    f"the final loss is non-finite after round {cfg.rounds}"
-                )
-                continue
-            acc = obj.test_accuracy(wc) if isinstance(obj, SoftmaxObjective) else None
-            results[c] = RunResult(records[c], wc, final_loss, acc, trace)
+        if live:
+            final_losses = obj.loss(w, GLOBAL).tolist()
+            ok = []
+            for row, (c, loss) in enumerate(zip(live, final_losses)):
+                if metrics and not math.isfinite(loss):
+                    results[c] = FloatingPointError(
+                        f"the final loss is non-finite after round {cfg.rounds}"
+                    )
+                else:
+                    ok.append(row)
+            accs = [None] * len(ok)
+            if ok and isinstance(obj, SoftmaxObjective):
+                accs = obj.test_accuracy(w[ok]).tolist()
+            for row, acc in zip(ok, accs):
+                c = live[row]
+                results[c] = RunResult(records[c], w[row].copy(), final_losses[row], acc, trace)
     if _lockstep is None:
         if isinstance(results[0], Exception):
             raise results[0]
@@ -367,11 +402,12 @@ def run_batch(cfgs: list[TrainConfig], obj: Objective, *, metrics: bool = True) 
     and batch size (a ValueError names the first field that differs). They
     may differ in the aggregation rule and beta, the client and server lrs
     and the initial point. Then the batch draws one participation trace,
-    and every round builds its one noise stream once and steps all
+    and every round keys its one noise stream once and steps all
     (config, participant) iterates together through one `local_train`
-    call on the shared minibatches; aggregation and the memory refresh then
-    run per config, and each block of metrics is evaluated for all configs
-    at once.
+    call on the shared minibatches. Aggregation, the server step and the
+    memory refresh then act on the stacked rows of every config, each
+    block of metrics is evaluated for all configs at once, and so are the
+    final losses and test accuracies.
     The results share one participation trace array.
 
     A config whose iterate goes non-finite is dropped from the batch at that

@@ -94,7 +94,8 @@ def local_train(
             hit = np.flatnonzero(steps >= 0)
             if len(hit):
                 errors[c] = DivergenceError(int(clients[hit[0]]), int(steps[hit[0]]))
-    return w_global[:, None, :] - w, errors
+    # the deltas, in the buffer of the local iterates
+    return np.subtract(w_global[:, None, :], w, out=w), errors
 
 
 def _steps(obj, clients, w_global, lr, draws, first_bad=None) -> np.ndarray:
@@ -103,8 +104,12 @@ def _steps(obj, clients, w_global, lr, draws, first_bad=None) -> np.ndarray:
     first step whose iterate is non-finite (entries left at -1 stay finite)."""
     w = np.empty((len(w_global), len(clients), obj.dim))
     w[...] = w_global[:, None, :]
+    g = np.empty_like(w)   # the gradient buffer the kernels may write into
     for k, sample in enumerate(draws):
-        w -= lr * obj._stochastic_gradients(clients, w, sample)
+        g = obj._stochastic_gradients(clients, w, sample, g)
+        # the bits of w -= lr * g: IEEE multiplication commutes
+        g *= lr
+        w -= g
         if first_bad is not None:
             bad = ~np.isfinite(w).all(axis=2)
             first_bad[bad & (first_bad < 0)] = k

@@ -100,11 +100,13 @@ class Objective:
     order of `clients` (for an exact oracle, which draws nothing, None).
     Client i's draws are row i of one block drawn for all N clients, so they
     depend on the stream and on i alone, never on which other clients are
-    asked for. `_stochastic_gradients(clients, w, sample)` is batched: `w`
-    has shape (configs, len(clients), dim), row (c, j) is config c's iterate
-    at client `clients[j]`, and `sample` is one item of `_draws`, shared by
-    every config. Each row's gradient has the same bits as the row computed
-    alone.
+    asked for. `_stochastic_gradients(clients, w, sample, out)` is batched:
+    `w` has shape (configs, len(clients), dim), row (c, j) is config c's
+    iterate at client `clients[j]`, and `sample` is one item of `_draws`,
+    shared by every config. Each row's gradient has the same bits as the row
+    computed alone. It returns the gradients in `out`, an array of `w`'s
+    shape, where the kernel computes them row by row (the quadratic and the
+    hard instance), and in a new array where it does not (softmax).
 
     A noisy quadratic draws an (N, steps, dim) normal block. A softmax
     objective draws an (N, steps, n_max) block of uniform keys, where n_max
@@ -145,13 +147,16 @@ class Objective:
     def _draws(self, clients, batch_size: int, steps: int, rng: np.random.Generator | None):
         return [None] * steps
 
-    def _stochastic_gradients(self, clients, w: np.ndarray, sample) -> np.ndarray:
+    def _stochastic_gradients(
+        self, clients, w: np.ndarray, sample, out: np.ndarray,
+    ) -> np.ndarray:
         raise NotImplementedError
 
     def _one_stochastic_gradient(self, client, w, batch_size, rng) -> np.ndarray:
         """`stochastic_gradient` on a validated vector: a batch of one."""
         sample = self._draws([client], batch_size, 1, rng)[0]
-        return self._stochastic_gradients([client], w[None, None], sample)[0, 0]
+        w = w[None, None]
+        return self._stochastic_gradients([client], w, sample, np.empty_like(w))[0, 0]
 
     def _validated(self, w: np.ndarray, client: int | None) -> np.ndarray:
         w = check_param(w, self.dim)
@@ -238,17 +243,16 @@ class QuadraticObjective(Objective):
         noise = rng.normal(0.0, sd, size=(self.n_clients, steps, self.dim))
         return noise[clients].swapaxes(0, 1)
 
-    def _stochastic_gradients(self, clients, w, sample):
+    def _stochastic_gradients(self, clients, w, sample, out):
         # One matvec per row, as `_client_gradient` makes it: BLAS computes a
         # stacked product with other kernels, whose bits may differ.
-        g = np.empty_like(w)
         for j, i in enumerate(clients):
             a, c = self.hessians[i], self.centers[i]
             for row in range(len(w)):
-                np.matmul(a, w[row, j] - c, out=g[row, j])
+                np.matmul(a, w[row, j] - c, out=out[row, j])
         if self.noise_var != 0.0:
-            g += sample
-        return g
+            out += sample
+        return out
 
     def global_minimizer(self) -> np.ndarray:
         a_bar = np.mean(self.hessians, axis=0)
@@ -448,22 +452,29 @@ class SoftmaxObjective(Objective):
         rows = rows + self._offsets[clients][:, None]
         return list(zip(self._flat_x[rows], self._flat_y[rows]))
 
-    def _stochastic_gradients(self, clients, w, sample):
+    def _stochastic_gradients(self, clients, w, sample, out):
         x, y = sample
         return self._samples_grad(self._unpack(w), x, y).reshape(w.shape)
 
-    def test_accuracy(self, w: np.ndarray) -> float:
-        w_mat = self._unpack(check_param(w, self.dim))
-        hits = total = 0
+    def test_accuracy(self, w: np.ndarray) -> float | np.ndarray:
+        """The share of held-out samples whose largest logit is their label's.
+
+        Like `loss`, it takes a point or a stack of points (..., dim) and
+        gives a float or an array of shape (...), each entry with the bits
+        of the call on its point alone: one per-slice matmul per client, an
+        exact argmax and integer hit counts."""
+        w_t = self._unpack(check_param(w, self.dim, stacked=True)).swapaxes(-1, -2)
+        hits = np.zeros(w_t.shape[:-2], dtype=np.int64)
+        total = 0
         for x, y in zip(self.test_x, self.test_y):
             if len(y) == 0:
                 continue
-            pred = np.argmax(x @ w_mat.T, axis=1)
-            hits += int((pred == y).sum())
+            hits += (np.argmax(x @ w_t, axis=-1) == y).sum(axis=-1)
             total += len(y)
         if total == 0:
             raise ValueError("no held-out samples available")
-        return hits / total
+        acc = hits / total
+        return float(acc) if acc.ndim == 0 else acc
 
 
 def estimate_stats(
@@ -513,8 +524,9 @@ def estimate_stats(
     for p in probes:
         g_full = np.stack([obj.gradient(p, i) for i in clients])
         w = np.broadcast_to(p, (1, obj.n_clients, obj.dim))
+        out = np.empty(w.shape)
         dev = np.mean([
-            np.sum((obj._stochastic_gradients(clients, w, sample)[0] - g_full) ** 2, axis=1)
+            np.sum((obj._stochastic_gradients(clients, w, sample, out)[0] - g_full) ** 2, axis=1)
             for sample in obj._draws(clients, batch_size, n_noise_draws, rng)
         ], axis=0)
         sigma_sq = max(sigma_sq, float(dev.max()))

@@ -156,11 +156,14 @@ def beta_star(inp: BoundInputs) -> float:
     return min(max((inp.sg_sq / inp.n_clients) / denom, 0.0), 1.0)
 
 
-def _tridiagonal_product(diag: np.ndarray, off: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _tridiagonal_product(
+    diag: np.ndarray, off: np.ndarray, w: np.ndarray, out: np.ndarray | None = None,
+) -> np.ndarray:
     """A w over the last axis of `w`, for the symmetric tridiagonal A with
-    main diagonal `diag` and off-diagonal `off`. Every op is elementwise, so
-    each point of a stack gets the bits of its call alone."""
-    aw = diag * w
+    main diagonal `diag` and off-diagonal `off`, in `out` if given. Every op
+    is elementwise, so each point of a stack gets the bits of its call
+    alone."""
+    aw = np.multiply(diag, w, out=out)
     aw[..., 1:] += off * w[..., :-1]
     aw[..., :-1] += off * w[..., 1:]
     return aw
@@ -271,13 +274,16 @@ class HardInstance(Objective):
         diag, off, lin = form
         return _tridiagonal_product(diag, off, w) + lin
 
-    def _stochastic_gradients(self, clients, w, sample):
-        g = np.zeros_like(w)
+    def _stochastic_gradients(self, clients, w, sample, out):
         for j, i in enumerate(clients):
-            if i in self._forms:
-                diag, off, lin = self._forms[i]
-                g[:, j] = _tridiagonal_product(diag, off, w[:, j]) + lin
-        return g
+            form = self._forms.get(i)
+            if form is None:
+                out[:, j] = 0.0
+            else:
+                diag, off, lin = form
+                g = _tridiagonal_product(diag, off, w[:, j], out[:, j])
+                g += lin
+        return out
 
     def global_minimizer(self) -> np.ndarray:
         """argmin F in closed form: w_i = (m+1-i)/(m+1) on the first m = 2t+1

@@ -1,8 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stalefl.aggregation import (
     AggregatorConfig,
@@ -14,7 +17,7 @@ from stalefl.aggregation import (
     u_fedavg,
     u_fedvarp,
 )
-from stalefl.objectives import QuadraticObjective
+from stalefl.objectives import DimensionMismatchError, QuadraticObjective
 
 
 def rows(*vals):
@@ -195,45 +198,90 @@ def test_permutation_invariance():
         )
 
 
+# A stack of three memories and three configs' updates as well as a single
+# one: the checks raise for either alike.
+LEADS = [(), (3,)]
+
+
+def stack_betas(lead, beta):
+    return np.full(lead, beta) if lead else beta
+
+
 def test_duplicate_client_rejected():
     # Every rule and the refresh take ascending, distinct client indices:
     # repeated or unsorted ones raise, and the memory stays as it was.
-    slots = np.zeros((3, 2))
-    for clients in ([0, 0], [1, 0], [0, 2, 1]):
-        deltas = np.ones((len(clients), 2))
-        for call in (
-            lambda: fedavg_biased(clients, deltas),
-            lambda: fedstale(clients, deltas, slots, np.ones(3), 0.5),
-            lambda: u_fedavg(clients, deltas, slots, np.ones(3)),
-            lambda: u_fedvarp(clients, deltas, slots, np.ones(3)),
-            lambda: refresh_memory(slots, clients, deltas),
-        ):
-            with pytest.raises(ValueError, match="ascending and distinct"):
-                call()
-    np.testing.assert_array_equal(slots, np.zeros((3, 2)))
+    for lead in LEADS:
+        slots = np.zeros((*lead, 3, 2))
+        for clients in ([0, 0], [1, 0], [0, 2, 1]):
+            deltas = np.ones((*lead, len(clients), 2))
+            for call in (
+                lambda: fedavg_biased(clients, deltas),
+                lambda: fedstale(clients, deltas, slots, np.ones(3), stack_betas(lead, 0.5)),
+                lambda: u_fedavg(clients, deltas, slots, np.ones(3)),
+                lambda: u_fedvarp(clients, deltas, slots, np.ones(3)),
+                lambda: refresh_memory(slots, clients, deltas),
+            ):
+                with pytest.raises(ValueError, match="ascending and distinct"):
+                    call()
+        np.testing.assert_array_equal(slots, np.zeros((*lead, 3, 2)))
 
 
 @pytest.mark.parametrize("clients", [[-1], [-3, 0], [3], [0, 2, 3], [1, 7]])
 def test_client_out_of_range_rejected(clients):
     # Every rule that reads the memory, and the refresh, reject a client index
     # outside [0, N) instead of letting it wrap; the memory stays as it was.
-    slots = np.zeros((3, 2))
-    deltas = np.ones((len(clients), 2))
-    for call in (
-        lambda: fedstale(clients, deltas, slots, np.ones(3), 0.5),
-        lambda: fedstale(clients, deltas, slots, np.ones(3), 0.0),
-        lambda: u_fedavg(clients, deltas, slots, np.ones(3)),
-        lambda: u_fedvarp(clients, deltas, slots, np.ones(3)),
-        lambda: refresh_memory(slots, clients, deltas),
-    ):
-        with pytest.raises(IndexError, match="out of range"):
-            call()
-    np.testing.assert_array_equal(slots, np.zeros((3, 2)))
+    for lead in LEADS:
+        slots = np.zeros((*lead, 3, 2))
+        deltas = np.ones((*lead, len(clients), 2))
+        for call in (
+            lambda: fedstale(clients, deltas, slots, np.ones(3), stack_betas(lead, 0.5)),
+            lambda: fedstale(clients, deltas, slots, np.ones(3), stack_betas(lead, 0.0)),
+            lambda: u_fedavg(clients, deltas, slots, np.ones(3)),
+            lambda: u_fedvarp(clients, deltas, slots, np.ones(3)),
+            lambda: refresh_memory(slots, clients, deltas),
+        ):
+            with pytest.raises(IndexError, match="out of range"):
+                call()
+        np.testing.assert_array_equal(slots, np.zeros((*lead, 3, 2)))
 
 
 def test_update_rows_must_match_clients():
-    with pytest.raises(ValueError, match="update rows"):
-        fedavg_biased([0, 1], np.ones((1, 2)))
+    for lead in LEADS:
+        slots = np.zeros((*lead, 3, 2))
+        deltas = np.ones((*lead, 1, 2))
+        for call in (
+            lambda: fedavg_biased([0, 1], deltas),
+            lambda: fedstale([0, 1], deltas, slots, np.ones(3), stack_betas(lead, 0.5)),
+            lambda: u_fedavg([0, 1], deltas, slots, np.ones(3)),
+            lambda: refresh_memory(slots, [0, 1], deltas),
+        ):
+            with pytest.raises(ValueError, match="update rows"):
+                call()
+        np.testing.assert_array_equal(slots, np.zeros((*lead, 3, 2)))
+
+
+def test_stacks_must_agree_on_their_leading_axes():
+    # A memory or betas whose leading axes differ from the updates' would
+    # broadcast one config's values over another's; they raise instead.
+    deltas, slots = np.ones((3, 1, 2)), np.zeros((3, 4, 2))
+    for call in (
+        lambda: fedstale([0], deltas, slots[:1], np.ones(4), 0.5),
+        lambda: fedstale([0], deltas, slots, np.ones(4), np.full(2, 0.5)),
+        lambda: fedstale([0], deltas[0], slots[0], np.ones(4), np.full(1, 0.5)),
+        lambda: u_fedvarp([0], deltas, slots[0], np.ones(4)),
+        lambda: refresh_memory(slots[:2], [0], deltas),
+    ):
+        with pytest.raises(DimensionMismatchError):
+            call()
+    np.testing.assert_array_equal(slots, np.zeros((3, 4, 2)))
+
+
+@pytest.mark.parametrize("beta", [-0.1, 1.5, math.nan])
+def test_fedstale_rejects_a_beta_outside_the_unit_interval(beta):
+    deltas, slots = np.ones((3, 1, 2)), np.zeros((3, 4, 2))
+    for b in (beta, np.array([0.5, beta, 0.0]), np.array([beta, 0.5, 1.0])):
+        with pytest.raises(ValueError, match="beta must lie"):
+            fedstale([0], deltas, slots, np.ones(4), b)
 
 
 def test_config_validation():
@@ -298,3 +346,103 @@ def test_memory_error_hand_value():
     slots = np.zeros((2, 2))
     # grads: (1,1) and (0,0); mean of ||g_i - 0||^2 = (2 + 0)/2 = 1.
     assert memory_error(slots, obj, w) == pytest.approx(1.0, abs=1e-15)
+
+
+# --- stacked rounds -----------------------------------------------------------
+#
+# A rule or the refresh called on a (C, P, dim) stack of updates and a
+# (C, N, dim) stack of memories gives each row the bytes of the call on that
+# row alone.
+
+# -0.0 next to positive and negative values: d - 0*h is +0.0 for d = -0.0
+# and h < 0, the case where a stacked fedstale that does not skip the stale
+# terms of a beta=0 row could flip a signed zero.
+ENTRIES = st.one_of(
+    st.sampled_from([-0.0, 0.0, -1.0, 2.5]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+BETA_MIXES = [[0.0, 0.3, 1.0], [0.0, 0.0, 0.0], [0.3, 0.3, 0.3], [1.0, 0.0, 0.7]]
+
+
+@st.composite
+def stacked_rounds(draw):
+    """(clients, deltas, slots, weights, betas) of a round of C configs."""
+    n = draw(st.integers(1, 5))
+    dim = draw(st.integers(1, 3))
+    present = draw(st.sampled_from(["none", "one", "all", "some"]))
+    if present == "none":
+        clients = []
+    elif present == "one":
+        clients = [draw(st.integers(0, n - 1))]
+    elif present == "all":
+        clients = list(range(n))
+    else:
+        clients = sorted(draw(st.sets(st.integers(0, n - 1))))
+    betas = np.array(draw(st.sampled_from(BETA_MIXES)))
+    c = len(betas)
+
+    def array(shape):
+        return np.array(draw(st.lists(ENTRIES, min_size=math.prod(shape),
+                                      max_size=math.prod(shape)))).reshape(shape)
+
+    deltas = array((c, len(clients), dim))
+    slots = array((c, n, dim))
+    weights = np.array(draw(st.lists(st.floats(1.0, 10.0), min_size=n, max_size=n)))
+    return clients, deltas, slots, weights, betas
+
+
+def assert_rows_are_single_calls(stacked, singles):
+    assert stacked.shape == (len(singles), *singles[0].shape)
+    for row, single in zip(stacked, singles):
+        assert row.tobytes() == single.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_rounds())
+def test_stacked_fedstale_rows_are_single_calls(case):
+    clients, deltas, slots, weights, betas = case
+    before = slots.copy()
+    assert_rows_are_single_calls(
+        fedstale(clients, deltas, slots, weights, betas),
+        [fedstale(clients, d, s, weights, float(b)) for d, s, b in zip(deltas, slots, betas)],
+    )
+    # one beta for every row
+    assert_rows_are_single_calls(
+        fedstale(clients, deltas, slots, weights, betas[1]),
+        [fedstale(clients, d, s, weights, betas[1]) for d, s in zip(deltas, slots)],
+    )
+    for rule in (u_fedavg, u_fedvarp):
+        assert_rows_are_single_calls(
+            rule(clients, deltas, slots, weights),
+            [rule(clients, d, s, weights) for d, s in zip(deltas, slots)],
+        )
+    assert slots.tobytes() == before.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(stacked_rounds())
+def test_stacked_fedavg_and_refresh_rows_are_single_calls(case):
+    clients, deltas, slots, _, _ = case
+    if clients:
+        assert_rows_are_single_calls(
+            fedavg_biased(clients, deltas), [fedavg_biased(clients, d) for d in deltas],
+        )
+    else:
+        with pytest.raises(NoParticipantsError):
+            fedavg_biased(clients, deltas)
+    singles = slots.copy()
+    for s, d in zip(singles, deltas):
+        refresh_memory(s, clients, d)
+    refresh_memory(slots, clients, deltas)
+    assert slots.tobytes() == singles.tobytes()
+
+
+def test_stacked_fedstale_beta0_row_ignores_an_overflowing_memory_sum():
+    # 0 * (an overflowed sum of the memory) is nan; a beta=0 row among stale
+    # ones still gets the bits of the beta=0 call, which reads no slot.
+    slots = np.full((2, 2, 1), 1e308)
+    deltas = np.ones((2, 1, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = fedstale([0], deltas, slots, np.ones(2), np.array([0.0, 0.5]))
+    assert out[0].tobytes() == fedstale([0], deltas[0], slots[0], np.ones(2), 0.0).tobytes()
+    assert np.isfinite(out[0]).all() and np.isinf(out[1]).all()

@@ -552,6 +552,11 @@ BATCH_CASES = {
         dict(local=LocalConfig(2, 0.1)),
     ),
     "mixed_rules": (lambda: two_client_objective(noise=0.3), MIXED_RULES, [0.02], {}),
+    # every beta 0, so the batch's fedstale call skips the stale terms
+    "all_betas_zero": (
+        lambda: HardInstance(201, 100, 1.0, 3), [("u_fedavg", 0.5), ("fedstale", 0.0)],
+        [0.1, 0.3], dict(local=LocalConfig(2, 0.1)),
+    ),
     "mixed_rules_softmax": (
         lambda: small_softmax_factory()(0.5, None), MIXED_RULES, [0.05], {},
     ),
@@ -567,6 +572,32 @@ def test_batch_equals_sequential_runs(name, metrics):
     batch = run_batch(cfgs, obj, metrics=metrics)
     alone = [run(cfg, obj, metrics=metrics) for cfg in cfgs]
     assert [result_bytes(r) for r in batch] == [result_bytes(r) for r in alone]
+
+
+def test_stacked_test_accuracy_equals_single_points():
+    obj = small_softmax_factory(n_clients=5, samples=40)(0.5, None)
+    points = np.random.default_rng(3).normal(size=(2, 3, obj.dim))
+    points[0, 0] = 0.0   # every logit ties, so argmax takes the first class
+    stacked = obj.test_accuracy(points)
+    assert stacked.shape == (2, 3)
+    singles = [[obj.test_accuracy(p) for p in row] for row in points]
+    assert [list(map(repr, row)) for row in stacked.tolist()] == [
+        list(map(repr, row)) for row in singles
+    ]
+    assert all(isinstance(a, float) for row in singles for a in row)
+
+
+def test_batch_without_held_out_samples_raises_as_a_single_run():
+    ds = build_label_swap_dataset(
+        4, 30, 0.5, (0, 1), np.random.default_rng(1), class_count=3, feature_dim=2,
+    )
+    obj = SoftmaxObjective(ds, holdout_fraction=0.0)
+    cfgs = batch_case_configs(obj, BETAS, [0.05])
+    with pytest.raises(ValueError) as alone:
+        run(cfgs[0], obj)
+    with pytest.raises(ValueError) as batch:
+        run_batch(cfgs, obj)
+    assert str(alone.value) == str(batch.value) == "no held-out samples available"
 
 
 def test_batch_returns_each_configs_own_error():
