@@ -61,8 +61,13 @@ class AggregatorConfig:
 
 
 def _check_round(
-    clients: Sequence[int], deltas: np.ndarray, slots: np.ndarray | None = None,
+    clients: Sequence[int],
+    deltas: np.ndarray,
+    slots: np.ndarray | None = None,
+    beta: np.ndarray | None = None,
 ) -> None:
+    """Check a round's participants, updates and memory, and fedstale's
+    betas: one value, or one per leading entry of the updates."""
     if deltas.shape[-2] != len(clients):
         raise ValueError(f"{len(clients)} clients but {deltas.shape[-2]} update rows")
     for a, b in zip(clients, clients[1:]):
@@ -70,9 +75,11 @@ def _check_round(
             raise ValueError(f"client indices {list(clients)} are not ascending and distinct")
     if slots is None:
         return
-    if slots.shape[:-2] != deltas.shape[:-2]:
+    lead = deltas.shape[:-2]
+    if slots.shape[:-2] != lead or (beta is not None and beta.ndim and beta.shape != lead):
+        betas = "" if beta is None else f" and betas of shape {beta.shape}"
         raise DimensionMismatchError(
-            f"updates of shape {deltas.shape} and a memory of shape {slots.shape} "
+            f"updates of shape {deltas.shape}, a memory of shape {slots.shape}{betas} "
             "differ in their leading axes"
         )
     # ascending, so the ends bound every index
@@ -130,15 +137,12 @@ def fedstale(
         in_range = all(0.0 <= v <= 1.0 for v in values)
     if not in_range:
         raise ValueError("beta must lie in [0, 1]")
-    lead = deltas.shape[:-2]
-    if beta.ndim and beta.shape != lead:
-        raise DimensionMismatchError(f"{beta.shape} betas for updates of shape {deltas.shape}")
-    _check_round(clients, deltas, slots)
+    _check_round(clients, deltas, slots, beta)
     # At beta=0 the stale terms are zero; when every beta is 0, skipping
     # them changes no bit.
     stale = any(values)
     n_clients = slots.shape[-2]
-    fresh = np.zeros(lead + deltas.shape[-1:])
+    fresh = np.zeros(deltas.shape[:-2] + deltas.shape[-1:])
     for k, i in enumerate(clients):
         d = deltas[..., k, :]
         if stale:
@@ -147,7 +151,8 @@ def fedstale(
     fresh /= n_clients
     if not stale:
         return fresh
-    update = b * slots.sum(axis=-2) / n_clients + fresh
+    # ndarray.sum's reduction without its Python wrapper
+    update = b * np.add.reduce(slots, axis=-2) / n_clients + fresh
     if not all(values):
         # A beta=0 entry among stale ones: its loop terms d - 0*h sum to the
         # bits of d (the sum starts at +0.0, so a flipped signed zero never

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -342,10 +343,11 @@ def cmd_repeat(args, cfg: dict[str, dict], out: Path) -> int:
     rep = run_repeated(tc, obj, seeds)
     for seed, one in zip(rep.seeds, rep.runs):
         write_metrics_csv(one, out / f"metrics_seed{seed}.csv")
+    # Python floats format faster than numpy scalars, with the same text.
+    rows = zip(count(1), rep.mean_loss_curve.tolist(), rep.stderr_loss_curve.tolist())
     with open(out / "mean_curve.csv", "w") as f:
         f.write("round,loss_mean,loss_stderr\n")
-        for t, (m, se) in enumerate(zip(rep.mean_loss_curve, rep.stderr_loss_curve), start=1):
-            f.write(f"{t},{m:.17g},{se:.17g}\n")
+        f.writelines(map("%d,%.17g,%.17g\n".__mod__, rows))
     write_manifest(cfg, out)
     print(f"mean_final_loss={rep.mean_final_loss:.6g} seeds={len(seeds)}")
     return EXIT_OK

@@ -23,15 +23,19 @@ after a check fails, to give the config the error it raises alone.
 The per-round metrics are evaluated a block of `METRIC_BLOCK` rounds at a
 time: the loop keeps the points they are taken at, and one call each of the
 broadcasting oracles `loss`, `gradient` and `memory_error` evaluates a whole
-block for every config of the batch.
+block for every config of the batch. A run keeps them as columns, one list
+per `RoundRecord` field, each extended once a block; `RunResult.records`
+builds the records from them when it is first read.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +54,9 @@ from .participation import (
 )
 
 METRICS_HEADER = "round,loss,grad_norm_sq,H,participants,update_norm,wall_ns"
+# One row of metrics.csv. printf-style formatting of a tuple costs less a row
+# than an f-string, and %.17g gives the text of f"{x:.17g}".
+METRICS_ROW = "%d,%.17g,%.17g,%.17g,%d,%.17g,%d\n"
 
 # Rounds whose metrics `run` evaluates together. At small dim a metric call
 # costs its per-call overhead, which a block shares among its rounds; the
@@ -107,24 +114,37 @@ class RoundRecord:
     wall_ns: int
 
 
+# The per-round metric columns of a run: RoundRecord's fields, in the order
+# of `metrics.csv`.
+METRIC_COLUMNS = tuple(f.name for f in fields(RoundRecord))
+
+
 @dataclass
 class RunResult:
-    records: list[RoundRecord]
+    """A run's outcome. `columns` maps each name in METRIC_COLUMNS to the
+    list of its per-round values, empty with metrics off."""
+
+    columns: dict[str, list]
     final_w: np.ndarray
     final_loss: float
     test_accuracy: float | None = None
     participation_trace: np.ndarray | None = None
 
+    @cached_property
+    def records(self) -> list[RoundRecord]:
+        """One RoundRecord per round, built from the columns on first access."""
+        return list(map(RoundRecord, *itemgetter(*METRIC_COLUMNS)(self.columns)))
+
     @property
     def min_grad_norm_sq(self) -> float:
         """The least recorded squared gradient norm; nan with no records."""
-        return min((r.grad_norm_sq for r in self.records), default=math.nan)
+        return min(self.columns["grad_norm_sq"], default=math.nan)
 
     def loss_curve(self) -> np.ndarray:
-        return np.array([r.global_loss for r in self.records])
+        return np.array(self.columns["global_loss"])
 
     def grad_curve(self) -> np.ndarray:
-        return np.array([r.grad_norm_sq for r in self.records])
+        return np.array(self.columns["grad_norm_sq"])
 
 
 def default_weight_cap(rounds: int) -> float:
@@ -187,7 +207,7 @@ def run(
     server_lrs = np.array([[cfgs[c].server_lr] for c in live])
     slots = np.zeros((len(cfgs), n, obj.dim))
 
-    records: list[list[RoundRecord]] = [[] for _ in cfgs]
+    columns = [{name: [] for name in METRIC_COLUMNS} for _ in cfgs]
     errors: list[Exception | None] = [None] * len(cfgs)
     # Round t's noise stream is Philox keyed noise_key | t. One bit
     # generator serves the run: each round sets its key and restarts its
@@ -314,10 +334,12 @@ def run(
                             fail(row, out)
                             continue
                         losses, grad_sqs, hs = out
-                        records[c] += map(
-                            RoundRecord, range(t0, t + 1), losses, grad_sqs, hs,
+                        block = (
+                            range(t0, t + 1), losses, grad_sqs, hs,
                             counts, norms[c], [m * work for m in counts],
                         )
+                        for column, values in zip(columns[c].values(), block):
+                            column += values
                         norms[c] = []
                     counts = []
             if dropped:
@@ -351,7 +373,7 @@ def run(
                 accs = obj.test_accuracy(w[ok]).tolist()
             for row, acc in zip(ok, accs):
                 c = live[row]
-                results[c] = RunResult(records[c], w[row].copy(), final_losses[row], acc, trace)
+                results[c] = RunResult(columns[c], w[row].copy(), final_losses[row], acc, trace)
     if _lockstep is None:
         if isinstance(results[0], Exception):
             raise results[0]
@@ -644,11 +666,7 @@ def _worker_cell(key: tuple[float, float]) -> list[GridCellSummary]:
 
 
 def write_metrics_csv(result: RunResult, path: str | Path) -> None:
+    rows = zip(*itemgetter(*METRIC_COLUMNS)(result.columns))
     with open(path, "w", newline="") as f:
         f.write(METRICS_HEADER + "\n")
-        for r in result.records:
-            f.write(
-                f"{r.round},{r.global_loss:.17g},{r.grad_norm_sq:.17g},"
-                f"{r.memory_error_H:.17g},{r.participant_count},"
-                f"{r.update_norm:.17g},{r.wall_ns}\n"
-            )
+        f.writelines(map(METRICS_ROW.__mod__, rows))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -41,9 +42,16 @@ def check_param(w: np.ndarray, dim: int, *, stacked: bool = False) -> np.ndarray
     if w.shape[-1:] != (dim,) or (w.ndim != 1 and not stacked):
         expected = f"(..., {dim})" if stacked else f"({dim},)"
         raise DimensionMismatchError(f"expected parameter of shape {expected}, got {w.shape}")
-    if not np.isfinite(w).all():
-        raise ValueError("parameter vector contains non-finite entries")
+    require_finite(w, "parameter vector")
     return w
+
+
+def require_finite(x: np.ndarray, what: str) -> None:
+    """Raise ValueError, naming `what`, unless every entry of `x` is finite:
+    the check of a parameter (`check_param`) and of a quadratic's centers
+    and Hessians."""
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} contains non-finite entries")
 
 
 def all_finite(x: np.ndarray) -> bool:
@@ -201,9 +209,11 @@ class QuadraticObjective(Objective):
             raise ValueError(f"noise_var must be finite and >= 0, got {noise_var}")
         self.n_clients = len(self.hessians)
         self.dim = self.centers[0].shape[0]
-        for a, c in zip(self.hessians, self.centers):
+        for i, (a, c) in enumerate(zip(self.hessians, self.centers)):
             if a.shape != (self.dim, self.dim) or c.shape != (self.dim,):
                 raise DimensionMismatchError("inconsistent quadratic dimensions")
+            require_finite(a, f"the Hessian of client {i}")
+            require_finite(c, f"the center of client {i}")
             if not np.allclose(a, a.T):
                 raise ValueError("Hessians must be symmetric")
             if np.linalg.eigvalsh(a)[0] <= 0:
@@ -244,12 +254,17 @@ class QuadraticObjective(Objective):
         return noise[clients].swapaxes(0, 1)
 
     def _stochastic_gradients(self, clients, w, sample, out):
-        # One matvec per row, as `_client_gradient` makes it: BLAS computes a
-        # stacked product with other kernels, whose bits may differ.
+        # One matvec per row, with the bits of `_client_gradient`'s matmul: a
+        # stacked product runs gemm, whose bits may differ. At dim >= 2,
+        # `ndarray.dot` reaches the same cblas_dgemv as `np.matmul` without
+        # the gufunc's dispatch. At dim 1 numpy sends matmul to ddot, which
+        # gives +0.0 for a -0.0 product, and dot to a scalar multiply, which
+        # gives -0.0; so dim 1 keeps matmul.
         for j, i in enumerate(clients):
             a, c = self.hessians[i], self.centers[i]
+            matvec = a.dot if self.dim > 1 else partial(np.matmul, a)
             for row in range(len(w)):
-                np.matmul(a, w[row, j] - c, out=out[row, j])
+                matvec(w[row, j] - c, out=out[row, j])
         if self.noise_var != 0.0:
             out += sample
         return out

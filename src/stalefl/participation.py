@@ -65,7 +65,8 @@ class ParticipationProfile:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or len(probs) == 0:
             raise ValueError("probs must be a nonempty 1-D vector")
-        if np.any(probs <= 0) or np.any(probs > 1):
+        # written so that nan, which fails every comparison, is rejected too
+        if not ((probs > 0) & (probs <= 1)).all():
             raise ValueError("every participation probability must lie in (0, 1]")
         object.__setattr__(self, "probs", probs)
 

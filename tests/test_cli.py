@@ -554,6 +554,32 @@ BAD_INPUTS = {
             "p_min_above_one": ("p_avg = 0.6\np_min = 0.2", "p_avg = 2\np_min = 1.5"),
         }.items()
     },
+    # nan fails both comparisons of a plain range check, and each of these
+    # used to run until the global iterate diverged (exit 3).
+    **{
+        f"{command}_probs_{name}": (
+            command, "cfg.ini",
+            QUAD_RUN.replace(
+                "[participation]\n", f"[participation]\nkind = explicit\nprobs = {probs}\n",
+            ),
+            [], None,
+        )
+        for command in ("run", "repeat")
+        for name, probs in (
+            ("half_nan", "0.5, nan"), ("nan_nan", "nan, nan"), ("one_nan", "1, nan"),
+        )
+    },
+    # A non-finite center or Hessian entry used to run until the first local
+    # step went non-finite (exit 3).
+    **{
+        f"{command}_{key}_{name}": (command, "cfg.ini", QUAD_RUN.replace(old, new), [], None)
+        for command in ("run", "repeat")
+        for key, name, old, new in (
+            ("centers", "nan", "centers = 5,0; 0,5", "centers = nan,0; 0,1"),
+            ("centers", "inf", "centers = 5,0; 0,5", "centers = 5,0; 0,-inf"),
+            ("hessians", "inf", "hessians = 1,0.5; 0.5,1", "hessians = inf,1; 1,1"),
+        )
+    },
     **{
         f"grid_holdout_fraction_{value}": (
             "grid", "cfg.ini",

@@ -758,6 +758,45 @@ def test_nonfinite_final_loss_raises_with_metrics_on():
         run(cfg, obj)
 
 
+def test_each_layer_is_called_by_its_traced_name_once_a_round(monkeypatch):
+    # A profiler that wraps these module-level names (perfbench/tracer.py)
+    # splits a run's time into local SGD, aggregation and metrics. The round
+    # loop calls each round function once a round for the whole batch, and
+    # each metric oracle once a block of METRIC_BLOCK rounds.
+    rounds = 2 * stalefl.engine.METRIC_BLOCK + 9
+    blocks = 3
+    obj = two_client_objective(noise=0.3)
+    calls = {}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(stalefl.engine, "local_train")
+    count(stalefl.aggregation, "fedstale")
+    count(stalefl.aggregation, "refresh_memory")
+    count(stalefl.aggregation, "memory_error")
+    count(obj, "loss")
+    count(obj, "gradient")
+    cfgs = batch_case_configs(
+        obj, BETAS, [0.02, 0.04], rounds=rounds,
+        profile=ParticipationProfile(np.array([1.0, 0.5])),   # client 0 in every round
+    )
+    for batch in (cfgs[:1], cfgs):
+        calls.clear()
+        assert all(isinstance(r, stalefl.engine.RunResult) for r in run_batch(batch, obj))
+        assert calls == {
+            "local_train": rounds, "fedstale": rounds, "refresh_memory": rounds,
+            # the metric blocks, and one final loss
+            "memory_error": blocks, "gradient": blocks, "loss": blocks + 1,
+        }
+
+
 def test_init_point_must_be_a_single_point():
     # the oracles take stacks of points, a run's initial point stays one
     for bad in (np.zeros((1, 2)), np.zeros((3, 2)), np.zeros(3)):

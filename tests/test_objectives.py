@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -106,6 +106,17 @@ def small_dataset(swap=0.5, n_clients=2, samples=100, seed=3):
         n_clients, samples, swap, (0, 1), np.random.default_rng(seed),
         class_count=4, feature_dim=3, group2=[1],
     )
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_quadratic_rejects_non_finite_inputs(value):
+    # checked first: an inf entry passes the symmetry check, and a nan one
+    # fails it with a message that does not name the cause
+    bad = np.array([[value, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="Hessian of client 1 contains non-finite"):
+        QuadraticObjective([np.eye(2), bad], [np.zeros(2), np.zeros(2)])
+    with pytest.raises(ValueError, match="center of client 0 contains non-finite"):
+        QuadraticObjective.isotropic([np.array([value, 0.0]), np.array([0.0, 1.0])])
 
 
 def test_swap_counts_exact():
@@ -407,6 +418,66 @@ def test_stacked_oracles_have_the_bits_of_single_calls(name, layout):
         one = memory_error(slots[k], obj, points[k])
         assert type(one) is float
         assert h[k].tobytes() == np.float64(one).tobytes()
+
+
+# Signed zeros, where BLAS entry points differ, and magnitudes whose
+# products overflow or lose all precision.
+SMALL_ENTRIES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1.0, -2.5]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+KERNEL_ENTRIES = st.one_of(SMALL_ENTRIES, st.sampled_from([1e300, -1e300, 1e-300, -1e-300]))
+
+
+@st.composite
+def quadratic_kernel_cases(draw):
+    """An exact quadratic of dim 1-8, a round's ascending clients and a
+    (configs, clients, dim) stack of iterates, C-ordered, strided or
+    Fortran-ordered."""
+    dim, n = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+
+    def entries(*shape, values=KERNEL_ENTRIES):
+        size = math.prod(shape)
+        return np.array(draw(st.lists(values, min_size=size, max_size=size))).reshape(shape)
+
+    upper = np.triu(np.ones((dim, dim), dtype=bool), 1)
+    hessians = []
+    for _ in range(n):
+        # symmetric (signed zeros kept) and diagonally dominant, so positive
+        # definite; then scaled
+        m = entries(dim, dim, values=SMALL_ENTRIES)
+        a = np.where(upper, m, m.T)
+        a[np.diag_indices(dim)] = np.abs(a).sum(axis=1) + draw(st.floats(0.5, 10.0))
+        hessians.append(a * draw(st.sampled_from([1.0, 1e-300, 1e300])))
+    obj = QuadraticObjective(hessians, list(entries(n, dim)))
+    clients = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    shape = (draw(st.integers(1, 3)), len(clients), dim)
+    w = entries(*shape)
+    layout = draw(st.sampled_from(["contiguous", "strided", "fortran"]))
+    if layout == "strided":
+        wide = np.full(shape[:2] + (2 * dim,), np.nan)
+        wide[..., ::2] = w
+        w = wide[..., ::2]
+    elif layout == "fortran":
+        w = np.asfortranarray(w)
+    return obj, clients, w
+
+
+# dim 1: -0.0 - 0.0 is -0.0, and 1 * -0.0 is -0.0 alone but +0.0 in a sum
+@example((QuadraticObjective([np.eye(1)], [np.zeros(1)]), [0], np.full((2, 1, 1), -0.0)))
+@settings(max_examples=200, deadline=None)
+@given(quadratic_kernel_cases())
+def test_quadratic_kernel_rows_have_the_bits_of_client_gradients(case):
+    # Local SGD takes its gradients from the batched kernel, the metrics and
+    # the public `gradient` from `_client_gradient`: every row must agree
+    # bit for bit, at dim 1 too, where BLAS calls differ on a -0.0 product.
+    obj, clients, w = case
+    out = np.empty(w.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = obj._stochastic_gradients(clients, w, None, out)
+        for row, j in itertools.product(range(len(w)), range(len(clients))):
+            alone = obj._client_gradient(np.array(w[row, j]), clients[j])
+            assert got[row, j].tobytes() == alone.tobytes(), (row, j)
 
 
 def test_stacked_oracles_check_shapes():

@@ -58,6 +58,10 @@ def test_invalid_probs_rejected():
         ParticipationProfile(np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         ParticipationProfile(np.array([1.5]))
+    # nan fails both comparisons of `p <= 0 or p > 1`, and is not in (0, 1]
+    for probs in ([0.5, math.nan], [math.nan, math.nan], [1.0, math.nan]):
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            ParticipationProfile(np.array(probs))
 
 
 def test_two_group_profile_structure():
