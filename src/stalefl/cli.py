@@ -248,7 +248,7 @@ def build_profile(cfg: dict[str, dict]) -> ParticipationProfile:
             raise ConfigError("participation.probs required for kind=explicit")
         return ParticipationProfile(np.array(p["probs"]))
     if p["kind"] == "two_group":
-        if p["p_min_group"] >= 1.0:
+        if p["p_min_group"] == 1.0:
             return ParticipationProfile(np.ones(p["n_clients"]))
         return make_two_group_profile(
             p["n_clients"], p["p_min_group"], p["group2_size"], p["seed"]

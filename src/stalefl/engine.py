@@ -42,7 +42,7 @@ import numpy as np
 
 from . import aggregation as agg
 from .aggregation import AggregatorConfig
-from .local_solver import LocalConfig, local_train
+from .local_solver import LocalConfig, local_train, lr_factor
 from .objectives import GLOBAL, Objective, SoftmaxObjective, all_finite, check_param
 from .participation import (
     NOISE_WORD,
@@ -204,7 +204,8 @@ def run(
     betas = np.array([cfgs[c].aggregator.staleness_weight for c in live[:stale_rows]])
     w = np.array([inits[c] for c in live])
     client_lrs = np.array([cfgs[c].local.client_lr for c in live])
-    server_lrs = np.array([[cfgs[c].server_lr] for c in live])
+    server_lrs = np.array([cfgs[c].server_lr for c in live])
+    server_lr = lr_factor(server_lrs, 2)
     slots = np.zeros((len(cfgs), n, obj.dim))
 
     columns = [{name: [] for name in METRIC_COLUMNS} for _ in cfgs]
@@ -312,8 +313,8 @@ def run(
             if metrics:
                 for c, d in zip(live, delta):
                     norms[c].append(agg.vector_norm(d))
-            # the bits of w -= server_lrs * delta: IEEE multiplication commutes
-            delta *= server_lrs
+            # the bits of w -= server_lr * delta: IEEE multiplication commutes
+            delta *= server_lr
             w -= delta
             if not all_finite(w):
                 for row in np.flatnonzero(~np.isfinite(w).all(axis=1)).tolist():
@@ -355,6 +356,7 @@ def run(
                     )
                 if not live:
                     break
+                server_lr = lr_factor(server_lrs, 2)
 
         # One loss and one accuracy call for the whole batch.
         results: list = errors.copy()

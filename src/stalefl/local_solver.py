@@ -63,15 +63,19 @@ def local_train(
     alone. engine builds the stream only when `obj.uses_rng` is true, and
     passes None to an exact oracle, which never draws.
 
-    All iterates take one step at a time through the oracle's batched kernel
-    `obj._stochastic_gradients`. A non-finite entry stays non-finite, so
-    their finiteness is checked once, after the K steps; only when that
+    All iterates take one step at a time through the round's gradient
+    kernel, which `obj._bind_stochastic_gradients` builds once a round on
+    the buffers of the local iterates and their gradients: every step writes
+    the gradients into the one gradient buffer, each row with the bits of
+    its call alone, and when every config shares one lr the step multiplies
+    by it as a 0-d array (`lr_factor`). A non-finite entry stays non-finite,
+    so their finiteness is checked once, after the K steps; only when that
     check fails are the steps replayed from `w_global`, on the recorded
-    draws, to find where each iterate first went non-finite. Returns the
-    deltas, w_global - local iterate after K steps, of shape (configs,
-    clients, dim), and per config the DivergenceError of its lowest-index
-    client that went non-finite, at that client's first non-finite step, or
-    None.
+    draws and through the same kernel, to find where each iterate first
+    went non-finite. Returns the deltas, w_global - local iterate after K
+    steps, of shape (configs, clients, dim), and per config the
+    DivergenceError of its lowest-index client that went non-finite, at
+    that client's first non-finite step, or None.
     """
     w_global = np.asarray(w_global, dtype=float)
     if w_global.ndim != 2 or w_global.shape[1] != obj.dim:
@@ -80,16 +84,19 @@ def local_train(
         )
     for i in clients:
         obj._check_client(i)
-    lr = np.asarray(client_lrs, dtype=float)[:, None, None]
+    lr = lr_factor(np.asarray(client_lrs, dtype=float), 3)
     draws = obj._draws(clients, cfg.batch_size, cfg.local_steps, rng)
-    w = _steps(obj, clients, w_global, lr, draws)
+    w = np.empty((len(w_global), len(clients), obj.dim))
+    g = np.empty(w.shape)
+    grads = obj._bind_stochastic_gradients(clients, w, g)
+    _steps(grads, w, g, w_global, lr, draws)
     errors: list[DivergenceError | None] = [None] * len(w_global)
     if not all_finite(w):
         # off the path of a finite round: a non-finite input also ends here
         if not np.isfinite(w_global).all():
             raise ValueError("global iterates contain non-finite entries")
         first_bad = np.full(w.shape[:2], -1)
-        _steps(obj, clients, w_global, lr, draws, first_bad)
+        _steps(grads, w, g, w_global, lr, draws, first_bad)
         for c, steps in enumerate(first_bad):
             hit = np.flatnonzero(steps >= 0)
             if len(hit):
@@ -98,22 +105,33 @@ def local_train(
     return np.subtract(w_global[:, None, :], w, out=w), errors
 
 
-def _steps(obj, clients, w_global, lr, draws, first_bad=None) -> np.ndarray:
-    """The iterates after one step per entry of `draws`, from `w_global`.
-    With `first_bad` given, also records in it, per (config, client), the
-    first step whose iterate is non-finite (entries left at -1 stay finite)."""
-    w = np.empty((len(w_global), len(clients), obj.dim))
+def _steps(grads, w, g, w_global, lr, draws, first_bad=None) -> None:
+    """Set `w` to the iterates after one step per entry of `draws`, from
+    `w_global`; `grads` is the kernel bound to `w` that writes each step's
+    gradients into `g`. With `first_bad` given, also records in it, per
+    (config, client), the first step whose iterate is non-finite (entries
+    left at -1 stay finite)."""
     w[...] = w_global[:, None, :]
-    g = np.empty_like(w)   # the gradient buffer the kernels may write into
+    multiply, subtract = np.multiply, np.subtract
     for k, sample in enumerate(draws):
-        g = obj._stochastic_gradients(clients, w, sample, g)
+        grads(sample)
         # the bits of w -= lr * g: IEEE multiplication commutes
-        g *= lr
-        w -= g
+        multiply(g, lr, g)
+        subtract(w, g, w)
         if first_bad is not None:
             bad = ~np.isfinite(w).all(axis=2)
             first_bad[bad & (first_bad < 0)] = k
-    return w
+
+
+def lr_factor(lrs: np.ndarray, ndim: int) -> np.ndarray:
+    """The factor that scales a stack of `ndim` axes, with one row per entry
+    of the 1-D `lrs`, by its row's lr: lrs[0] as a 0-d array when every
+    entry has that value, else `lrs` with ndim - 1 trailing unit axes. Both
+    give the bits of the per-row product; a 0-d array costs the least per
+    call (less than a Python float, which numpy converts on every call)."""
+    if len(lrs) == 1 or (lrs == lrs[0]).all():
+        return lrs[0, ...]
+    return lrs.reshape(len(lrs), *[1] * (ndim - 1))
 
 
 def pseudo_gradient(delta: np.ndarray, cfg: LocalConfig) -> np.ndarray:

@@ -108,13 +108,17 @@ class Objective:
     order of `clients` (for an exact oracle, which draws nothing, None).
     Client i's draws are row i of one block drawn for all N clients, so they
     depend on the stream and on i alone, never on which other clients are
-    asked for. `_stochastic_gradients(clients, w, sample, out)` is batched:
-    `w` has shape (configs, len(clients), dim), row (c, j) is config c's
-    iterate at client `clients[j]`, and `sample` is one item of `_draws`,
-    shared by every config. Each row's gradient has the same bits as the row
-    computed alone. It returns the gradients in `out`, an array of `w`'s
-    shape, where the kernel computes them row by row (the quadratic and the
-    hard instance), and in a new array where it does not (softmax).
+    asked for. `_bind_stochastic_gradients(clients, w, out)` is the binder:
+    local SGD calls it once a round, and it returns a function
+    `grads(sample)` for that round's steps. `w` has shape (configs,
+    len(clients), dim), row (c, j) is config c's iterate at client
+    `clients[j]`, and `out` is a C-contiguous float array of `w`'s shape.
+    The binder builds the views of `w` and `out`, the scratch buffers and
+    the per-client operators once; each `grads(sample)` call reads the
+    current values of `w`, which the caller may update in place between
+    steps, writes the gradients at `sample` (one item of `_draws`, shared by
+    every config) into `out` and returns `out`. Each row keeps the bits of
+    the row's call alone.
 
     A noisy quadratic draws an (N, steps, dim) normal block. A softmax
     objective draws an (N, steps, n_max) block of uniform keys, where n_max
@@ -122,10 +126,11 @@ class Objective:
     as the indices of its batch_size smallest keys: O(N * steps * n_max)
     whatever the batch size or the number of clients. It keeps its training
     samples in one flat array, so a round gathers every step's minibatch
-    rows with one index.
+    rows with one index, and compares every step's labels with the classes
+    in one call: its sample is a (minibatch rows, one-hot labels) pair.
 
     The public `stochastic_gradient(client, w, batch_size, rng)` is
-    `_draws([client], batch_size, 1, rng)` and its gradient, so each call
+    `_draws([client], batch_size, 1, rng)` and one bound step, so each call
     draws one step of that N-client block from `rng`: O(N) draws for one
     client's gradient. `estimate_stats` draws one block a probe for all
     clients instead of one per client and draw.
@@ -155,16 +160,14 @@ class Objective:
     def _draws(self, clients, batch_size: int, steps: int, rng: np.random.Generator | None):
         return [None] * steps
 
-    def _stochastic_gradients(
-        self, clients, w: np.ndarray, sample, out: np.ndarray,
-    ) -> np.ndarray:
+    def _bind_stochastic_gradients(self, clients, w: np.ndarray, out: np.ndarray):
         raise NotImplementedError
 
     def _one_stochastic_gradient(self, client, w, batch_size, rng) -> np.ndarray:
         """`stochastic_gradient` on a validated vector: a batch of one."""
         sample = self._draws([client], batch_size, 1, rng)[0]
         w = w[None, None]
-        return self._stochastic_gradients([client], w, sample, np.empty_like(w))[0, 0]
+        return self._bind_stochastic_gradients([client], w, np.empty(w.shape))(sample)[0, 0]
 
     def _validated(self, w: np.ndarray, client: int | None) -> np.ndarray:
         w = check_param(w, self.dim)
@@ -205,9 +208,13 @@ class QuadraticObjective(Objective):
         self.centers = [np.asarray(c, dtype=float) for c in centers]
         if len(self.hessians) != len(self.centers):
             raise ValueError("need one Hessian per center")
+        if not self.centers:
+            raise ValueError("need at least one client")
         if not (noise_var >= 0 and math.isfinite(noise_var)):
             raise ValueError(f"noise_var must be finite and >= 0, got {noise_var}")
         self.n_clients = len(self.hessians)
+        if self.centers[0].ndim != 1 or len(self.centers[0]) < 1:
+            raise ValueError("the centers must be vectors of at least one coordinate")
         self.dim = self.centers[0].shape[0]
         for i, (a, c) in enumerate(zip(self.hessians, self.centers)):
             if a.shape != (self.dim, self.dim) or c.shape != (self.dim,):
@@ -219,11 +226,20 @@ class QuadraticObjective(Objective):
             if np.linalg.eigvalsh(a)[0] <= 0:
                 raise ValueError("Hessians must be positive definite")
         self.noise_var = float(noise_var)
+        # Each client's matvec, with the bits of `_client_gradient`'s matmul:
+        # a stacked product runs gemm, whose bits may differ. At dim >= 2,
+        # `ndarray.dot` reaches the same cblas_dgemv as `np.matmul` without
+        # the gufunc's dispatch. At dim 1 numpy sends matmul to ddot, which
+        # gives +0.0 for a -0.0 product, and dot to a scalar multiply, which
+        # gives -0.0; so dim 1 keeps matmul.
+        self._matvecs = [
+            a.dot if self.dim > 1 else partial(np.matmul, a) for a in self.hessians
+        ]
 
     @classmethod
     def isotropic(cls, centers: list, noise_var: float = 0.0) -> "QuadraticObjective":
         centers = [np.asarray(c, dtype=float) for c in centers]
-        d = centers[0].shape[0]
+        d = centers[0].shape[0] if centers else 0
         return cls([np.eye(d)] * len(centers), centers, noise_var)
 
     @property
@@ -253,21 +269,26 @@ class QuadraticObjective(Objective):
         noise = rng.normal(0.0, sd, size=(self.n_clients, steps, self.dim))
         return noise[clients].swapaxes(0, 1)
 
-    def _stochastic_gradients(self, clients, w, sample, out):
-        # One matvec per row, with the bits of `_client_gradient`'s matmul: a
-        # stacked product runs gemm, whose bits may differ. At dim >= 2,
-        # `ndarray.dot` reaches the same cblas_dgemv as `np.matmul` without
-        # the gufunc's dispatch. At dim 1 numpy sends matmul to ddot, which
-        # gives +0.0 for a -0.0 product, and dot to a scalar multiply, which
-        # gives -0.0; so dim 1 keeps matmul.
-        for j, i in enumerate(clients):
-            a, c = self.hessians[i], self.centers[i]
-            matvec = a.dot if self.dim > 1 else partial(np.matmul, a)
-            for row in range(len(w)):
-                matvec(w[row, j] - c, out=out[row, j])
-        if self.noise_var != 0.0:
-            out += sample
-        return out
+    def _bind_stochastic_gradients(self, clients, w, out):
+        # One matvec per (config, client) row, on that row's views of `w`
+        # and `out`, through one residual buffer.
+        rows = [
+            (w[row, j], self.centers[i], self._matvecs[i], out[row, j])
+            for j, i in enumerate(clients) for row in range(len(w))
+        ]
+        r = np.empty(self.dim)
+        subtract, add = np.subtract, np.add
+        noisy = self.noise_var != 0.0
+
+        def grads(sample):
+            for x, c, matvec, o in rows:
+                subtract(x, c, r)
+                matvec(r, o)
+            if noisy:
+                add(out, sample, out)
+            return out
+
+        return grads
 
     def global_minimizer(self) -> np.ndarray:
         a_bar = np.mean(self.hessians, axis=0)
@@ -420,14 +441,27 @@ class SoftmaxObjective(Objective):
         # a non-contiguous row need not have the bits of the 1-D mean.
         return -np.ascontiguousarray(logp[..., np.arange(len(y)), y]).mean(axis=-1)
 
-    def _samples_grad(self, w_mat: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Mean cross-entropy gradient over the samples (x, y). Leading axes
-        of `w_mat`, `x` and `y` are batch axes and broadcast; np.matmul
+    @staticmethod
+    def _samples_grad(
+        w_t: np.ndarray, x: np.ndarray, onehot: np.ndarray, out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Mean cross-entropy gradient, in `out` if given, over the samples
+        `x` (..., n, features + 1) with one-hot labels `onehot` (..., n,
+        classes), at the transposed weights `w_t` (..., features + 1,
+        classes). Leading axes are batch axes and broadcast; np.matmul
         computes each batch element with the bits of the 2-D product."""
-        p = np.exp(self._log_softmax(x @ w_mat.swapaxes(-1, -2)))
+        z = x @ w_t
+        # The row max, reduced over the leading axis of a class-major copy,
+        # costs less than z.max(axis=-1) over a short last axis. A max is
+        # exact, so only the sign of a zero max can differ, and the zero
+        # logits it shifts to +-0 still give p = exp(+-0) = 1: p keeps the
+        # bits of np.exp(self._log_softmax(z)).
+        z -= np.maximum.reduce(np.ascontiguousarray(np.moveaxis(z, -1, 0)), axis=0)[..., None]
+        z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        p = np.exp(z, out=z)
         # p - 1 at each sample's label and p - 0 elsewhere: p's bits then.
-        p -= y[..., None] == self._classes
-        return (p.swapaxes(-1, -2) @ x) / y.shape[-1]
+        p -= onehot
+        return np.divide(p.swapaxes(-1, -2) @ x, onehot.shape[-2], out=out)
 
     def loss(self, w: np.ndarray, client: int | None = GLOBAL) -> float | np.ndarray:
         return self._oracle(self._loss, w, client)
@@ -443,7 +477,8 @@ class SoftmaxObjective(Objective):
 
     def _client_gradient(self, w, client):
         x, y = self.train_x[client], self.train_y[client]
-        return self._samples_grad(self._unpack(w), x, y).reshape(w.shape)
+        w_t = self._unpack(w).swapaxes(-1, -2)
+        return self._samples_grad(w_t, x, y[:, None] == self._classes).reshape(w.shape)
 
     def _minibatches(self, clients, batch_size, steps, rng):
         """The (steps, len(clients), batch_size) sample indices of a round:
@@ -462,14 +497,23 @@ class SoftmaxObjective(Objective):
 
     def _draws(self, clients, batch_size, steps, rng):
         # One gather: the (steps, P, batch_size) flat row indices give
-        # C-contiguous (P, batch_size, features + 1) rows for every step.
+        # C-contiguous (P, batch_size, features + 1) rows for every step,
+        # and one compare every step's (P, batch_size, classes) labels.
         rows = self._minibatches(clients, batch_size, steps, rng)
         rows = rows + self._offsets[clients][:, None]
-        return list(zip(self._flat_x[rows], self._flat_y[rows]))
+        onehot = self._flat_y[rows][..., None] == self._classes
+        return list(zip(self._flat_x[rows], onehot))
 
-    def _stochastic_gradients(self, clients, w, sample, out):
-        x, y = sample
-        return self._samples_grad(self._unpack(w), x, y).reshape(w.shape)
+    def _bind_stochastic_gradients(self, clients, w, out):
+        w_t = self._unpack(w).swapaxes(-1, -2)
+        out_mat = self._unpack(out)   # a view: `out` is C-contiguous
+
+        def grads(sample):
+            x, onehot = sample
+            self._samples_grad(w_t, x, onehot, out_mat)
+            return out
+
+        return grads
 
     def test_accuracy(self, w: np.ndarray) -> float | np.ndarray:
         """The share of held-out samples whose largest logit is their label's.
@@ -539,9 +583,9 @@ def estimate_stats(
     for p in probes:
         g_full = np.stack([obj.gradient(p, i) for i in clients])
         w = np.broadcast_to(p, (1, obj.n_clients, obj.dim))
-        out = np.empty(w.shape)
+        grads = obj._bind_stochastic_gradients(clients, w, np.empty(w.shape))
         dev = np.mean([
-            np.sum((obj._stochastic_gradients(clients, w, sample, out)[0] - g_full) ** 2, axis=1)
+            np.sum((grads(sample)[0] - g_full) ** 2, axis=1)
             for sample in obj._draws(clients, batch_size, n_noise_draws, rng)
         ], axis=0)
         sigma_sq = max(sigma_sq, float(dev.max()))

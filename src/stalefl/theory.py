@@ -163,10 +163,24 @@ def _tridiagonal_product(
     main diagonal `diag` and off-diagonal `off`, in `out` if given. Every op
     is elementwise, so each point of a stack gets the bits of its call
     alone."""
-    aw = np.multiply(diag, w, out=out)
-    aw[..., 1:] += off * w[..., :-1]
-    aw[..., :-1] += off * w[..., 1:]
-    return aw
+    out = np.empty(w.shape) if out is None else out
+    return _bind_tridiagonal_product(diag, off, w, out, np.empty(out[..., 1:].shape))()
+
+
+def _bind_tridiagonal_product(diag, off, w, out, scratch):
+    """A function that writes A w, for the current values of `w`, into
+    `out` and returns it, with its views of `w` and `out` made once and the
+    off-diagonal products written to `scratch`, of `out[..., 1:]`'s shape."""
+    w_lo, w_hi, out_lo, out_hi = w[..., :-1], w[..., 1:], out[..., :-1], out[..., 1:]
+    multiply, add = np.multiply, np.add
+
+    def product():
+        multiply(diag, w, out)
+        add(out_hi, multiply(off, w_lo, scratch), out_hi)
+        add(out_lo, multiply(off, w_hi, scratch), out_lo)
+        return out
+
+    return product
 
 
 class HardInstance(Objective):
@@ -274,16 +288,30 @@ class HardInstance(Objective):
         diag, off, lin = form
         return _tridiagonal_product(diag, off, w) + lin
 
-    def _stochastic_gradients(self, clients, w, sample, out):
+    def _bind_stochastic_gradients(self, clients, w, out):
+        # per participant, its gradient rows and the bound product and linear
+        # term of its form, or None for a client whose objective is zero; the
+        # products share one scratch buffer
+        scratch = np.empty((len(out), self.dim - 1))
+        terms = []
         for j, i in enumerate(clients):
-            form = self._forms.get(i)
+            form, g = self._forms.get(i), out[:, j]
             if form is None:
-                out[:, j] = 0.0
+                terms.append((g, None, None))
             else:
                 diag, off, lin = form
-                g = _tridiagonal_product(diag, off, w[:, j], out[:, j])
-                g += lin
-        return out
+                terms.append((g, _bind_tridiagonal_product(diag, off, w[:, j], g, scratch), lin))
+        add = np.add
+
+        def grads(sample):
+            for g, product, lin in terms:
+                if product is None:
+                    g.fill(0.0)
+                else:
+                    add(product(), lin, g)
+            return out
+
+        return grads
 
     def global_minimizer(self) -> np.ndarray:
         """argmin F in closed form: w_i = (m+1-i)/(m+1) on the first m = 2t+1

@@ -9,8 +9,13 @@ the hard instance's client and global forms as dense matrices, one
 squared-difference term at a time, to check its banded oracles against;
 `hard_instance_minimizer` solves the dense global form for its minimizer, and
 `minimize_gradient_norm_in_span` minimizes its gradient norm over a span by
-least squares.
+least squares. `quadratic_row_gradients`, `tridiagonal_product` and
+`softmax_samples_grad` are the per-row quadratic matvec, the banded product
+and the z.max(axis=-1) softmax gradient as local SGD computed them before
+its kernels were bound once a round: the bound kernels must keep their bits.
 """
+
+from functools import partial
 
 import numpy as np
 
@@ -99,3 +104,36 @@ def minimize_gradient_norm_in_span(instance, k):
     w = np.zeros(instance.dim)
     w[: k - 1] = x
     return float(np.sum((b @ w + lin) ** 2)), w
+
+
+def quadratic_row_gradients(hessians, centers, clients, w):
+    """The gradients of a (configs, len(clients), dim) stack of iterates,
+    one matvec a row on a fresh residual: `ndarray.dot` at dim >= 2 and
+    `np.matmul` at dim 1."""
+    out = np.empty(np.shape(w))
+    for j, i in enumerate(clients):
+        a, c = hessians[i], centers[i]
+        matvec = a.dot if len(c) > 1 else partial(np.matmul, a)
+        for row in range(len(w)):
+            matvec(w[row, j] - c, out=out[row, j])
+    return out
+
+
+def tridiagonal_product(diag, off, w):
+    """A w over the last axis of `w`, for the symmetric tridiagonal A with
+    main diagonal `diag` and off-diagonal `off`, with a temporary a term."""
+    aw = np.multiply(diag, w)
+    aw[..., 1:] += off * w[..., :-1]
+    aw[..., :-1] += off * w[..., 1:]
+    return aw
+
+
+def softmax_samples_grad(w_mat, x, y, n_classes):
+    """Mean cross-entropy gradient over the samples (x, y) at the weights
+    `w_mat` (..., classes, features + 1), shifting the logits by
+    z.max(axis=-1)."""
+    z = x @ w_mat.swapaxes(-1, -2)
+    z = z - z.max(axis=-1, keepdims=True)
+    p = np.exp(z - np.log(np.exp(z).sum(axis=-1, keepdims=True)))
+    p -= y[..., None] == np.arange(n_classes)
+    return (p.swapaxes(-1, -2) @ x) / y.shape[-1]

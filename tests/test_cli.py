@@ -1,11 +1,14 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from stalefl import cli
 from stalefl.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGENCE,
+    EXIT_OK,
     ConfigError,
     load_config,
     main,
@@ -588,6 +591,24 @@ BAD_INPUTS = {
         )
         for value in ("-0.5", "1", "nan")
     },
+    # Exactly 1 means full participation; a larger group probability used
+    # to mean it too and run silently.
+    **{
+        f"{command}_p_min_group_{value}": (
+            command, "cfg.ini", QUAD_RUN, ["--set", f"participation.p_min_group={value}"], None,
+        )
+        for command in ("run", "repeat")
+        for value in ("1.5", "inf")
+    },
+    # No client, or clients with no coordinate, used to raise an uncaught
+    # IndexError (exit 1).
+    **{
+        f"run_centers_{name}": (
+            "run", "cfg.ini", QUAD_RUN.replace("hessians = 1,0.5; 0.5,1\n", ""),
+            ["--set", f"objective.centers={value}"], None,
+        )
+        for name, value in (("empty", ""), ("two_empty_rows", ";"))
+    },
 }
 
 
@@ -615,3 +636,118 @@ def test_a_seed_outside_the_key_range_is_named(tmp_path, capsys, name):
     # included, whose noise streams numpy could not seed from -1.
     assert run_bad_input(tmp_path, name) == EXIT_CONFIG
     assert "master_seed must lie in [0, 2^64)" in capsys.readouterr().err
+
+
+def test_full_participation_at_a_group_probability_of_one(tmp_path):
+    path = write(tmp_path, QUAD_RUN.replace("rounds = 30", "rounds = 3"))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out),
+                 "--set", "participation.p_min_group=1"]) == EXIT_OK
+    assert (out / "trace.csv").read_text() == trace_csv(3, 2)
+
+
+# Every float-valued key is checked with nan, inf and -inf on every
+# subcommand that reads it, on configs of at most 3 rounds. Base configs:
+# name -> (config text, n_clients).
+NON_FINITE_BASES = {
+    "quadratic": (QUAD_RUN.replace("rounds = 30", "rounds = 3"), 2),
+    "softmax": (
+        GRID_SMALL.split("[grid]")[0].replace("server_lr = 1.0", "server_lr = 1.0\nrounds = 3")
+        + "\n[aggregator]\nrule = fedstale\nbeta = 0.5\n", 4,
+    ),
+    "hard_instance": (
+        "[objective]\nkind = hard_instance\ndim = 21\nhorizon = 10\n"
+        "\n[local]\nlocal_steps = 1\nclient_lr = 0.1\n\n[run]\nrounds = 3\n", 2,
+    ),
+    "grid": (GRID_SMALL.replace("server_lr = 1.0", "server_lr = 1.0\nrounds = 3"), 4),
+    "theory": (THEORY, None),
+    "lowerbound": (LOWERBOUND.replace("rounds = 100", "rounds = 3"), None),
+}
+RUNS = ("run", "replay", "repeat")
+# (section, key) -> the (subcommand, base, overrides) under which the key is
+# read. aggregator.weight_cap is read only under estimated weights; grid
+# cells start at zeros, so grid does not read run.init.
+NON_FINITE_READERS = {
+    **{("objective", k): [(c, "quadratic", []) for c in RUNS]
+       for k in ("noise_var", "centers", "hessians")},
+    ("objective", "swap_fraction"): [(c, "softmax", []) for c in RUNS],
+    **{("objective", k): [(c, "softmax", []) for c in RUNS] + [("grid", "grid", [])]
+       for k in ("holdout_fraction", "cluster_std")},
+    ("objective", "smoothness"): [(c, "hard_instance", []) for c in RUNS],
+    ("participation", "p_min_group"): [(c, "quadratic", []) for c in RUNS] + [("grid", "grid", [])],
+    ("participation", "probs"): [
+        (c, "quadratic", ["participation.kind=explicit"]) for c in RUNS
+    ] + [("grid", "grid", ["participation.kind=explicit"])],
+    **{(s, k): [(c, "quadratic", []) for c in RUNS]
+       + [("grid", "grid", []), ("theory", "theory", [])]
+       for s, k in (("local", "client_lr"), ("run", "server_lr"))},
+    ("aggregator", "beta"): [(c, "quadratic", []) for c in RUNS],
+    ("aggregator", "weight_cap"): [
+        (c, "quadratic", ["aggregator.weights_source=estimator"]) for c in RUNS
+    ],
+    ("run", "init"): [(c, "quadratic", []) for c in RUNS],
+    **{("grid", k): [("grid", "grid", [])]
+       for k in ("ratios", "swap_fractions", "betas", "client_lr_grid")},
+    **{("theory", k): [("theory", "theory", [])]
+       for k in ("smoothness", "sigma_sq", "sg_sq", "p_var", "p_avg", "p_min",
+                 "f_init_gap", "h_init", "a1", "a2", "betas")},
+    **{("lowerbound", k): [("lowerbound", "lowerbound", [])] for k in ("smoothness", "p_min")},
+}
+# A list key's value is a valid list with its first entry replaced.
+NON_FINITE_LISTS = {
+    ("objective", "centers"): "5, 0; 0, 5", ("objective", "hessians"): "1, 0.5; 0.5, 1",
+    ("participation", "probs"): "0.5, 1", ("run", "init"): "-10, -10",
+    ("grid", "ratios"): "1, 3", ("grid", "swap_fractions"): "0, 0.5", ("grid", "betas"): "0, 1",
+    ("grid", "client_lr_grid"): "0.05, 0.1", ("theory", "betas"): "0, 0.5, 1",
+}
+# The non-finite values the program accepts on purpose.
+NON_FINITE_ALLOWED = {("theory", "p_var", "inf"), ("aggregator", "weight_cap", "inf")}
+FLOAT_PARSERS = (float, cli.float_list, cli.float_rows, cli.zeros_or_floats)
+
+
+def test_every_float_key_has_a_non_finite_case():
+    float_keys = {
+        (section, key) for section, keys in cli._SCHEMA.items()
+        for key, (parse, _) in keys.items() if parse in FLOAT_PARSERS
+    }
+    assert set(NON_FINITE_READERS) == float_keys
+
+
+NON_FINITE_CASES = [
+    (section, key, command, base, sets)
+    for (section, key), readers in NON_FINITE_READERS.items()
+    for command, base, sets in readers
+]
+
+
+def non_finite_case(tmp_path, section, key, command, base, sets, value):
+    """Run `command` on `base` with `sets` and `section.key` set to `value`
+    (in a valid list, for a list key); with `value` None, a list key gets the
+    valid list and a scalar key its base value."""
+    text, n_clients = NON_FINITE_BASES[base]
+    argv = [command, "--config", str(write(tmp_path, text)), "--out", str(tmp_path / "o")]
+    valid = NON_FINITE_LISTS.get((section, key))
+    if valid is not None:
+        value = valid if value is None else re.sub(r"[^,;\s]+", value, valid, count=1)
+    if value is not None:
+        sets = [*sets, f"{section}.{key}={value}"]
+    for item in sets:
+        argv += ["--set", item]
+    if command == "replay":
+        argv += ["--trace", str(write(tmp_path, trace_csv(3, n_clients), "trace.csv"))]
+    if command == "grid":
+        argv += ["--threads", "1"]
+    return main(argv)
+
+
+@pytest.mark.parametrize("section,key,command,base,sets", NON_FINITE_CASES)
+def test_the_non_finite_cases_run_with_finite_values(tmp_path, section, key, command, base, sets):
+    # so that each case's exit 2 comes from the value it sets
+    assert non_finite_case(tmp_path, section, key, command, base, sets, None) == EXIT_OK
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section,key,command,base,sets", NON_FINITE_CASES)
+def test_a_non_finite_float_is_a_config_error(tmp_path, section, key, command, base, sets, value):
+    expected = EXIT_OK if (section, key, value) in NON_FINITE_ALLOWED else EXIT_CONFIG
+    assert non_finite_case(tmp_path, section, key, command, base, sets, value) == expected

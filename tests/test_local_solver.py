@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from stalefl.local_solver import (
@@ -160,7 +161,9 @@ def test_softmax_clients_draw_one_block_of_keys_a_round():
         w_i = w[0].copy()
         for k in range(cfg.local_steps):
             rows = batches[k, j]
-            g = obj._samples_grad(obj._unpack(w_i), obj.train_x[i][rows], obj.train_y[i][rows])
+            g = oracles.softmax_samples_grad(
+                obj._unpack(w_i), obj.train_x[i][rows], obj.train_y[i][rows], obj.n_classes,
+            )
             w_i = w_i - cfg.client_lr * g.ravel()
         assert deltas[0, j].tobytes() == (w[0] - w_i).tobytes()
 

@@ -2,6 +2,7 @@ import itertools
 import math
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -119,6 +120,18 @@ def test_quadratic_rejects_non_finite_inputs(value):
         QuadraticObjective.isotropic([np.array([value, 0.0]), np.array([0.0, 1.0])])
 
 
+def test_quadratic_rejects_no_clients_and_no_coordinates():
+    with pytest.raises(ValueError, match="at least one client"):
+        QuadraticObjective([], [])
+    with pytest.raises(ValueError, match="at least one client"):
+        QuadraticObjective.isotropic([])
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            QuadraticObjective([np.zeros((0, 0))] * n, [np.zeros(0)] * n)
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        QuadraticObjective([np.eye(1)], [np.float64(1.0)])
+
+
 def test_swap_counts_exact():
     ds = small_dataset(swap=0.5, samples=400)
     unswapped = small_dataset(swap=0.0, samples=400)
@@ -167,18 +180,20 @@ def test_softmax_full_batch_equals_gradient():
 def test_softmax_singleton_batches_average_to_gradient():
     obj = small_softmax()
     w = np.random.default_rng(2).normal(size=obj.dim)
-    x, y = obj.train_x[0], obj.train_y[0]
-    singles = [obj._samples_grad(obj._unpack(w), x[i : i + 1], y[i : i + 1]).ravel()
-               for i in range(len(y))]
+    x, y, w_mat = obj.train_x[0], obj.train_y[0], obj._unpack(w)
+    singles = [
+        oracles.softmax_samples_grad(w_mat, x[i : i + 1], y[i : i + 1], obj.n_classes).ravel()
+        for i in range(len(y))
+    ]
     np.testing.assert_allclose(np.mean(singles, axis=0), obj.gradient(w, 0), atol=1e-12)
 
 
 def test_softmax_batch_enumeration_unbiased():
     obj = small_softmax(samples=7)
     w = np.random.default_rng(3).normal(size=obj.dim)
-    x, y = obj.train_x[0], obj.train_y[0]
+    x, y, w_mat = obj.train_x[0], obj.train_y[0], obj._unpack(w)
     batches = [
-        obj._samples_grad(obj._unpack(w), x[list(c)], y[list(c)]).ravel()
+        oracles.softmax_samples_grad(w_mat, x[list(c)], y[list(c)], obj.n_classes).ravel()
         for c in itertools.combinations(range(len(y)), 3)
     ]
     np.testing.assert_allclose(np.mean(batches, axis=0), obj.gradient(w, 0), atol=1e-12)
@@ -222,9 +237,10 @@ def test_softmax_draws_with_unequal_sample_counts():
         for j, i in enumerate(clients):
             b = batches[:, j]
             assert (np.diff(b, axis=1) > 0).all() and b.min() >= 0 and b.max() < sizes[i]
-            for k, (x, y) in enumerate(draws):
+            for k, (x, onehot) in enumerate(draws):
                 assert x[j].tobytes() == obj.train_x[i][b[k]].tobytes()
-                assert y[j].tobytes() == obj.train_y[i][b[k]].tobytes()
+                labels = obj.train_y[i][b[k]][:, None] == np.arange(3)
+                assert onehot[j].tobytes() == labels.tobytes()
         assert (batches[:, 1] == np.arange(3)).all()
     # the smallest asked-for client bounds the batch size
     with pytest.raises(ValueError, match=r"batch_size must be in \[1, 7\]"):
@@ -431,9 +447,11 @@ KERNEL_ENTRIES = st.one_of(SMALL_ENTRIES, st.sampled_from([1e300, -1e300, 1e-300
 
 @st.composite
 def quadratic_kernel_cases(draw):
-    """An exact quadratic of dim 1-8, a round's ascending clients and a
-    (configs, clients, dim) stack of iterates, C-ordered, strided or
-    Fortran-ordered."""
+    """An exact or noisy quadratic of dim 1-8, a round's ascending clients,
+    a (configs, clients, dim) stack of iterates, C-ordered, strided,
+    Fortran-ordered or a read-only broadcast of one point (as
+    `estimate_stats` binds), and 1-3 steps: per step, the values written
+    into the stack's storage and the step's noise sample."""
     dim, n = draw(st.integers(1, 8)), draw(st.integers(1, 3))
 
     def entries(*shape, values=KERNEL_ENTRIES):
@@ -449,35 +467,113 @@ def quadratic_kernel_cases(draw):
         a = np.where(upper, m, m.T)
         a[np.diag_indices(dim)] = np.abs(a).sum(axis=1) + draw(st.floats(0.5, 10.0))
         hessians.append(a * draw(st.sampled_from([1.0, 1e-300, 1e300])))
-    obj = QuadraticObjective(hessians, list(entries(n, dim)))
+    noise_var = draw(st.sampled_from([0.0, 0.5]))
+    obj = QuadraticObjective(hessians, list(entries(n, dim)), noise_var)
     clients = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
     shape = (draw(st.integers(1, 3)), len(clients), dim)
-    w = entries(*shape)
-    layout = draw(st.sampled_from(["contiguous", "strided", "fortran"]))
-    if layout == "strided":
-        wide = np.full(shape[:2] + (2 * dim,), np.nan)
-        wide[..., ::2] = w
-        w = wide[..., ::2]
-    elif layout == "fortran":
-        w = np.asfortranarray(w)
-    return obj, clients, w
+    layout = draw(st.sampled_from(["contiguous", "strided", "fortran", "broadcast"]))
+    if layout == "broadcast":
+        store = np.empty(dim)
+        w = np.broadcast_to(store, shape)
+    elif layout == "strided":
+        w = np.full(shape[:2] + (2 * dim,), np.nan)[..., ::2]
+        store = w
+    else:
+        w = np.empty(shape, order="F" if layout == "fortran" else "C")
+        store = w
+    steps = [
+        (entries(*store.shape), entries(len(clients), dim) if noise_var else None)
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return obj, clients, w, store, steps
 
 
 # dim 1: -0.0 - 0.0 is -0.0, and 1 * -0.0 is -0.0 alone but +0.0 in a sum
-@example((QuadraticObjective([np.eye(1)], [np.zeros(1)]), [0], np.full((2, 1, 1), -0.0)))
+# (the stack is its own storage)
+@example((
+    QuadraticObjective([np.eye(1)], [np.zeros(1)]), [0], *[np.empty((2, 1, 1))] * 2,
+    [(np.full((2, 1, 1), -0.0), None)],
+))
 @settings(max_examples=200, deadline=None)
 @given(quadratic_kernel_cases())
 def test_quadratic_kernel_rows_have_the_bits_of_client_gradients(case):
-    # Local SGD takes its gradients from the batched kernel, the metrics and
-    # the public `gradient` from `_client_gradient`: every row must agree
-    # bit for bit, at dim 1 too, where BLAS calls differ on a -0.0 product.
-    obj, clients, w = case
+    # Local SGD binds the kernel once a round and steps it on iterates it
+    # updates in place. At every step every row must have the bits of
+    # `_client_gradient` on that row alone and of one matvec a row, at dim 1
+    # too, where BLAS calls differ on a -0.0 product.
+    obj, clients, w, store, steps = case
     out = np.empty(w.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = obj._stochastic_gradients(clients, w, None, out)
+        grads = obj._bind_stochastic_gradients(clients, w, out)
+        for values, sample in steps:
+            store[...] = values
+            assert grads(sample) is out
+            expected = oracles.quadratic_row_gradients(obj.hessians, obj.centers, clients, w)
+            for row, j in itertools.product(range(len(w)), range(len(clients))):
+                alone = obj._client_gradient(np.array(w[row, j]), clients[j])
+                if sample is not None:
+                    expected[row, j] += sample[j]
+                    alone += sample[j]
+                assert out[row, j].tobytes() == expected[row, j].tobytes(), (row, j)
+                assert out[row, j].tobytes() == alone.tobytes(), (row, j)
+            out *= 0.5   # local SGD scales the gradients in place between steps
+
+
+def test_bound_hard_instance_kernel_keeps_the_bits_of_the_banded_product():
+    # Client 2 has no form: its rows are zero at every step, whatever the
+    # caller left in them.
+    obj = HardInstance(21, 10, 1.0, 3)
+    rng = np.random.default_rng(7)
+    for clients in ([0, 1, 2], [2, 0], [1]):
+        w = np.empty((3, len(clients), obj.dim))
+        out = np.full(w.shape, np.nan)
+        grads = obj._bind_stochastic_gradients(clients, w, out)
+        for _ in range(4):
+            w[...] = rng.normal(size=w.shape) * rng.choice([1.0, 1e-300, 1e300], size=w.shape)
+            w[rng.random(w.shape) < 0.2] = -0.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert grads(None) is out
+                for j, i in enumerate(clients):
+                    if i == 2:
+                        expected = np.zeros(w[:, j].shape)
+                    else:
+                        diag, off, lin = obj._forms[i]
+                        expected = oracles.tridiagonal_product(diag, off, w[:, j]) + lin
+                    assert out[:, j].tobytes() == expected.tobytes(), (clients, i)
+                    for row in range(len(w)):
+                        alone = obj._gradient(np.array(w[row, j]), i)
+                        assert out[row, j].tobytes() == alone.tobytes(), (clients, i, row)
+            out[...] = np.nan
+
+
+def test_bound_softmax_kernel_keeps_the_bits_of_the_row_max_gradient():
+    # The bound kernel shifts each sample's logits by a max reduced over a
+    # class-major copy; it must keep the bits of the z.max(axis=-1) kernel,
+    # at w = 0, where every logit is +-0, and where the logits lie more than
+    # 745 apart, so the log-sum-exp is exactly 0 (at a zero max, too).
+    obj = unequal_softmax(sizes=(5, 9, 4))
+    clients = [2, 0]
+    rng = np.random.default_rng(9)
+    w = np.empty((3, len(clients), obj.dim))
+    out = np.empty(w.shape)
+    w_mat = obj._unpack(w)
+    values = [np.where(rng.random(w.shape) < 0.5, -0.0, 0.0)]
+    for bias in (800.0, -800.0):
+        far = np.where(rng.random(w_mat.shape) < 0.5, -0.0, 0.0)
+        far[..., 0 if bias > 0 else slice(1, None), -1] = bias
+        values.append(far.reshape(w.shape))
+    values.append(rng.normal(size=w.shape))
+    draws = obj._draws(clients, 3, len(values), np.random.default_rng(3))
+    grads = obj._bind_stochastic_gradients(clients, w, out)
+    for value, (x, onehot) in zip(values, draws):
+        w[...] = value
+        assert grads((x, onehot)) is out
+        y = onehot.argmax(axis=-1)
+        expected = oracles.softmax_samples_grad(w_mat, x, y, obj.n_classes).reshape(w.shape)
+        assert out.tobytes() == expected.tobytes()
         for row, j in itertools.product(range(len(w)), range(len(clients))):
-            alone = obj._client_gradient(np.array(w[row, j]), clients[j])
-            assert got[row, j].tobytes() == alone.tobytes(), (row, j)
+            alone = oracles.softmax_samples_grad(obj._unpack(w[row, j]), x[j], y[j], obj.n_classes)
+            assert out[row, j].tobytes() == alone.ravel().tobytes(), (row, j)
 
 
 def test_stacked_oracles_check_shapes():
