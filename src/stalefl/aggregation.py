@@ -68,14 +68,15 @@ def _check_round(
 ) -> None:
     """Check a round's participants, updates and memory, and fedstale's
     betas: one value, or one per leading entry of the updates."""
-    if deltas.shape[-2] != len(clients):
-        raise ValueError(f"{len(clients)} clients but {deltas.shape[-2]} update rows")
-    for a, b in zip(clients, clients[1:]):
-        if a >= b:
+    shape = deltas.shape
+    if shape[-2] != len(clients):
+        raise ValueError(f"{len(clients)} clients but {shape[-2]} update rows")
+    for k in range(1, len(clients)):
+        if clients[k - 1] >= clients[k]:
             raise ValueError(f"client indices {list(clients)} are not ascending and distinct")
     if slots is None:
         return
-    lead = deltas.shape[:-2]
+    lead = shape[:-2]
     if slots.shape[:-2] != lead or (beta is not None and beta.ndim and beta.shape != lead):
         betas = "" if beta is None else f" and betas of shape {beta.shape}"
         raise DimensionMismatchError(
@@ -127,11 +128,11 @@ def fedstale(
     """
     beta = np.asarray(beta, dtype=float)
     values = beta.ravel().tolist()
-    # One beta is kept as a float, which broadcasts like the array at a
-    # smaller per-call cost.
+    # One beta is held as a 0-d array, which broadcasts like a float; numpy
+    # would convert a float on each use.
     if len(values) == 1:
-        b = values[0]
-        in_range = 0.0 <= b <= 1.0
+        b = beta.reshape(())
+        in_range = 0.0 <= values[0] <= 1.0
     else:
         b = beta[..., None]
         in_range = all(0.0 <= v <= 1.0 for v in values)
@@ -141,18 +142,28 @@ def fedstale(
     # At beta=0 the stale terms are zero; when every beta is 0, skipping
     # them changes no bit.
     stale = any(values)
-    n_clients = slots.shape[-2]
     fresh = np.zeros(deltas.shape[:-2] + deltas.shape[-1:])
+    # A stale participant's term w_i * (d_i - b * h_i) is built in place in
+    # one buffer of this call's own; `deltas` is only read (engine passes
+    # local SGD's buffer). Without stale terms, w_i * d_i gets a new array.
+    term = np.empty(fresh.shape) if stale else None
+    multiply, subtract, add, divide = np.multiply, np.subtract, np.add, np.divide
     for k, i in enumerate(clients):
         d = deltas[..., k, :]
         if stale:
-            d = d - b * slots[..., i, :]
-        fresh += weights[i] * d
-    fresh /= n_clients
+            d = subtract(d, multiply(b, slots[..., i, :], term), term)
+        add(fresh, multiply(weights[i], d, term), fresh)
+    # N as a 0-d float array: the bits of dividing by the int, at less cost
+    n_clients = np.array(float(slots.shape[-2]))
+    divide(fresh, n_clients, fresh)
     if not stale:
         return fresh
-    # ndarray.sum's reduction without its Python wrapper
-    update = b * np.add.reduce(slots, axis=-2) / n_clients + fresh
+    # ndarray.sum's reduction without its Python wrapper, then in place the
+    # bits of b * sum / N + fresh (IEEE products and sums commute)
+    update = np.add.reduce(slots, -2)
+    multiply(update, b, update)
+    divide(update, n_clients, update)
+    add(update, fresh, update)
     if not all(values):
         # A beta=0 entry among stale ones: its loop terms d - 0*h sum to the
         # bits of d (the sum starts at +0.0, so a flipped signed zero never

@@ -15,6 +15,16 @@ Round t's local noise (minibatches, or a noisy oracle's noise) comes from one
 Philox stream keyed (key_word(master_seed, NOISE_WORD) << 64) | t for all
 its participants. A run builds one bit generator and re-keys it each round.
 
+Under uneven participation most rounds repeat an earlier round's
+participant set, so a run keeps one dict of local-SGD plans (the gradient
+kernel and buffers bound to a set, see `local_solver`) and passes it to
+`local_train`: a kernel is bound once per participant set per run, for at
+most `local_solver.PLAN_LIMIT` sets at a time. A round's deltas live in its
+plan's buffer until the next round of the same set; the round aggregates
+them and copies them into the memory before then. The dict is cleared when
+configs drop out of the batch, since a plan's buffers have one row per
+config.
+
 Each round aggregates the whole batch at once: one rule call per rule family
 on the batch's stacked updates and (configs, N, dim) memory, one server
 step, one finiteness check and one memory refresh. Work per config runs only
@@ -220,6 +230,7 @@ def run(
         )
         noise_state = noise_rng.bit_generator.state   # key word 0 is the round
     work = cfg.local.local_steps * cfg.local.batch_size
+    plans: dict = {}   # local_train's plans, for the rows of the current batch
     # The rounds whose metrics are pending form a block that starts at round
     # t0; row r's pending round t0 + j is taken at w_block[r, j] and
     # slot_block[r, j]. With metrics off nothing is pending.
@@ -288,7 +299,7 @@ def run(
                     noise_state["state"]["key"][0] = t
                     noise_rng.bit_generator.state = noise_state
                 deltas, diverged = local_train(
-                    obj, participants, w, cfg.local, noise_rng, client_lrs,
+                    obj, participants, w, cfg.local, noise_rng, client_lrs, plans,
                 )
                 if any(diverged):
                     for row, err in enumerate(diverged):
@@ -357,6 +368,7 @@ def run(
                 if not live:
                     break
                 server_lr = lr_factor(server_lrs, 2)
+                plans.clear()
 
         # One loss and one accuracy call for the whole batch.
         results: list = errors.copy()

@@ -2,6 +2,14 @@
 
 One call steps a whole batch of configs (grid betas and client lrs that share
 a round's participants and minibatches) through the same K steps together.
+
+A round's *plan* is what local SGD builds from its participant set alone:
+the client checks, the lr factor, the (configs, clients, dim) iterate and
+gradient buffers, and the gradient kernel bound to them. Given a plan dict,
+`local_train` keeps each plan under its participant tuple and reuses it when
+the set comes again, so a kernel is bound once per participant set per run.
+The dict holds at most `PLAN_LIMIT` plans; a new set past that evicts the
+oldest.
 """
 
 from __future__ import annotations
@@ -12,6 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import DimensionMismatchError, Objective, all_finite
+
+# Plans a plan dict holds. Consecutive rounds of uneven participation mostly
+# repeat one set, and a few plans also cover sets that alternate. A plan
+# costs two (configs, clients, dim) float buffers plus its kernel's scratch,
+# at most one dim-long row a config on the bundled objectives.
+PLAN_LIMIT = 4
 
 
 class DivergenceError(RuntimeError):
@@ -48,6 +62,7 @@ def local_train(
     cfg: LocalConfig,
     rng: np.random.Generator | None,
     client_lrs: Sequence[float],
+    plans: dict | None = None,
 ) -> tuple[np.ndarray, list[DivergenceError | None]]:
     """Run K stochastic-gradient steps for every (config, client) pair in
     lockstep and return the updates.
@@ -64,8 +79,8 @@ def local_train(
     passes None to an exact oracle, which never draws.
 
     All iterates take one step at a time through the round's gradient
-    kernel, which `obj._bind_stochastic_gradients` builds once a round on
-    the buffers of the local iterates and their gradients: every step writes
+    kernel, which `obj._bind_stochastic_gradients` builds on the buffers of
+    the local iterates and their gradients: every step writes
     the gradients into the one gradient buffer, each row with the bits of
     its call alone, and when every config shares one lr the step multiplies
     by it as a 0-d array (`lr_factor`). A non-finite entry stays non-finite,
@@ -76,42 +91,67 @@ def local_train(
     steps, of shape (configs, clients, dim), and per config the
     DivergenceError of its lowest-index client that went non-finite, at
     that client's first non-finite step, or None.
+
+    Without `plans`, the call binds a fresh plan (module docstring) for its
+    round. With a plan dict it takes the plan kept under `tuple(clients)`,
+    or binds one and keeps it there, evicting the oldest past `PLAN_LIMIT`.
+    A dict serves one sequence of calls that share `obj`, `cfg`, the number
+    of configs and `client_lrs`; the caller starts a new one, or clears it,
+    when any of them changes. The returned deltas then live in the plan's
+    iterate buffer: they hold until the next call that uses the same set,
+    which overwrites them. Reusing a plan changes no bit of the deltas or
+    the errors.
     """
     w_global = np.asarray(w_global, dtype=float)
     if w_global.ndim != 2 or w_global.shape[1] != obj.dim:
         raise DimensionMismatchError(
             f"expected global iterates of shape (configs, {obj.dim}), got {w_global.shape}"
         )
-    for i in clients:
-        obj._check_client(i)
-    lr = lr_factor(np.asarray(client_lrs, dtype=float), 3)
+    key = tuple(clients)
+    plan = None if plans is None else plans.get(key)
+    if plan is None:
+        plan = _bind(obj, clients, len(w_global), client_lrs)
+        if plans is not None:
+            if len(plans) >= PLAN_LIMIT:
+                del plans[next(iter(plans))]   # the oldest: dicts keep insertion order
+            plans[key] = plan
+    lr, w, g, grads = plan
     draws = obj._draws(clients, cfg.batch_size, cfg.local_steps, rng)
-    w = np.empty((len(w_global), len(clients), obj.dim))
-    g = np.empty(w.shape)
-    grads = obj._bind_stochastic_gradients(clients, w, g)
-    _steps(grads, w, g, w_global, lr, draws)
+    start = w_global[:, None, :]   # each config's iterate, for each client
+    _steps(grads, w, g, start, lr, draws)
     errors: list[DivergenceError | None] = [None] * len(w_global)
     if not all_finite(w):
         # off the path of a finite round: a non-finite input also ends here
         if not np.isfinite(w_global).all():
             raise ValueError("global iterates contain non-finite entries")
         first_bad = np.full(w.shape[:2], -1)
-        _steps(grads, w, g, w_global, lr, draws, first_bad)
+        _steps(grads, w, g, start, lr, draws, first_bad)
         for c, steps in enumerate(first_bad):
             hit = np.flatnonzero(steps >= 0)
             if len(hit):
                 errors[c] = DivergenceError(int(clients[hit[0]]), int(steps[hit[0]]))
     # the deltas, in the buffer of the local iterates
-    return np.subtract(w_global[:, None, :], w, out=w), errors
+    return np.subtract(start, w, out=w), errors
 
 
-def _steps(grads, w, g, w_global, lr, draws, first_bad=None) -> None:
+def _bind(obj: Objective, clients: Sequence[int], configs: int, client_lrs) -> tuple:
+    """A round's plan: the lr factor, the iterate and gradient buffers of
+    shape (configs, len(clients), obj.dim), and the kernel bound to them."""
+    for i in clients:
+        obj._check_client(i)
+    lr = lr_factor(np.asarray(client_lrs, dtype=float), 3)
+    w = np.empty((configs, len(clients), obj.dim))
+    g = np.empty(w.shape)
+    return lr, w, g, obj._bind_stochastic_gradients(clients, w, g)
+
+
+def _steps(grads, w, g, start, lr, draws, first_bad=None) -> None:
     """Set `w` to the iterates after one step per entry of `draws`, from
-    `w_global`; `grads` is the kernel bound to `w` that writes each step's
-    gradients into `g`. With `first_bad` given, also records in it, per
-    (config, client), the first step whose iterate is non-finite (entries
-    left at -1 stay finite)."""
-    w[...] = w_global[:, None, :]
+    `start`, which broadcasts to `w`; `grads` is the kernel bound to `w`
+    that writes each step's gradients into `g`. With `first_bad` given, also
+    records in it, per (config, client), the first step whose iterate is
+    non-finite (entries left at -1 stay finite)."""
+    w[...] = start
     multiply, subtract = np.multiply, np.subtract
     for k, sample in enumerate(draws):
         grads(sample)

@@ -109,8 +109,9 @@ class Objective:
     Client i's draws are row i of one block drawn for all N clients, so they
     depend on the stream and on i alone, never on which other clients are
     asked for. `_bind_stochastic_gradients(clients, w, out)` is the binder:
-    local SGD calls it once a round, and it returns a function
-    `grads(sample)` for that round's steps. `w` has shape (configs,
+    local SGD calls it once per participant set of a run (see
+    `local_solver`), and it returns a function `grads(sample)` for the steps
+    of every round of that set. `w` has shape (configs,
     len(clients), dim), row (c, j) is config c's iterate at client
     `clients[j]`, and `out` is a C-contiguous float array of `w`'s shape.
     The binder builds the views of `w` and `out`, the scratch buffers and

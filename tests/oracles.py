@@ -38,6 +38,16 @@ def u_fedvarp(clients, deltas, slots, weights, n_clients):
     return slots.sum(axis=0) / n_clients + fresh / n_clients
 
 
+def fedstale(clients, deltas, slots, weights, beta, n_clients):
+    """(beta/N) sum_i h_i + (1/N) sum_{i in S} (delta_i - beta h_i)/p_i for
+    one float beta > 0, a new array per operation; u_fedvarp at beta = 1.
+    (At beta = 0 the rule reads no slot: that is u_fedavg.)"""
+    fresh = np.zeros(np.shape(slots)[1])
+    for i, d in sorted(zip(clients, deltas), key=lambda pair: pair[0]):
+        fresh += weights[i] * (d - beta * slots[i])
+    return beta * slots.sum(axis=0) / n_clients + fresh / n_clients
+
+
 def incremental_weights(trace, cap):
     """The capped inverse participation estimates of every round of a
     (rounds, N) trace, counted one round at a time: after round t, with c_i

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stalefl.aggregation import (
@@ -397,6 +397,20 @@ def assert_rows_are_single_calls(stacked, singles):
         assert row.tobytes() == single.tobytes()
 
 
+# Rounds with entries of +-1e300 and signed zeros, with and without
+# participants: (clients, deltas, slots, weights, betas).
+EXTREME_ROUNDS = [
+    (
+        clients,
+        np.resize([1e300, -0.0, -1e300, 0.0, 2.5], (3, len(clients), 2)),
+        np.resize([-1e300, 0.0, 1e300, -0.0, -1.0, 1e300], (3, 3, 2)),
+        np.array([1.0, 3.0, 1.5]),
+        np.array(betas),
+    )
+    for clients in ([], [0, 2]) for betas in BETA_MIXES
+]
+
+
 @settings(max_examples=150, deadline=None)
 @given(stacked_rounds())
 def test_stacked_fedstale_rows_are_single_calls(case):
@@ -417,6 +431,36 @@ def test_stacked_fedstale_rows_are_single_calls(case):
             [rule(clients, d, s, weights) for d, s in zip(deltas, slots)],
         )
     assert slots.tobytes() == before.tobytes()
+
+
+for _case in EXTREME_ROUNDS:
+    test_stacked_fedstale_rows_are_single_calls = example(_case)(
+        test_stacked_fedstale_rows_are_single_calls
+    )
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("clients", [[], [1], [0, 2]])
+@pytest.mark.parametrize("entries", [[-0.0, 0.0], [1e300, -0.0, -1e300, 0.0, 2.5]])
+def test_fedstale_bits_for_every_form_of_one_beta(entries, clients, beta):
+    # One beta as a float, a 0-d array or, on a stack of one, a (1,) array:
+    # each gives the bits of the rule's definition, summed in client order,
+    # and leaves the updates and the memory as they were.
+    rng = np.random.default_rng(len(entries) + len(clients))
+    deltas = rng.choice(entries, size=(len(clients), 2))
+    slots = rng.choice(entries, size=(3, 2))
+    inputs = deltas.tobytes(), slots.tobytes()
+    weights = np.array([1.0, 3.0, 1.5])
+    if beta == 0.0:
+        expected = oracles.u_fedavg(clients, deltas, weights, 3).tobytes()
+    else:
+        expected = oracles.fedstale(clients, deltas, slots, weights, beta, 3).tobytes()
+    for form in (beta, np.array(beta)):
+        assert fedstale(clients, deltas, slots, weights, form).tobytes() == expected
+    for form in (beta, np.array(beta), np.array([beta])):
+        out = fedstale(clients, deltas[None], slots[None], weights, form)
+        assert out.shape == (1, 2) and out[0].tobytes() == expected
+    assert (deltas.tobytes(), slots.tobytes()) == inputs
 
 
 @settings(max_examples=100, deadline=None)

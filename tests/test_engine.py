@@ -702,6 +702,10 @@ def test_lockstep_batch_with_divergence_mid_block(monkeypatch):
     obj = two_client_objective()
     schedule = np.ones((150, 2), dtype=bool)
     schedule[:69] = False
+    # The same drops at round 70, after which the sets cycle through [0],
+    # [0, 1], [1] and []: the set of round 70 comes back after its rows drop.
+    cycled = schedule.copy()
+    cycled[70:] = np.resize([[True, False], [True, True], [False, True], [False, False]], (80, 2))
     cfg = base_config(rounds=150, replay_schedule=schedule)
     batch = [
         cfg,
@@ -723,9 +727,30 @@ def test_lockstep_batch_with_divergence_mid_block(monkeypatch):
     assert isinstance(outs[3], FloatingPointError)
     assert str(outs[3]) == "metrics are non-finite at round 101"
     assert str(outs[5]) == "metrics are non-finite at round 71"
+
+    # A plan bound before rows drop is never used after: the deltas local
+    # SGD returns, which live in the plan's buffer, have one row per config
+    # of the current batch.
+    train = stalefl.engine.local_train
+
+    def checked_train(obj, clients, w_global, cfg, rng, client_lrs, plans):
+        deltas, errors = train(obj, clients, w_global, cfg, rng, client_lrs, plans)
+        assert deltas.shape == (len(w_global), len(clients), obj.dim)
+        return deltas, errors
+
+    monkeypatch.setattr(stalefl.engine, "local_train", checked_train)
+    cycled_batch = [replace(c, replay_schedule=cycled) for c in batch]
+    cycled_outs = run_batch(cycled_batch, obj)
+    # rows drop at rounds 70, 71 and 113, each time between reuses of a set
+    assert [str(o) for o in cycled_outs[1:4] + cycled_outs[5:]] == [
+        str(outs[1]), str(outs[2]), "metrics are non-finite at round 113", str(outs[5]),
+    ]
+    cycled_outs = [outcome(o) for o in cycled_outs]
+    assert cycled_outs == [outcome(run_batch([c], obj)[0]) for c in cycled_batch]
     for block in (1, 7, 1000):
         monkeypatch.setattr(stalefl.engine, "METRIC_BLOCK", block)
         assert [outcome(o) for o in run_batch(batch, obj)] == [outcome(o) for o in outs]
+        assert [outcome(o) for o in run_batch(cycled_batch, obj)] == cycled_outs
 
 
 def test_nonfinite_metrics_raise_at_their_first_round(monkeypatch):

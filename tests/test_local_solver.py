@@ -5,12 +5,14 @@ import oracles
 import pytest
 
 from stalefl.local_solver import (
+    PLAN_LIMIT,
     DivergenceError,
     LocalConfig,
     local_train,
     pseudo_gradient,
 )
 from stalefl.objectives import QuadraticObjective, SoftmaxObjective, build_label_swap_dataset
+from stalefl.theory import HardInstance
 
 
 def origin_quadratic():
@@ -244,3 +246,76 @@ def test_divergence_is_reported_per_config_at_the_first_bad_client():
         assert errors[1].step == alone.step
         assert alone.step == first_bad_step(obj, 1, w[1], 1000.0, 300, 11)
         assert 0 <= alone.step < 300
+
+
+def plan_case_objectives():
+    """A noisy quadratic, the hard instance and a softmax objective, three
+    clients each, and per objective a finite point from which local SGD
+    overflows."""
+    data = build_label_swap_dataset(
+        3, 8, 0.5, (0, 1), np.random.default_rng(7), class_count=3, feature_dim=2,
+    )
+    quadratic = QuadraticObjective(
+        [np.diag([2.0, 1.0])] * 3, [np.zeros(2), np.ones(2), -np.ones(2)], noise_var=0.5,
+    )
+    hard = HardInstance(9, 2, 4.0, 3)
+    return [
+        (quadratic, np.full(2, 1e308)),
+        (hard, np.resize([1e308, -1e308], 9)),
+        (SoftmaxObjective(data), np.full(data.class_count * 3, 1e308)),
+    ]
+
+
+def train_outcome(obj, clients, w, cfg, seed, lrs, plans=None):
+    """local_train's deltas as bytes and its errors as (client, step), or
+    the type and message of what it raised."""
+    rng = np.random.default_rng(seed) if obj.uses_rng else None
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            deltas, errors = local_train(obj, clients, w, cfg, rng, lrs, plans)
+    except ValueError as e:
+        return type(e), str(e)
+    return deltas, [None if e is None else (e.client, e.step) for e in errors]
+
+
+def test_plans_change_no_bit():
+    # Repeats, a new set between repeats, an empty round and a diverging
+    # round (the replay runs on the kept buffers) whose set is used again.
+    # With one plan dict, every round's deltas and errors have the bits of
+    # the round without plans, and a round's deltas hold until its set is
+    # used again.
+    sets = [[0], [0], [0, 2], [0], [], [1, 2], [0, 2], [0, 2], [0, 2], [0], [1, 2]]
+    diverging = 7
+    cfg = LocalConfig(local_steps=3, client_lr=0.05, batch_size=2)
+    lrs = np.array([0.05, 0.1])
+    for obj, far in plan_case_objectives():
+        plans = {}
+        held = {}   # per set, its last deltas from the plan and their bytes
+        rng = np.random.default_rng(1)
+        for t, clients in enumerate(sets):
+            w = far[None].repeat(2, 0) if t == diverging else rng.normal(size=(2, obj.dim))
+            alone = train_outcome(obj, clients, w, cfg, 100 + t, lrs)
+            kept = train_outcome(obj, clients, w, cfg, 100 + t, lrs, plans)
+            if isinstance(alone[0], type):
+                # a softmax objective draws no minibatch for an empty set
+                assert kept == alone and not clients
+                continue
+            assert kept[0].tobytes() == alone[0].tobytes()
+            assert kept[1] == alone[1]
+            assert (t == diverging) == (alone[1] != [None, None])
+            held[tuple(clients)] = kept[0], kept[0].tobytes()
+            for deltas, bits in held.values():
+                assert deltas.tobytes() == bits
+            assert len(plans) <= PLAN_LIMIT
+
+
+def test_plan_dict_keeps_the_newest_sets():
+    # Every set distinct: the dict holds the PLAN_LIMIT most recent sets.
+    obj = noisy_origin_quadratic(5)
+    cfg = LocalConfig(local_steps=2, client_lr=0.1)
+    sets = [[i] for i in range(5)] + [[i, i + 1] for i in range(4)]
+    plans = {}
+    for t, clients in enumerate(sets):
+        local_train(obj, clients, np.zeros((1, 2)), cfg, np.random.default_rng(t), [0.1], plans)
+        kept = [tuple(c) for c in sets[max(0, t + 1 - PLAN_LIMIT):t + 1]]
+        assert list(plans) == kept
