@@ -18,6 +18,11 @@ with the same leading axes, and fedstale a beta per leading entry. The loop
 over the participants stays; each of its operations acts on the whole stack,
 and every leading entry of the result has the bits of the call on its own
 deltas, memory and beta alone.
+
+`fedstale` and `refresh_memory` also take a round's plan dict (see
+`local_solver`): what they build from a participant set alone, the checks
+and fedstale's buffers, is bound once per set and reused while the set
+repeats, with the bits of a call without one.
 """
 
 from __future__ import annotations
@@ -28,7 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .local_solver import planned
 from .objectives import DimensionMismatchError, Objective, check_param
+
+
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
 
 
 class NoParticipantsError(RuntimeError):
@@ -40,7 +50,7 @@ class AggregatorConfig:
     rule: str = "fedstale"            # fedavg_biased | u_fedavg | u_fedvarp | fedstale
     beta: float = 0.5                 # staleness weight, used by fedstale only
     weights_source: str = "exact"     # exact | estimator
-    weight_cap: float | None = None   # estimator weight cap; engine default if None
+    weight_cap: float | None = None   # estimator cap, > 1 (inf: none); engine default if None
 
     _RULES = ("fedavg_biased", "u_fedavg", "u_fedvarp", "fedstale")
     # The unbiased rules are fedstale at a fixed staleness weight.
@@ -53,6 +63,9 @@ class AggregatorConfig:
             raise ValueError("beta must lie in [0, 1]")
         if self.weights_source not in ("exact", "estimator"):
             raise ValueError("weights_source must be 'exact' or 'estimator'")
+        # checked under either weight source; nan fails this too
+        if self.weight_cap is not None and not self.weight_cap > 1:
+            raise ValueError(f"weight_cap must be > 1, got {self.weight_cap}")
 
     @property
     def staleness_weight(self) -> float:
@@ -112,6 +125,7 @@ def fedstale(
     slots: np.ndarray,
     weights: np.ndarray,
     beta: float | np.ndarray,
+    plans: dict | None = None,
 ) -> np.ndarray:
     """Convex fresh/stale combination:
     (beta/N) sum_i h_i + (1/N) sum_{i in S} (delta_i - beta*h_i)/p_i.
@@ -125,7 +139,58 @@ def fedstale(
     On a stack, `deltas` (..., P, dim) and `slots` (..., N, dim), `beta` is
     one value for every entry or an array of the leading shape (...), one
     per entry.
+
+    The call runs on a plan part (`_bind_fedstale`) that holds every check
+    of the participants, shapes and beta, and the buffers. Without `plans`
+    it binds a throwaway one. With a plan dict it keeps the part in the
+    plan for `tuple(clients)` and reuses it when the set comes again
+    (`local_solver.planned`): a dict serves one sequence of calls that share
+    the shapes of `deltas` and `slots` and `beta`, and the caller clears it
+    when any of them changes. `weights` is read on every call. The returned
+    update then lives in the plan's buffer until the next call on the same
+    set. Reusing a plan changes no bit of the update.
     """
+    b, n_clients, stale, zero_rows, fresh, term = planned(
+        plans, clients, "fedstale", _bind_fedstale, clients, deltas, slots, beta,
+    )
+    # A stale participant's term w_i * (d_i - b * h_i) is built in place in
+    # the plan's term buffer; `deltas` is only read (engine passes local
+    # SGD's buffer). The first term enters the fresh sum as 0.0 + term, the
+    # bits of adding it to a zero-filled sum, signed zeros included (0.0 as
+    # a 0-d array, which numpy does not convert on each use).
+    multiply, subtract, add, divide = np.multiply, np.subtract, np.add, np.divide
+    for k, i in enumerate(clients):
+        d = deltas[..., k, :]
+        if stale:
+            d = subtract(d, multiply(b, slots[..., i, :], term), term)
+        add(fresh if k else _ZERO, multiply(weights[i], d, term), fresh)
+    # the update, in the term buffer
+    if not stale:
+        return divide(fresh, n_clients, term)
+    divide(fresh, n_clients, fresh)
+    # ndarray.sum's reduction without its Python wrapper, then in place the
+    # bits of b * sum / N + fresh (IEEE products and sums commute)
+    update = np.add.reduce(slots, -2, None, term)
+    multiply(update, b, update)
+    divide(update, n_clients, update)
+    add(update, fresh, update)
+    if zero_rows is not None:
+        # A beta=0 entry among stale ones: its loop terms d - 0*h sum to the
+        # bits of d (the sum starts at +0.0, so a flipped signed zero never
+        # shows), but 0 * sum(h) is nan if that sum overflows. Take its
+        # fresh sum as it is.
+        np.copyto(update, fresh, where=zero_rows)
+    return update
+
+
+def _bind_fedstale(clients, deltas, slots, beta) -> tuple:
+    """fedstale's plan part for a round: beta as a 0-d array or a (..., 1)
+    column, N as a 0-d float array, whether any beta is non-zero (else the
+    stale terms are skipped, which changes no bit), the rows whose beta is 0
+    among stale ones (or None), and the fresh-sum and term buffers of the
+    leading shape (..., dim); the term buffer takes the update once the
+    terms are summed. Raises, binding nothing, on a beta outside [0, 1] or
+    a round `_check_round` rejects."""
     beta = np.asarray(beta, dtype=float)
     values = beta.ravel().tolist()
     # One beta is held as a 0-d array, which broadcasts like a float; numpy
@@ -139,38 +204,15 @@ def fedstale(
     if not in_range:
         raise ValueError("beta must lie in [0, 1]")
     _check_round(clients, deltas, slots, beta)
-    # At beta=0 the stale terms are zero; when every beta is 0, skipping
-    # them changes no bit.
     stale = any(values)
-    fresh = np.zeros(deltas.shape[:-2] + deltas.shape[-1:])
-    # A stale participant's term w_i * (d_i - b * h_i) is built in place in
-    # one buffer of this call's own; `deltas` is only read (engine passes
-    # local SGD's buffer). Without stale terms, w_i * d_i gets a new array.
-    term = np.empty(fresh.shape) if stale else None
-    multiply, subtract, add, divide = np.multiply, np.subtract, np.add, np.divide
-    for k, i in enumerate(clients):
-        d = deltas[..., k, :]
-        if stale:
-            d = subtract(d, multiply(b, slots[..., i, :], term), term)
-        add(fresh, multiply(weights[i], d, term), fresh)
+    zero_rows = b == 0.0 if stale and not all(values) else None
+    shape = deltas.shape[:-2] + deltas.shape[-1:]
+    # With participants the first term overwrites the fresh sum; without,
+    # the sum stays the zeros it starts at.
+    fresh = np.empty(shape) if len(clients) else np.zeros(shape)
     # N as a 0-d float array: the bits of dividing by the int, at less cost
     n_clients = np.array(float(slots.shape[-2]))
-    divide(fresh, n_clients, fresh)
-    if not stale:
-        return fresh
-    # ndarray.sum's reduction without its Python wrapper, then in place the
-    # bits of b * sum / N + fresh (IEEE products and sums commute)
-    update = np.add.reduce(slots, -2)
-    multiply(update, b, update)
-    divide(update, n_clients, update)
-    add(update, fresh, update)
-    if not all(values):
-        # A beta=0 entry among stale ones: its loop terms d - 0*h sum to the
-        # bits of d (the sum starts at +0.0, so a flipped signed zero never
-        # shows), but 0 * sum(h) is nan if that sum overflows. Take its
-        # fresh sum as it is.
-        update = np.where(b != 0.0, update, fresh)
-    return update
+    return b, n_clients, stale, zero_rows, fresh, np.empty(shape)
 
 
 def u_fedavg(
@@ -188,12 +230,26 @@ def u_fedvarp(
     return fedstale(clients, deltas, slots, weights, 1.0)
 
 
-def refresh_memory(slots: np.ndarray, clients: Sequence[int], deltas: np.ndarray) -> None:
+def refresh_memory(
+    slots: np.ndarray, clients: Sequence[int], deltas: np.ndarray, plans: dict | None = None,
+) -> None:
     """Overwrite participants' rows of the (N, dim) memory, or of every
-    memory of a (..., N, dim) stack, with their fresh updates; in place."""
-    _check_round(clients, deltas, slots)
-    for k, i in enumerate(clients):
+    memory of a (..., N, dim) stack, with their fresh updates; in place.
+
+    The round is checked once per plan part: with a plan dict, the part kept
+    for `tuple(clients)` records that the set passed `_check_round`
+    (`local_solver.planned`), and a dict serves calls that share the shapes
+    of `slots` and `deltas`, as for `fedstale`.
+    """
+    for k, i in planned(plans, clients, "refresh", _bind_refresh, clients, deltas, slots):
         slots[..., i, :] = deltas[..., k, :]
+
+
+def _bind_refresh(clients, deltas, slots) -> list:
+    """refresh_memory's plan part: the (update row, memory row) pairs of a
+    round that `_check_round` accepts."""
+    _check_round(clients, deltas, slots)
+    return list(enumerate(clients))
 
 
 def memory_error(slots: np.ndarray, obj: Objective, w: np.ndarray) -> float | np.ndarray:

@@ -16,14 +16,17 @@ Philox stream keyed (key_word(master_seed, NOISE_WORD) << 64) | t for all
 its participants. A run builds one bit generator and re-keys it each round.
 
 Under uneven participation most rounds repeat an earlier round's
-participant set, so a run keeps one dict of local-SGD plans (the gradient
-kernel and buffers bound to a set, see `local_solver`) and passes it to
-`local_train`: a kernel is bound once per participant set per run, for at
-most `local_solver.PLAN_LIMIT` sets at a time. A round's deltas live in its
-plan's buffer until the next round of the same set; the round aggregates
-them and copies them into the memory before then. The dict is cleared when
-configs drop out of the batch, since a plan's buffers have one row per
-config.
+participant set, so a run keeps one dict of round plans keyed by the
+participant tuple (what each layer builds from a set alone, see
+`local_solver`) and passes it to `local_train`, `agg.fedstale` and
+`agg.refresh_memory`: the gradient kernel, the checks and the buffers of a
+round are bound once per participant set per run, for at most
+`local_solver.PLAN_LIMIT` sets at a time. A round's deltas and its update
+live in its plan's buffers until the next round of the same set; the round
+aggregates the deltas, steps with the update and copies the deltas into the
+memory before then. The dict is cleared when configs drop out of the batch,
+since a plan's buffers have one row per config, and the zero vector that
+checks the global iterates' finiteness is rebuilt then.
 
 Each round aggregates the whole batch at once: one rule call per rule family
 on the batch's stacked updates and (configs, N, dim) memory, one server
@@ -109,6 +112,11 @@ class TrainConfig:
                     f"replay trace has shape {shape}; it needs at least {self.rounds} "
                     f"rounds and exactly {n} client columns"
                 )
+            # an indicator matrix, held as one: configs that replay one
+            # trace share it, whatever the dtype it came in
+            object.__setattr__(
+                self, "replay_schedule", np.asarray(self.replay_schedule, dtype=bool)
+            )
 
 
 @dataclass(frozen=True)
@@ -197,7 +205,7 @@ def run(
     shared = _shared_fields(cfg)
     for other in cfgs[1:]:
         for name, value in _shared_fields(other).items():
-            if not _same(value, shared[name]):
+            if not np.array_equal(value, shared[name]):
                 raise ValueError(f"the configs of a batch must share {name}")
     n = obj.n_clients
     if cfg.profile.n_clients != n:
@@ -230,7 +238,8 @@ def run(
         )
         noise_state = noise_rng.bit_generator.state   # key word 0 is the round
     work = cfg.local.local_steps * cfg.local.batch_size
-    plans: dict = {}   # local_train's plans, for the rows of the current batch
+    plans: dict = {}   # the round plans, for the rows of the current batch
+    w_zeros = np.zeros(w.size)   # all_finite's zero vector for the global iterates
     # The rounds whose metrics are pending form a block that starts at round
     # t0; row r's pending round t0 + j is taken at w_block[r, j] and
     # slot_block[r, j]. With metrics off nothing is pending.
@@ -312,12 +321,13 @@ def run(
                 slot_block[:, j] = slots
 
             if stale_rows == len(w):
-                delta = agg.fedstale(participants, deltas, slots, weights, betas)
+                delta = agg.fedstale(participants, deltas, slots, weights, betas, plans)
             else:
                 delta = np.zeros(w.shape)
                 if stale_rows:
                     delta[:stale_rows] = agg.fedstale(
                         participants, deltas[:stale_rows], slots[:stale_rows], weights, betas,
+                        plans,
                     )
                 if participants:
                     delta[stale_rows:] = agg.fedavg_biased(participants, deltas[stale_rows:])
@@ -327,13 +337,13 @@ def run(
             # the bits of w -= server_lr * delta: IEEE multiplication commutes
             delta *= server_lr
             w -= delta
-            if not all_finite(w):
+            if not all_finite(w, w_zeros):
                 for row in np.flatnonzero(~np.isfinite(w).all(axis=1)).tolist():
                     if errors[live[row]] is None:
                         fail(row, pending_error(row, j + 1, t0) or FloatingPointError(
                             f"global iterate diverged at round {t}"
                         ))
-            agg.refresh_memory(slots, participants, deltas)
+            agg.refresh_memory(slots, participants, deltas, plans)
 
             if metrics:
                 counts.append(len(participants))
@@ -368,6 +378,7 @@ def run(
                 if not live:
                     break
                 server_lr = lr_factor(server_lrs, 2)
+                w_zeros = np.zeros(w.size)
                 plans.clear()
 
         # One loss and one accuracy call for the whole batch.
@@ -420,13 +431,6 @@ def _shared_fields(cfg: TrainConfig) -> dict:
         "profile": cfg.profile.probs,
         "replay_schedule": cfg.replay_schedule,
     }
-
-
-def _same(a, b) -> bool:
-    """Whether two shared-field values are equal, nan equal to nan (a nan
-    weight cap is shared when every config has it)."""
-    a, b = np.asarray(a), np.asarray(b)
-    return np.array_equal(a, b, equal_nan=a.dtype.kind == b.dtype.kind == "f")
 
 
 def run_batch(cfgs: list[TrainConfig], obj: Objective, *, metrics: bool = True) -> list:

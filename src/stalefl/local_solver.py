@@ -3,12 +3,15 @@
 One call steps a whole batch of configs (grid betas and client lrs that share
 a round's participants and minibatches) through the same K steps together.
 
-A round's *plan* is what local SGD builds from its participant set alone:
-the client checks, the lr factor, the (configs, clients, dim) iterate and
-gradient buffers, and the gradient kernel bound to them. Given a plan dict,
-`local_train` keeps each plan under its participant tuple and reuses it when
-the set comes again, so a kernel is bound once per participant set per run.
-The dict holds at most `PLAN_LIMIT` plans; a new set past that evicts the
+A round's *plan* is what its layers build from its participant set alone.
+Local SGD's part holds the client checks, the lr factor, the (configs,
+clients, dim) iterate and gradient buffers, the gradient kernel bound to
+them and the zero vector that checks the iterates' finiteness; aggregation
+keeps its own parts in the same plan (`aggregation.fedstale`,
+`aggregation.refresh_memory`). Given a plan dict, each layer keeps its part
+in the plan under the participant tuple (`planned`) and reuses it when the
+set comes again, so a part is bound once per participant set per run. The
+dict holds at most `PLAN_LIMIT` plans; a new set past that evicts the
 oldest.
 """
 
@@ -23,9 +26,32 @@ from .objectives import DimensionMismatchError, Objective, all_finite
 
 # Plans a plan dict holds. Consecutive rounds of uneven participation mostly
 # repeat one set, and a few plans also cover sets that alternate. A plan
-# costs two (configs, clients, dim) float buffers plus its kernel's scratch,
-# at most one dim-long row a config on the bundled objectives.
+# costs three float arrays of configs x clients x dim entries (iterates,
+# gradients, zero vector) plus its kernel's scratch, at most one dim-long row
+# a config on the bundled objectives, and aggregation's two (configs, dim)
+# buffers.
 PLAN_LIMIT = 4
+
+
+def planned(plans: dict | None, clients: Sequence[int], part: str, bind, *args):
+    """The `part` of the plan for the participant set `clients`: the one kept
+    in `plans` under `tuple(clients)`, or `bind(*args)`, which is kept there
+    when `plans` is given. A new plan evicts the oldest past `PLAN_LIMIT`.
+    Without `plans` every call binds a throwaway part. A bind that raises
+    leaves the dict as it was."""
+    if plans is None:
+        return bind(*args)
+    key = tuple(clients)
+    plan = plans.get(key)
+    kept = None if plan is None else plan.get(part)
+    if kept is None:
+        kept = bind(*args)
+        if plan is None:
+            if len(plans) >= PLAN_LIMIT:
+                del plans[next(iter(plans))]   # the oldest: dicts keep insertion order
+            plan = plans[key] = {}
+        plan[part] = kept
+    return kept
 
 
 class DivergenceError(RuntimeError):
@@ -92,11 +118,11 @@ def local_train(
     DivergenceError of its lowest-index client that went non-finite, at
     that client's first non-finite step, or None.
 
-    Without `plans`, the call binds a fresh plan (module docstring) for its
-    round. With a plan dict it takes the plan kept under `tuple(clients)`,
-    or binds one and keeps it there, evicting the oldest past `PLAN_LIMIT`.
-    A dict serves one sequence of calls that share `obj`, `cfg`, the number
-    of configs and `client_lrs`; the caller starts a new one, or clears it,
+    Without `plans`, the call binds a throwaway plan part (module docstring)
+    for its round. With a plan dict it takes the part kept in the plan for
+    `tuple(clients)`, or binds one and keeps it there (`planned`). A dict
+    serves one sequence of calls that share `obj`, `cfg`, the number of
+    configs and `client_lrs`; the caller starts a new one, or clears it,
     when any of them changes. The returned deltas then live in the plan's
     iterate buffer: they hold until the next call that uses the same set,
     which overwrites them. Reusing a plan changes no bit of the deltas or
@@ -107,20 +133,14 @@ def local_train(
         raise DimensionMismatchError(
             f"expected global iterates of shape (configs, {obj.dim}), got {w_global.shape}"
         )
-    key = tuple(clients)
-    plan = None if plans is None else plans.get(key)
-    if plan is None:
-        plan = _bind(obj, clients, len(w_global), client_lrs)
-        if plans is not None:
-            if len(plans) >= PLAN_LIMIT:
-                del plans[next(iter(plans))]   # the oldest: dicts keep insertion order
-            plans[key] = plan
-    lr, w, g, grads = plan
+    lr, w, g, grads, zeros = planned(
+        plans, clients, "local", _bind, obj, clients, len(w_global), client_lrs,
+    )
     draws = obj._draws(clients, cfg.batch_size, cfg.local_steps, rng)
     start = w_global[:, None, :]   # each config's iterate, for each client
     _steps(grads, w, g, start, lr, draws)
     errors: list[DivergenceError | None] = [None] * len(w_global)
-    if not all_finite(w):
+    if not all_finite(w, zeros):
         # off the path of a finite round: a non-finite input also ends here
         if not np.isfinite(w_global).all():
             raise ValueError("global iterates contain non-finite entries")
@@ -135,14 +155,15 @@ def local_train(
 
 
 def _bind(obj: Objective, clients: Sequence[int], configs: int, client_lrs) -> tuple:
-    """A round's plan: the lr factor, the iterate and gradient buffers of
-    shape (configs, len(clients), obj.dim), and the kernel bound to them."""
+    """A round's local-SGD plan part: the lr factor, the iterate and gradient
+    buffers of shape (configs, len(clients), obj.dim), the kernel bound to
+    them, and the iterates' zero vector for `all_finite`."""
     for i in clients:
         obj._check_client(i)
     lr = lr_factor(np.asarray(client_lrs, dtype=float), 3)
     w = np.empty((configs, len(clients), obj.dim))
     g = np.empty(w.shape)
-    return lr, w, g, obj._bind_stochastic_gradients(clients, w, g)
+    return lr, w, g, obj._bind_stochastic_gradients(clients, w, g), np.zeros(w.size)
 
 
 def _steps(grads, w, g, start, lr, draws, first_bad=None) -> None:

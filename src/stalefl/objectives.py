@@ -54,8 +54,10 @@ def require_finite(x: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} contains non-finite entries")
 
 
-def all_finite(x: np.ndarray) -> bool:
-    """`np.isfinite(x).all()` for a float array, at half its per-call cost.
+def all_finite(x: np.ndarray, zeros: np.ndarray) -> bool:
+    """`np.isfinite(x).all()` for a float array, at a fraction of its
+    per-call cost; `zeros` is a zero vector of x.size entries, which a
+    caller that checks one buffer again and again keeps with it.
 
     x.0 is 0 when every entry of x is finite and nan otherwise (IEEE 754
     gives inf * 0 = nan), and unlike x.x it cannot overflow. An inf entry
@@ -63,8 +65,7 @@ def all_finite(x: np.ndarray) -> bool:
     diverge run it under np.errstate(invalid="ignore"); `check_param`, which
     checks user input, keeps `np.isfinite`.
     """
-    flat = x.ravel()
-    return not math.isnan(flat.dot(np.zeros(flat.size)))
+    return not math.isnan(x.ravel().dot(zeros))
 
 
 @dataclass(frozen=True)
@@ -486,11 +487,15 @@ class SoftmaxObjective(Objective):
         [k, j] is client clients[j]'s step-k minibatch, the indices of the
         batch_size smallest of its n keys in row clients[j] of one
         (N, steps, n_max) uniform block, in ascending order. That is a
-        uniform subset, and every index when batch_size = n."""
+        uniform subset, and every index when batch_size = n. With no
+        clients the block is drawn all the same, and no index is taken."""
         n = self._n_train[clients]
-        if batch_size < 1 or batch_size > n.min():
-            raise ValueError(f"batch_size must be in [1, {n.min()}]")
+        least = n.min() if len(n) else math.inf   # no client bounds it from above
+        if not 1 <= batch_size <= least:
+            raise ValueError(f"batch_size must be in [1, {least}]")
         keys = rng.random((self.n_clients, steps, self._key_pad.shape[1]))[clients]
+        if not len(n):
+            return np.empty((steps, 0, batch_size), dtype=np.intp)
         keys += self._key_pad[clients][:, None, :]
         idx = np.argpartition(keys, batch_size - 1, axis=2)[..., :batch_size]
         idx.sort(axis=2)

@@ -17,6 +17,7 @@ from stalefl.aggregation import (
     u_fedavg,
     u_fedvarp,
 )
+from stalefl.local_solver import PLAN_LIMIT
 from stalefl.objectives import DimensionMismatchError, QuadraticObjective
 
 
@@ -291,6 +292,13 @@ def test_config_validation():
         AggregatorConfig(beta=1.5)
     with pytest.raises(ValueError):
         AggregatorConfig(weights_source="oracle")
+    # the cap is None or above 1, inf for no cap, under either weight source
+    for source in ("exact", "estimator"):
+        for cap in (1.0, 0.5, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="weight_cap must be > 1"):
+                AggregatorConfig(weights_source=source, weight_cap=cap)
+        for cap in (None, 1.5, math.inf):
+            assert AggregatorConfig(weights_source=source, weight_cap=cap).weight_cap == cap
 
 
 # --- memory -------------------------------------------------------------------
@@ -490,3 +498,78 @@ def test_stacked_fedstale_beta0_row_ignores_an_overflowing_memory_sum():
         out = fedstale([0], deltas, slots, np.ones(2), np.array([0.0, 0.5]))
     assert out[0].tobytes() == fedstale([0], deltas[0], slots[0], np.ones(2), 0.0).tobytes()
     assert np.isfinite(out[0]).all() and np.isinf(out[1]).all()
+
+
+# Rounds with repeats, empty sets, a new set between repeats, and more
+# distinct sets than a plan dict holds, so that evicted sets come back.
+PLAN_SETS = [[0], [0], [], [0, 2], [0], [], [1, 2], [0, 2], [0, 1, 2], [1], [2], [0], [0, 2], [0]]
+
+
+@pytest.mark.parametrize("lead,beta", [
+    ((), 0.5), ((), 0.0), ((), 1.0), ((3,), 0.8), ((3,), np.array(0.0)),
+    ((3,), np.array([0.0, 0.3, 1.0])), ((3,), np.array([0.0, 0.0, 0.0])),
+    ((3,), np.array([-0.0, 0.7, 1.0])), ((3,), np.array([0.4, 0.4, 0.4])),
+])
+def test_planned_aggregation_changes_no_bit(lead, beta):
+    # With one plan dict, every round's update and refreshed memory have the
+    # bits of the call without plans, under weights that change every
+    # round, and an update holds until its set is used again.
+    rng = np.random.default_rng(5)
+    entries = [1e300, -1e300, 0.0, -0.0, 2.5, -1.0]
+    plain = rng.choice(entries, size=(*lead, 3, 2))
+    kept = plain.copy()
+    plans, held = {}, {}
+    for clients in PLAN_SETS:
+        deltas = rng.choice(entries, size=(*lead, len(clients), 2))
+        weights = rng.uniform(1.0, 10.0, 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = fedstale(clients, deltas, plain, weights, beta)
+            update = fedstale(clients, deltas, kept, weights, beta, plans)
+        assert update.tobytes() == expected.tobytes()
+        held[tuple(clients)] = update, update.tobytes()
+        for u, bits in held.values():
+            assert u.tobytes() == bits
+        refresh_memory(plain, clients, deltas)
+        refresh_memory(kept, clients, deltas, plans)
+        assert kept.tobytes() == plain.tobytes()
+        assert len(plans) <= PLAN_LIMIT
+
+
+def raised(call):
+    """The type and message of what `call()` raises, or None."""
+    try:
+        call()
+    except Exception as e:   # compared, not handled
+        return type(e), str(e)
+    return None
+
+
+def test_planned_aggregation_rejects_what_the_plain_call_rejects():
+    # A bad round raises the same error with a plan dict as without, binds
+    # nothing into the dict and leaves the memory as it was.
+    deltas = np.ones((3, 1, 2))
+    bad_rounds = [   # (clients, deltas, memory, beta)
+        ([1, 0], np.ones((3, 2, 2)), np.zeros((3, 3, 2)), 0.5),
+        ([0, 0], np.ones((3, 2, 2)), np.zeros((3, 3, 2)), 0.0),
+        ([3], deltas, np.zeros((3, 3, 2)), 0.5),
+        ([-1, 1], np.ones((3, 2, 2)), np.zeros((3, 3, 2)), 1.0),
+        ([0], deltas, np.zeros((3, 3, 2)), 1.5),
+        ([0], deltas, np.zeros((3, 3, 2)), np.array([0.5, math.nan, 0.0])),
+        ([0], deltas, np.zeros((3, 3, 2)), -0.1),
+        ([0], deltas, np.zeros((2, 3, 2)), 0.5),
+        ([0], deltas, np.zeros((3, 3, 2)), np.full(2, 0.5)),
+        ([0, 1], deltas, np.zeros((3, 3, 2)), 0.5),
+    ]
+    for clients, d, slots, beta in bad_rounds:
+        for rule, call in (
+            ("fedstale", lambda plans: fedstale(clients, d, slots, np.ones(3), beta, plans)),
+            ("refresh", lambda plans: refresh_memory(slots, clients, d, plans)),
+        ):
+            plain = raised(lambda: call(None))
+            if plain is None:
+                # only a bad beta passes, and only the refresh, which takes none
+                assert rule == "refresh" and len(d) == len(slots) == 3
+                continue
+            plans = {}
+            assert raised(lambda: call(plans)) == plain and not plans
+            np.testing.assert_array_equal(slots, 0.0)

@@ -328,23 +328,14 @@ def test_grid_subcommand_small(tmp_path):
 
 
 def test_grid_with_a_nan_weight_cap(tmp_path, capsys):
-    # Every config of a cell carries the same nan cap, so the configs share
-    # it. Exact weights never read the cap: grid.csv is the one without it.
-    # The estimator rejects it with its own message.
-    argv = ["--threads", "1"]
-    assert main(["grid", "--config", str(write(tmp_path, GRID_SMALL, "plain.ini")),
-                 "--out", str(tmp_path / "plain"), *argv]) == 0
+    # The cap is checked under either weight source: a nan cap is a config
+    # error under exact weights too, which never read it.
     capped = GRID_SMALL + "\n[aggregator]\nweight_cap = nan\n"
-    assert main(["grid", "--config", str(write(tmp_path, capped, "capped.ini")),
-                 "--out", str(tmp_path / "capped"), *argv]) == 0
-    assert (tmp_path / "capped" / "grid.csv").read_bytes() == (
-        tmp_path / "plain" / "grid.csv"
-    ).read_bytes()
-    capsys.readouterr()
     estimated = capped.replace("weight_cap", "weights_source = estimator\nweight_cap")
-    assert main(["grid", "--config", str(write(tmp_path, estimated, "estimated.ini")),
-                 "--out", str(tmp_path / "estimated"), *argv]) == EXIT_CONFIG
-    assert "weight_cap must be > 1" in capsys.readouterr().err
+    for name, text in (("capped", capped), ("estimated", estimated)):
+        assert main(["grid", "--config", str(write(tmp_path, text, f"{name}.ini")),
+                     "--out", str(tmp_path / name), "--threads", "1"]) == EXIT_CONFIG
+        assert "weight_cap must be > 1" in capsys.readouterr().err
 
 
 def test_out_root_env_var(tmp_path, monkeypatch):
@@ -665,8 +656,7 @@ NON_FINITE_BASES = {
 }
 RUNS = ("run", "replay", "repeat")
 # (section, key) -> the (subcommand, base, overrides) under which the key is
-# read. aggregator.weight_cap is read only under estimated weights; grid
-# cells start at zeros, so grid does not read run.init.
+# read. Grid cells start at zeros, so grid does not read run.init.
 NON_FINITE_READERS = {
     **{("objective", k): [(c, "quadratic", []) for c in RUNS]
        for k in ("noise_var", "centers", "hessians")},
@@ -713,9 +703,16 @@ def test_every_float_key_has_a_non_finite_case():
     assert set(NON_FINITE_READERS) == float_keys
 
 
+# aggregator.weight_cap is checked under either weight source, so exact
+# weights and grid read it too. These readers come last, apart from the
+# table above, so that its cases keep their test ids.
+NON_FINITE_MORE_READERS = {
+    ("aggregator", "weight_cap"): [(c, "quadratic", []) for c in RUNS] + [("grid", "grid", [])],
+}
 NON_FINITE_CASES = [
     (section, key, command, base, sets)
-    for (section, key), readers in NON_FINITE_READERS.items()
+    for table in (NON_FINITE_READERS, NON_FINITE_MORE_READERS)
+    for (section, key), readers in table.items()
     for command, base, sets in readers
 ]
 

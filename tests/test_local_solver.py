@@ -296,10 +296,6 @@ def test_plans_change_no_bit():
             w = far[None].repeat(2, 0) if t == diverging else rng.normal(size=(2, obj.dim))
             alone = train_outcome(obj, clients, w, cfg, 100 + t, lrs)
             kept = train_outcome(obj, clients, w, cfg, 100 + t, lrs, plans)
-            if isinstance(alone[0], type):
-                # a softmax objective draws no minibatch for an empty set
-                assert kept == alone and not clients
-                continue
             assert kept[0].tobytes() == alone[0].tobytes()
             assert kept[1] == alone[1]
             assert (t == diverging) == (alone[1] != [None, None])
@@ -307,6 +303,18 @@ def test_plans_change_no_bit():
             for deltas, bits in held.values():
                 assert deltas.tobytes() == bits
             assert len(plans) <= PLAN_LIMIT
+
+
+def test_no_participants_give_empty_deltas():
+    # Every objective returns (configs, 0, dim) deltas and no error for an
+    # empty set, with and without a plan dict.
+    cfg = LocalConfig(local_steps=3, client_lr=0.05, batch_size=2)
+    for obj, _ in plan_case_objectives():
+        for plans in (None, {}):
+            rng = np.random.default_rng(1) if obj.uses_rng else None
+            w = np.zeros((2, obj.dim))
+            deltas, errors = local_train(obj, [], w, cfg, rng, [0.05, 0.1], plans)
+            assert deltas.shape == (2, 0, obj.dim) and errors == [None, None]
 
 
 def test_plan_dict_keeps_the_newest_sets():
