@@ -67,11 +67,17 @@ class ConfigError(ValueError):
 
 
 def float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.replace(";", ",").split(",") if v.strip())
+    return _nonempty(tuple(float(v) for v in text.replace(";", ",").split(",") if v.strip()))
 
 
 def int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
+    return _nonempty(tuple(int(v) for v in text.split(",") if v.strip()))
+
+
+def _nonempty(values: tuple) -> tuple:
+    if not values:   # no list key has a use for one; an unset key is None
+        raise ValueError("empty list")
+    return values
 
 
 def float_rows(text: str) -> tuple[tuple[float, ...], ...]:
@@ -248,11 +254,11 @@ def build_profile(cfg: dict[str, dict]) -> ParticipationProfile:
             raise ConfigError("participation.probs required for kind=explicit")
         return ParticipationProfile(np.array(p["probs"]))
     if p["kind"] == "two_group":
-        if p["p_min_group"] == 1.0:
-            return ParticipationProfile(np.ones(p["n_clients"]))
-        return make_two_group_profile(
+        # checks every value, at full participation too, where no group is low
+        profile = make_two_group_profile(
             p["n_clients"], p["p_min_group"], p["group2_size"], p["seed"]
         )
+        return ParticipationProfile(profile.probs) if p["p_min_group"] == 1.0 else profile
     raise ConfigError(f"unknown participation.kind {p['kind']!r}")
 
 
@@ -368,6 +374,9 @@ def cmd_grid(args, cfg: dict[str, dict], out: Path) -> int:
             f"profile has {n_clients}"
         )
     # run_grid sets each cell's initial point to zeros of its objective's dim
+    init = cfg["run"]["init"]
+    if init != "zeros":
+        raise ConfigError(f"grid cells start at zeros; run.init must be zeros, not {_format(init)}")
     tc = build_train_config(cfg, profile, 1)
     grid = run_grid(
         tc, lambda swap, group2: _softmax_objective(o, n_clients, swap, group2),

@@ -25,12 +25,12 @@ round are bound once per participant set per run, for at most
 live in its plan's buffers until the next round of the same set; the round
 aggregates the deltas, steps with the update and copies the deltas into the
 memory before then. The dict is cleared when configs drop out of the batch,
-since a plan's buffers have one row per config, and the zero vector that
-checks the global iterates' finiteness is rebuilt then.
+since a plan's buffers have one row per config.
 
-Each round aggregates the whole batch at once: one rule call per rule family
-on the batch's stacked updates and (configs, N, dim) memory, one server
-step, one finiteness check and one memory refresh. Work per config runs only
+Each round aggregates the whole batch, which shares its rule family (plain
+averaging, or fedstale's: u_fedavg, u_fedvarp, fedstale), at once: one rule
+call on the stacked updates and (configs, N, dim) memory, one server step,
+one finiteness check and one memory refresh. Work per config runs only
 after a check fails, to give the config the error it raises alone.
 
 The per-round metrics are evaluated a block of `METRIC_BLOCK` rounds at a
@@ -210,19 +210,15 @@ def run(
     n = obj.n_clients
     if cfg.profile.n_clients != n:
         raise ValueError("participation profile and objective disagree on client count")
-    inits = [check_param(c.init_point, obj.dim) for c in cfgs]
-    # Row r of the per-row arrays (w, client_lrs, server_lrs, slots, the
-    # metric blocks) is config live[r], and a dropped config's row is
-    # deleted; slots[r] is its memory of stale updates. The first
-    # `stale_rows` rows are the fedstale family's (u_fedavg, u_fedvarp and
-    # fedstale, each at its beta in `betas`), the rest plain averaging's, so
-    # each family aggregates a round in one call on a slice of the stack.
-    live = sorted(range(len(cfgs)), key=lambda c: cfgs[c].aggregator.rule == "fedavg_biased")
-    stale_rows = sum(cfgs[c].aggregator.rule != "fedavg_biased" for c in live)
-    betas = np.array([cfgs[c].aggregator.staleness_weight for c in live[:stale_rows]])
-    w = np.array([inits[c] for c in live])
-    client_lrs = np.array([cfgs[c].local.client_lr for c in live])
-    server_lrs = np.array([cfgs[c].server_lr for c in live])
+    # Row r of the per-row arrays (w, betas, client_lrs, server_lrs, slots,
+    # the metric blocks) is config live[r], and a dropped config's row is
+    # deleted; slots[r] is its memory of stale updates.
+    live = list(range(len(cfgs)))
+    averaging = cfg.aggregator.rule == "fedavg_biased"
+    betas = np.array([c.aggregator.staleness_weight for c in cfgs])
+    w = np.array([check_param(c.init_point, obj.dim) for c in cfgs])
+    client_lrs = np.array([c.local.client_lr for c in cfgs])
+    server_lrs = np.array([c.server_lr for c in cfgs])
     server_lr = lr_factor(server_lrs, 2)
     slots = np.zeros((len(cfgs), n, obj.dim))
 
@@ -239,7 +235,6 @@ def run(
         noise_state = noise_rng.bit_generator.state   # key word 0 is the round
     work = cfg.local.local_steps * cfg.local.batch_size
     plans: dict = {}   # the round plans, for the rows of the current batch
-    w_zeros = np.zeros(w.size)   # all_finite's zero vector for the global iterates
     # The rounds whose metrics are pending form a block that starts at round
     # t0; row r's pending round t0 + j is taken at w_block[r, j] and
     # slot_block[r, j]. With metrics off nothing is pending.
@@ -320,24 +315,20 @@ def run(
                 w_block[:, j] = w
                 slot_block[:, j] = slots
 
-            if stale_rows == len(w):
+            if not averaging:
                 delta = agg.fedstale(participants, deltas, slots, weights, betas, plans)
+            elif participants:
+                delta = agg.fedavg_biased(participants, deltas)
             else:
-                delta = np.zeros(w.shape)
-                if stale_rows:
-                    delta[:stale_rows] = agg.fedstale(
-                        participants, deltas[:stale_rows], slots[:stale_rows], weights, betas,
-                        plans,
-                    )
-                if participants:
-                    delta[stale_rows:] = agg.fedavg_biased(participants, deltas[stale_rows:])
+                delta = np.zeros(w.shape)   # plain averaging skips an empty round
             if metrics:
                 for c, d in zip(live, delta):
                     norms[c].append(agg.vector_norm(d))
             # the bits of w -= server_lr * delta: IEEE multiplication commutes
             delta *= server_lr
             w -= delta
-            if not all_finite(w, w_zeros):
+            # an all_finite false alarm passes the exact per-row check
+            if not all_finite(w):
                 for row in np.flatnonzero(~np.isfinite(w).all(axis=1)).tolist():
                     if errors[live[row]] is None:
                         fail(row, pending_error(row, j + 1, t0) or FloatingPointError(
@@ -366,10 +357,9 @@ def run(
                     counts = []
             if dropped:
                 live = [c for c in live if errors[c] is None]
-                betas = np.delete(betas, [row for row in dropped if row < stale_rows])
-                stale_rows = len(betas)
-                w, client_lrs, server_lrs, slots = (
-                    np.delete(a, dropped, axis=0) for a in (w, client_lrs, server_lrs, slots)
+                w, betas, client_lrs, server_lrs, slots = (
+                    np.delete(a, dropped, axis=0)
+                    for a in (w, betas, client_lrs, server_lrs, slots)
                 )
                 if metrics:
                     w_block, slot_block = (
@@ -378,7 +368,6 @@ def run(
                 if not live:
                     break
                 server_lr = lr_factor(server_lrs, 2)
-                w_zeros = np.zeros(w.size)
                 plans.clear()
 
         # One loss and one accuracy call for the whole batch.
@@ -422,6 +411,7 @@ def _participation_trace(cfg: TrainConfig) -> np.ndarray:
 
 def _shared_fields(cfg: TrainConfig) -> dict:
     return {
+        "rule family": cfg.aggregator.rule == "fedavg_biased",   # plain averaging or not
         "rounds": cfg.rounds,
         "master_seed": cfg.master_seed,
         "local_steps": cfg.local.local_steps,
@@ -437,17 +427,18 @@ def run_batch(cfgs: list[TrainConfig], obj: Objective, *, metrics: bool = True) 
     """Run several configs in lockstep and return one outcome per config:
     `run(cfg, obj)`'s result, bit for bit, or the exception it would raise.
 
-    The configs must share the rounds, the master seed, the participation
-    profile or replay trace, the weight source and cap, and the local steps
-    and batch size (a ValueError names the first field that differs). They
-    may differ in the aggregation rule and beta, the client and server lrs
-    and the initial point. Then the batch draws one participation trace,
-    and every round keys its one noise stream once and steps all
-    (config, participant) iterates together through one `local_train`
-    call on the shared minibatches. Aggregation, the server step and the
-    memory refresh then act on the stacked rows of every config, each
-    block of metrics is evaluated for all configs at once, and so are the
-    final losses and test accuracies.
+    The configs must share the rule family (`fedavg_biased`, or fedstale's:
+    u_fedavg, u_fedvarp and fedstale), the rounds, the master seed, the
+    participation profile or replay trace, the weight source and cap, and
+    the local steps and batch size (a ValueError names the first field that
+    differs). They may differ in the rule within its family and in beta, the
+    client and server lrs and the initial point.
+    Then the batch draws one participation trace, and every round keys its
+    one noise stream once and steps all (config, participant) iterates
+    together through one `local_train` call on the shared minibatches.
+    Aggregation, the server step and the memory refresh then act on the
+    stacked rows of every config, each block of metrics is evaluated for
+    all configs at once, and so are the final losses and test accuracies.
     The results share one participation trace array.
 
     A config whose iterate goes non-finite is dropped from the batch at that

@@ -5,9 +5,8 @@ a round's participants and minibatches) through the same K steps together.
 
 A round's *plan* is what its layers build from its participant set alone.
 Local SGD's part holds the client checks, the lr factor, the (configs,
-clients, dim) iterate and gradient buffers, the gradient kernel bound to
-them and the zero vector that checks the iterates' finiteness; aggregation
-keeps its own parts in the same plan (`aggregation.fedstale`,
+clients, dim) iterate and gradient buffers and the gradient kernel bound to
+them; aggregation keeps its own parts in the same plan (`aggregation.fedstale`,
 `aggregation.refresh_memory`). Given a plan dict, each layer keeps its part
 in the plan under the participant tuple (`planned`) and reuses it when the
 set comes again, so a part is bound once per participant set per run. The
@@ -26,10 +25,9 @@ from .objectives import DimensionMismatchError, Objective, all_finite
 
 # Plans a plan dict holds. Consecutive rounds of uneven participation mostly
 # repeat one set, and a few plans also cover sets that alternate. A plan
-# costs three float arrays of configs x clients x dim entries (iterates,
-# gradients, zero vector) plus its kernel's scratch, at most one dim-long row
-# a config on the bundled objectives, and aggregation's two (configs, dim)
-# buffers.
+# costs two float arrays of configs x clients x dim entries (iterates and
+# gradients) plus its kernel's scratch, at most one dim-long row a config on
+# the bundled objectives, and aggregation's two (configs, dim) buffers.
 PLAN_LIMIT = 4
 
 
@@ -133,15 +131,16 @@ def local_train(
         raise DimensionMismatchError(
             f"expected global iterates of shape (configs, {obj.dim}), got {w_global.shape}"
         )
-    lr, w, g, grads, zeros = planned(
+    lr, w, g, grads = planned(
         plans, clients, "local", _bind, obj, clients, len(w_global), client_lrs,
     )
     draws = obj._draws(clients, cfg.batch_size, cfg.local_steps, rng)
     start = w_global[:, None, :]   # each config's iterate, for each client
     _steps(grads, w, g, start, lr, draws)
     errors: list[DivergenceError | None] = [None] * len(w_global)
-    if not all_finite(w, zeros):
-        # off the path of a finite round: a non-finite input also ends here
+    if not all_finite(w):
+        # off the path of a finite round; an all_finite false alarm replays
+        # to no error
         if not np.isfinite(w_global).all():
             raise ValueError("global iterates contain non-finite entries")
         first_bad = np.full(w.shape[:2], -1)
@@ -156,14 +155,14 @@ def local_train(
 
 def _bind(obj: Objective, clients: Sequence[int], configs: int, client_lrs) -> tuple:
     """A round's local-SGD plan part: the lr factor, the iterate and gradient
-    buffers of shape (configs, len(clients), obj.dim), the kernel bound to
-    them, and the iterates' zero vector for `all_finite`."""
+    buffers of shape (configs, len(clients), obj.dim) and the kernel bound
+    to them."""
     for i in clients:
         obj._check_client(i)
     lr = lr_factor(np.asarray(client_lrs, dtype=float), 3)
     w = np.empty((configs, len(clients), obj.dim))
     g = np.empty(w.shape)
-    return lr, w, g, obj._bind_stochastic_gradients(clients, w, g), np.zeros(w.size)
+    return lr, w, g, obj._bind_stochastic_gradients(clients, w, g)
 
 
 def _steps(grads, w, g, start, lr, draws, first_bad=None) -> None:

@@ -591,6 +591,18 @@ BAD_INPUTS = {
         for command in ("run", "repeat")
         for value in ("1.5", "inf")
     },
+    # group2_size must lie in (0, n_clients) at every group probability; at
+    # exactly 1 it used to be read without a check.
+    **{
+        f"{command}_group2_size_{size}_at_p_min_group_{p}": (
+            command, "cfg.ini", QUAD_RUN,
+            ["--set", f"participation.p_min_group={p}",
+             "--set", f"participation.group2_size={size}"], None,
+        )
+        for command in ("run", "repeat")
+        for p in ("1", "0.5")
+        for size in ("5", "-3", "2", "0")
+    },
     # No client, or clients with no coordinate, used to raise an uncaught
     # IndexError (exit 1).
     **{
@@ -656,7 +668,7 @@ NON_FINITE_BASES = {
 }
 RUNS = ("run", "replay", "repeat")
 # (section, key) -> the (subcommand, base, overrides) under which the key is
-# read. Grid cells start at zeros, so grid does not read run.init.
+# read.
 NON_FINITE_READERS = {
     **{("objective", k): [(c, "quadratic", []) for c in RUNS]
        for k in ("noise_var", "centers", "hessians")},
@@ -704,10 +716,12 @@ def test_every_float_key_has_a_non_finite_case():
 
 
 # aggregator.weight_cap is checked under either weight source, so exact
-# weights and grid read it too. These readers come last, apart from the
-# table above, so that its cases keep their test ids.
+# weights and grid read it too, and grid checks that run.init is zeros, where
+# its cells start. These readers come last, apart from the table above, so
+# that its cases keep their test ids.
 NON_FINITE_MORE_READERS = {
     ("aggregator", "weight_cap"): [(c, "quadratic", []) for c in RUNS] + [("grid", "grid", [])],
+    ("run", "init"): [("grid", "grid", [])],
 }
 NON_FINITE_CASES = [
     (section, key, command, base, sets)
@@ -721,13 +735,20 @@ def non_finite_case(tmp_path, section, key, command, base, sets, value):
     """Run `command` on `base` with `sets` and `section.key` set to `value`
     (in a valid list, for a list key); with `value` None, a list key gets the
     valid list and a scalar key its base value."""
-    text, n_clients = NON_FINITE_BASES[base]
-    argv = [command, "--config", str(write(tmp_path, text)), "--out", str(tmp_path / "o")]
     valid = NON_FINITE_LISTS.get((section, key))
+    if (section, key, command) == ("run", "init", "grid"):
+        valid = "zeros"   # the one value grid accepts
     if valid is not None:
         value = valid if value is None else re.sub(r"[^,;\s]+", value, valid, count=1)
     if value is not None:
         sets = [*sets, f"{section}.{key}={value}"]
+    return run_case(tmp_path, command, base, sets)
+
+
+def run_case(tmp_path, command, base, sets):
+    """Run `command` on the config `base` with the overrides `sets`."""
+    text, n_clients = NON_FINITE_BASES[base]
+    argv = [command, "--config", str(write(tmp_path, text)), "--out", str(tmp_path / "o")]
     for item in sets:
         argv += ["--set", item]
     if command == "replay":
@@ -748,3 +769,40 @@ def test_the_non_finite_cases_run_with_finite_values(tmp_path, section, key, com
 def test_a_non_finite_float_is_a_config_error(tmp_path, section, key, command, base, sets, value):
     expected = EXIT_OK if (section, key, value) in NON_FINITE_ALLOWED else EXIT_CONFIG
     assert non_finite_case(tmp_path, section, key, command, base, sets, value) == expected
+
+
+# Every list key is set to an empty list on every subcommand that reads it:
+# a float list key where the non-finite sweep reads it, an int list key
+# where the table below says.
+LIST_PARSERS = (cli.float_list, cli.int_list, cli.float_rows, cli.zeros_or_floats)
+INT_LIST_READERS = {
+    ("run", "seeds"): [("repeat", "quadratic", [])],
+    ("grid", "seeds"): [("grid", "grid", [])],
+    ("lowerbound", "taus"): [("lowerbound", "lowerbound", [])],
+}
+LIST_READERS = {
+    **{k: NON_FINITE_READERS[k] + NON_FINITE_MORE_READERS.get(k, []) for k in NON_FINITE_LISTS},
+    **INT_LIST_READERS,
+}
+EMPTY_LIST_CASES = [
+    (section, key, command, base, sets)
+    for (section, key), readers in LIST_READERS.items()
+    for command, base, sets in readers
+]
+
+
+def test_every_list_key_has_an_empty_list_case():
+    list_keys = {
+        (section, key) for section, keys in cli._SCHEMA.items()
+        for key, (parse, _) in keys.items() if parse in LIST_PARSERS
+    }
+    assert set(LIST_READERS) == list_keys
+
+
+@pytest.mark.parametrize("section,key,command,base,sets", EMPTY_LIST_CASES)
+def test_an_empty_list_is_a_config_error(tmp_path, capsys, section, key, command, base, sets):
+    # No list key accepts an empty list. theory.betas, lowerbound.taus and
+    # grid.client_lr_grid used to: the first two wrote tables without rows,
+    # the last read as unset.
+    assert run_case(tmp_path, command, base, [*sets, f"{section}.{key}="]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")

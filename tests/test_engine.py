@@ -3,6 +3,7 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
+import oracles
 import pytest
 
 import stalefl.engine
@@ -19,7 +20,7 @@ from stalefl.engine import (
     two_group_prob_for_ratio,
     write_metrics_csv,
 )
-from stalefl.local_solver import DivergenceError, LocalConfig
+from stalefl.local_solver import DivergenceError, LocalConfig, local_train
 from stalefl.objectives import (
     GLOBAL,
     DimensionMismatchError,
@@ -536,9 +537,9 @@ def batch_case_configs(obj, rules, lrs, **kw):
 
 
 BETAS = [("fedstale", 0.0), ("fedstale", 0.3), ("fedstale", 1.0)]
-MIXED_RULES = [
-    ("fedavg_biased", 0.5), ("u_fedavg", 0.5), ("u_fedvarp", 0.5), ("fedstale", 0.7),
-]
+# every rule of the fedstale family in one batch
+MIXED_RULES = [("u_fedavg", 0.5), ("u_fedvarp", 0.5), ("fedstale", 0.7)]
+AVERAGING = [("fedavg_biased", 0.5)]
 BATCH_CASES = {
     "softmax_betas_and_lrs": (
         lambda: small_softmax_factory()(0.5, None), BETAS, [0.05, 0.1], {},
@@ -559,6 +560,14 @@ BATCH_CASES = {
     ),
     "mixed_rules_softmax": (
         lambda: small_softmax_factory()(0.5, None), MIXED_RULES, [0.05], {},
+    ),
+    # every client draws, so some rounds have no participants
+    "fedavg_biased": (
+        lambda: two_client_objective(noise=0.3), AVERAGING, [0.02, 0.04],
+        dict(profile=ParticipationProfile(np.array([0.6, 0.3]))),
+    ),
+    "fedavg_biased_softmax": (
+        lambda: small_softmax_factory()(0.5, None), AVERAGING, [0.05, 0.1], {},
     ),
 }
 
@@ -663,7 +672,7 @@ def test_batch_configs_may_differ_in_rule_lrs_and_init():
     cfg = base_config(rounds=30)
     other = replace(
         cfg, server_lr=0.5, init_point=np.array([1.0, 2.0]),
-        local=LocalConfig(5, 0.05), aggregator=AggregatorConfig(rule="fedavg_biased"),
+        local=LocalConfig(5, 0.05), aggregator=AggregatorConfig(rule="u_fedvarp"),
     )
     batch = run_batch([cfg, other], obj)
     assert [result_bytes(r) for r in batch] == [
@@ -671,6 +680,22 @@ def test_batch_configs_may_differ_in_rule_lrs_and_init():
     ]
     with pytest.raises(ValueError):
         run_batch([], obj)
+    # plain averaging is a rule family of its own
+    averaging = replace(other, aggregator=AggregatorConfig(rule="fedavg_biased"))
+    for pair in ([cfg, averaging], [averaging, cfg]):
+        with pytest.raises(ValueError, match="must share rule family"):
+            run_batch(pair, obj)
+
+
+def test_plain_averaging_makes_no_update_in_an_empty_round():
+    obj = two_client_objective()
+    schedule = np.zeros((4, 2), dtype=bool)
+    schedule[2] = True   # both clients take part in round 3 alone
+    cfgs = batch_case_configs(obj, AVERAGING, [0.02, 0.04], rounds=4, replay_schedule=schedule)
+    for res in run_batch(cfgs, obj):
+        norms = res.columns["update_norm"]
+        assert norms[:2] == [0.0, 0.0] and norms[3] == 0.0 and norms[2] > 0.0
+        assert res.final_w.tobytes() != cfgs[0].init_point.tobytes()
 
 
 def outcome(out):
@@ -781,6 +806,42 @@ def test_nonfinite_final_loss_raises_with_metrics_on():
     assert np.isfinite(lean.final_w).all() and math.isinf(lean.final_loss)
     with pytest.raises(FloatingPointError, match="^the final loss is non-finite after round 70$"):
         run(cfg, obj)
+
+
+def test_iterates_whose_squares_overflow_are_finite():
+    # Centers near 1e160 put the iterates near 1e158, whose squares overflow:
+    # the cheap finiteness check raises a false alarm every round, and the
+    # exact checks behind it (local SGD's replay, the engine's per-row check)
+    # keep the bits of the reference loops and raise nothing.
+    obj = QuadraticObjective.isotropic([np.array([1e160, 0.0]), np.array([0.0, 1e160])])
+    clients, steps, lr = [0, 1], 2, 0.01
+
+    def local_deltas(w):
+        start = np.repeat(w[:, None], len(clients), axis=1)
+        local = start
+        for _ in range(steps):
+            g = oracles.quadratic_row_gradients(obj.hessians, obj.centers, clients, local)
+            local = local - lr * g
+        return start - local
+
+    w = np.full((1, 2), 1e158)
+    with np.errstate(over="ignore"):
+        deltas, errors = local_train(obj, clients, w, LocalConfig(steps, lr), None, [lr])
+    assert errors == [None]
+    assert deltas.tobytes() == local_deltas(w).tobytes()
+
+    cfg = base_config(
+        rounds=5, local=LocalConfig(steps, lr), aggregator=AggregatorConfig(rule="u_fedavg"),
+        profile=ParticipationProfile(np.ones(2)), init_point=np.zeros(2),
+    )
+    w = np.zeros((1, 2))
+    for _ in range(cfg.rounds):
+        update = oracles.u_fedavg(clients, local_deltas(w)[0], np.ones(2), len(clients))
+        w = w - update
+    assert np.abs(w).min() > 1e155
+    lean = run(cfg, obj, metrics=False)
+    assert lean.final_w.tobytes() == w[0].tobytes()
+    assert math.isinf(lean.final_loss)
 
 
 def test_each_layer_is_called_by_its_traced_name_once_a_round(monkeypatch):
