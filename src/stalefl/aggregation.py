@@ -14,10 +14,17 @@ row i is client i's most recent update, zeros before its first.
 The rules, the refresh and `memory_error` also take a stack of rounds that
 share the participants, one per config of a lockstep batch: `deltas` of
 shape (..., len(clients), dim) and a memory `slots` of shape (..., N, dim)
-with the same leading axes, and fedstale a beta per leading entry. The loop
-over the participants stays; each of its operations acts on the whole stack,
-and every leading entry of the result has the bits of the call on its own
-deltas, memory and beta alone.
+with the same leading axes, and fedstale a beta per leading entry. Every
+operation acts on the whole stack, and every leading entry of the result has
+the bits of the call on its own deltas, memory and beta alone.
+
+fedstale and the refresh take a round in one of two forms, chosen by the
+number of participants P (`_reduces`). Below `REDUCE_FROM` a Python loop
+visits the participants, one numpy call per operation each. From it on,
+fedstale builds all P terms in one (..., P, dim) buffer and sums them with
+one reduce, which adds the rows one after another like the loop, and the
+refresh writes every row with one indexed assignment. Both forms give the
+same bits; the loop costs less at one or two participants.
 
 `fedstale` and `refresh_memory` also take a round's plan dict (see
 `local_solver`): what they build from a participant set alone, the checks
@@ -113,6 +120,24 @@ def fedavg_biased(clients: Sequence[int], deltas: np.ndarray) -> np.ndarray:
     return delta
 
 
+# Participants from which a round takes the reduce form (`_reduces`). A
+# timeit of fedstale and the refresh, with and without plans (2-vCPU Xeon,
+# numpy 2.4), put the crossover at 3. At 1 or 2 participants the loop costs
+# less: 3.2 against 5.0 us for a planned fedstale and refresh at one config,
+# P = 1, dim 2 and beta 0. From 3 on the reduce does: 44 against 115 us for
+# a planned fedstale at 5 configs, P = 24, dim 110 and beta 0.5.
+REDUCE_FROM = 3
+
+
+def _reduces(clients, deltas) -> bool:
+    """Whether a round's fedstale terms are summed with one reduce, and its
+    memory refreshed with one indexed assignment, rather than a loop over
+    the participants: from `REDUCE_FROM` participants on, at dim 2 or more.
+    dim 1 keeps the loop: numpy reduces (..., P, 1) along P as a pairwise
+    sum from 8 rows on, not row after row."""
+    return len(clients) >= REDUCE_FROM and deltas.shape[-1] > 1
+
+
 def vector_norm(x: np.ndarray) -> float:
     # float(np.linalg.norm(x)) for a 1-D float array, bit for bit, at a
     # fraction of its per-call cost.
@@ -140,6 +165,11 @@ def fedstale(
     one value for every entry or an array of the leading shape (...), one
     per entry.
 
+    The fresh sum takes the loop or the reduce form (module docstring): a
+    loop over the participants, or every term w_i * (d_i - beta * h_i) at
+    once and one `np.add.reduce` over the participant axis from +0.0. Both
+    add the terms in client order from +0.0, so they give the same bits.
+
     The call runs on a plan part (`_bind_fedstale`) that holds every check
     of the participants, shapes and beta, and the buffers. Without `plans`
     it binds a throwaway one. With a plan dict it keeps the part in the
@@ -150,7 +180,7 @@ def fedstale(
     update then lives in the plan's buffer until the next call on the same
     set. Reusing a plan changes no bit of the update.
     """
-    b, n_clients, stale, zero_rows, fresh, term = planned(
+    b, n_clients, stale, zero_rows, fresh, term, reduce = planned(
         plans, clients, "fedstale", _bind_fedstale, clients, deltas, slots, beta,
     )
     # A stale participant's term w_i * (d_i - b * h_i) is built in place in
@@ -159,11 +189,25 @@ def fedstale(
     # bits of adding it to a zero-filled sum, signed zeros included (0.0 as
     # a 0-d array, which numpy does not convert on each use).
     multiply, subtract, add, divide = np.multiply, np.subtract, np.add, np.divide
-    for k, i in enumerate(clients):
-        d = deltas[..., k, :]
+    if reduce is None:
+        for k, i in enumerate(clients):
+            d = deltas[..., k, :]
+            if stale:
+                d = subtract(d, multiply(b, slots[..., i, :], term), term)
+            add(fresh if k else _ZERO, multiply(weights[i], d, term), fresh)
+    else:
+        # Every participant's term at once, in the plan's (..., P, dim)
+        # buffer, with the loop's operations, then one reduce over the
+        # participant axis: numpy adds its rows one after another, from the
+        # +0.0 start, so the fresh sum has the loop's bits. numpy does not
+        # document that order; tests/test_aggregation.py pins it.
+        b_rows, index, weight_index, terms = reduce
+        d = deltas
         if stale:
-            d = subtract(d, multiply(b, slots[..., i, :], term), term)
-        add(fresh if k else _ZERO, multiply(weights[i], d, term), fresh)
+            h = slots.take(index, -2, terms, "clip")   # the bind checked the indices
+            d = subtract(d, multiply(b_rows, h, terms), terms)
+        multiply(weights.take(weight_index), d, terms)
+        np.add.reduce(terms, -2, None, fresh, False, 0.0)
     # the update, in the term buffer
     if not stale:
         return divide(fresh, n_clients, term)
@@ -187,10 +231,13 @@ def _bind_fedstale(clients, deltas, slots, beta) -> tuple:
     """fedstale's plan part for a round: beta as a 0-d array or a (..., 1)
     column, N as a 0-d float array, whether any beta is non-zero (else the
     stale terms are skipped, which changes no bit), the rows whose beta is 0
-    among stale ones (or None), and the fresh-sum and term buffers of the
-    leading shape (..., dim); the term buffer takes the update once the
-    terms are summed. Raises, binding nothing, on a beta outside [0, 1] or
-    a round `_check_round` rejects."""
+    among stale ones (or None), the fresh-sum and term buffers of the
+    leading shape (..., dim), the term buffer taking the update once the
+    terms are summed, and, in the reduce form, beta shaped to broadcast
+    over (..., P, dim), the clients as an index array and as a (P, 1)
+    column that gathers their weights, and the (..., P, dim) terms buffer
+    (else None). Raises, binding nothing, on a beta outside [0, 1] or a
+    round `_check_round` rejects."""
     beta = np.asarray(beta, dtype=float)
     values = beta.ravel().tolist()
     # One beta is held as a 0-d array, which broadcasts like a float; numpy
@@ -212,7 +259,11 @@ def _bind_fedstale(clients, deltas, slots, beta) -> tuple:
     fresh = np.empty(shape) if len(clients) else np.zeros(shape)
     # N as a 0-d float array: the bits of dividing by the int, at less cost
     n_clients = np.array(float(slots.shape[-2]))
-    return b, n_clients, stale, zero_rows, fresh, np.empty(shape)
+    reduce = None
+    if _reduces(clients, deltas):
+        index = np.array(clients, dtype=np.intp)
+        reduce = b[..., None] if b.ndim else b, index, index[:, None], np.empty(deltas.shape)
+    return b, n_clients, stale, zero_rows, fresh, np.empty(shape), reduce
 
 
 def u_fedavg(
@@ -234,22 +285,31 @@ def refresh_memory(
     slots: np.ndarray, clients: Sequence[int], deltas: np.ndarray, plans: dict | None = None,
 ) -> None:
     """Overwrite participants' rows of the (N, dim) memory, or of every
-    memory of a (..., N, dim) stack, with their fresh updates; in place.
+    memory of a (..., N, dim) stack, with their fresh updates; in place:
+    row by row, or in the reduce form (module docstring) with one indexed
+    assignment.
 
     The round is checked once per plan part: with a plan dict, the part kept
     for `tuple(clients)` records that the set passed `_check_round`
     (`local_solver.planned`), and a dict serves calls that share the shapes
     of `slots` and `deltas`, as for `fedstale`.
     """
-    for k, i in planned(plans, clients, "refresh", _bind_refresh, clients, deltas, slots):
-        slots[..., i, :] = deltas[..., k, :]
+    pairs, index = planned(plans, clients, "refresh", _bind_refresh, clients, deltas, slots)
+    if index is None:
+        for k, i in pairs:
+            slots[..., i, :] = deltas[..., k, :]
+    else:
+        slots[..., index, :] = deltas
 
 
-def _bind_refresh(clients, deltas, slots) -> list:
-    """refresh_memory's plan part: the (update row, memory row) pairs of a
-    round that `_check_round` accepts."""
+def _bind_refresh(clients, deltas, slots) -> tuple:
+    """refresh_memory's plan part for a round that `_check_round` accepts:
+    in the loop form its (update row, memory row) pairs, in the reduce form
+    its clients as an index array; the other entry is None."""
     _check_round(clients, deltas, slots)
-    return list(enumerate(clients))
+    if _reduces(clients, deltas):
+        return None, np.array(clients, dtype=np.intp)
+    return list(enumerate(clients)), None
 
 
 def memory_error(slots: np.ndarray, obj: Objective, w: np.ndarray) -> float | np.ndarray:

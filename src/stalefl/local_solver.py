@@ -27,7 +27,9 @@ from .objectives import DimensionMismatchError, Objective, all_finite
 # repeat one set, and a few plans also cover sets that alternate. A plan
 # costs two float arrays of configs x clients x dim entries (iterates and
 # gradients) plus its kernel's scratch, at most one dim-long row a config on
-# the bundled objectives, and aggregation's two (configs, dim) buffers.
+# the bundled objectives, and aggregation's two (configs, dim) buffers and,
+# for a set of `aggregation.REDUCE_FROM` clients or more, a third configs x
+# clients x dim array (fedstale's terms).
 PLAN_LIMIT = 4
 
 
@@ -108,8 +110,9 @@ def local_train(
     the gradients into the one gradient buffer, each row with the bits of
     its call alone, and when every config shares one lr the step multiplies
     by it as a 0-d array (`lr_factor`). A non-finite entry stays non-finite,
-    so their finiteness is checked once, after the K steps; only when that
-    check fails are the steps replayed from `w_global`, on the recorded
+    so their finiteness is checked once, after the K steps, by `all_finite`
+    and, if that fails, by the exact `np.isfinite`; only when the exact
+    check fails too are the steps replayed from `w_global`, on the recorded
     draws and through the same kernel, to find where each iterate first
     went non-finite. Returns the deltas, w_global - local iterate after K
     steps, of shape (configs, clients, dim), and per config the
@@ -138,9 +141,9 @@ def local_train(
     start = w_global[:, None, :]   # each config's iterate, for each client
     _steps(grads, w, g, start, lr, draws)
     errors: list[DivergenceError | None] = [None] * len(w_global)
-    if not all_finite(w):
-        # off the path of a finite round; an all_finite false alarm replays
-        # to no error
+    # off the path of a finite round; the exact check settles an all_finite
+    # false alarm without a replay
+    if not all_finite(w) and not np.isfinite(w).all():
         if not np.isfinite(w_global).all():
             raise ValueError("global iterates contain non-finite entries")
         first_bad = np.full(w.shape[:2], -1)

@@ -400,7 +400,6 @@ class SoftmaxObjective(Objective):
         self.n_classes = dataset.class_count
         self.n_features = dataset.feature_dim
         self.dim = self.n_classes * (self.n_features + 1)
-        self._classes = np.arange(self.n_classes)
         train_x, train_y = [], []
         self.test_x: list[np.ndarray] = []
         self.test_y: list[np.ndarray] = []
@@ -422,6 +421,14 @@ class SoftmaxObjective(Objective):
         self._flat_y = np.concatenate(train_y)
         self.train_x = np.split(self._flat_x, self._offsets[1:])
         self.train_y = np.split(self._flat_y, self._offsets[1:])
+        # Each training sample's one-hot label as floats, row for row with
+        # _flat_x: a gradient subtracts 1.0 and 0.0 without a bool cast.
+        self._flat_onehot = (self._flat_y[:, None] == np.arange(self.n_classes)).astype(float)
+        self._onehot = np.split(self._flat_onehot, self._offsets[1:])
+        # The sample counts 0..n_max as floats. _counts[n, ...] is a 0-d
+        # array, the divisor of a mean over n samples: the bits of dividing
+        # by the int n, which numpy would convert on each use.
+        self._counts = np.arange(self._n_train.max() + 1, dtype=float)
         # Added to a client's (steps, n_max) keys: 2 past its own samples, so
         # a padded slot never ranks among the batch_size smallest keys.
         self._key_pad = np.where(
@@ -442,13 +449,12 @@ class SoftmaxObjective(Objective):
         # a non-contiguous row need not have the bits of the 1-D mean.
         return -np.ascontiguousarray(logp[..., np.arange(len(y)), y]).mean(axis=-1)
 
-    @staticmethod
     def _samples_grad(
-        w_t: np.ndarray, x: np.ndarray, onehot: np.ndarray, out: np.ndarray | None = None,
+        self, w_t: np.ndarray, x: np.ndarray, onehot: np.ndarray, out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Mean cross-entropy gradient, in `out` if given, over the samples
-        `x` (..., n, features + 1) with one-hot labels `onehot` (..., n,
-        classes), at the transposed weights `w_t` (..., features + 1,
+        `x` (..., n, features + 1) with float one-hot labels `onehot` (...,
+        n, classes), at the transposed weights `w_t` (..., features + 1,
         classes). Leading axes are batch axes and broadcast; np.matmul
         computes each batch element with the bits of the 2-D product."""
         z = x @ w_t
@@ -457,12 +463,13 @@ class SoftmaxObjective(Objective):
         # exact, so only the sign of a zero max can differ, and the zero
         # logits it shifts to +-0 still give p = exp(+-0) = 1: p keeps the
         # bits of np.exp(self._log_softmax(z)).
-        z -= np.maximum.reduce(np.ascontiguousarray(np.moveaxis(z, -1, 0)), axis=0)[..., None]
+        class_major = z.transpose(z.ndim - 1, *range(z.ndim - 1))
+        z -= np.maximum.reduce(np.ascontiguousarray(class_major), axis=0)[..., None]
         z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
         p = np.exp(z, out=z)
-        # p - 1 at each sample's label and p - 0 elsewhere: p's bits then.
+        # p - 1.0 at each sample's label and p - 0.0 elsewhere: p's bits then.
         p -= onehot
-        return np.divide(p.swapaxes(-1, -2) @ x, onehot.shape[-2], out=out)
+        return np.divide(p.swapaxes(-1, -2) @ x, self._counts[x.shape[-2], ...], out=out)
 
     def loss(self, w: np.ndarray, client: int | None = GLOBAL) -> float | np.ndarray:
         return self._oracle(self._loss, w, client)
@@ -477,9 +484,8 @@ class SoftmaxObjective(Objective):
         return self._samples_loss(self._unpack(w), self.train_x[client], self.train_y[client])
 
     def _client_gradient(self, w, client):
-        x, y = self.train_x[client], self.train_y[client]
         w_t = self._unpack(w).swapaxes(-1, -2)
-        return self._samples_grad(w_t, x, y[:, None] == self._classes).reshape(w.shape)
+        return self._samples_grad(w_t, self.train_x[client], self._onehot[client]).reshape(w.shape)
 
     def _minibatches(self, clients, batch_size, steps, rng):
         """The (steps, len(clients), batch_size) sample indices of a round:
@@ -501,13 +507,12 @@ class SoftmaxObjective(Objective):
         return idx.swapaxes(0, 1)
 
     def _draws(self, clients, batch_size, steps, rng):
-        # One gather: the (steps, P, batch_size) flat row indices give
-        # C-contiguous (P, batch_size, features + 1) rows for every step,
-        # and one compare every step's (P, batch_size, classes) labels.
+        # Two gathers: the (steps, P, batch_size) flat row indices give
+        # C-contiguous (P, batch_size, features + 1) rows and (P,
+        # batch_size, classes) float one-hot labels for every step.
         rows = self._minibatches(clients, batch_size, steps, rng)
         rows = rows + self._offsets[clients][:, None]
-        onehot = self._flat_y[rows][..., None] == self._classes
-        return list(zip(self._flat_x[rows], onehot))
+        return list(zip(self._flat_x[rows], self._flat_onehot[rows]))
 
     def _bind_stochastic_gradients(self, clients, w, out):
         w_t = self._unpack(w).swapaxes(-1, -2)

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stalefl import aggregation
 from stalefl.aggregation import (
+    REDUCE_FROM,
     AggregatorConfig,
     NoParticipantsError,
     fedavg_biased,
@@ -573,3 +575,68 @@ def test_planned_aggregation_rejects_what_the_plain_call_rejects():
             plans = {}
             assert raised(lambda: call(plans)) == plain and not plans
             np.testing.assert_array_equal(slots, 0.0)
+
+
+#
+# fedstale and refresh_memory take a round in one of two forms, a loop over
+# the participants or one reduce (one indexed assignment for the refresh),
+# chosen by the number of participants; both give the same bytes.
+
+EXTREME_ENTRIES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1e300, -1e300, 2.5]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def participant_rounds(draw):
+    """(betas, memory, rounds) of a run on one memory: betas one float or
+    one per config, and rounds a list of (clients, deltas, weights) whose
+    participant counts lie on both sides of REDUCE_FROM."""
+    n = draw(st.integers(REDUCE_FROM, 12))
+    dim = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        betas = draw(st.sampled_from([0.0, 0.4, 1.0]))
+        lead = draw(st.sampled_from([(), (1,), (3,)]))
+    else:
+        mixes = st.lists(st.sampled_from([0.0, -0.0, 0.3, 1.0]), min_size=1, max_size=4)
+        betas = np.array(draw(mixes))
+        lead = betas.shape
+
+    def array(shape):
+        # all -0.0 too, where a sum that does not start at +0.0 stays -0.0
+        entries = draw(st.sampled_from([EXTREME_ENTRIES, st.just(-0.0)]))
+        size = math.prod(shape)
+        values = draw(st.lists(entries, min_size=size, max_size=size))
+        return np.array(values, dtype=float).reshape(shape)
+
+    rounds = []
+    for _ in range(draw(st.integers(1, 4))):
+        everyone = st.just(list(range(n)))
+        clients = draw(st.one_of(everyone, st.sets(st.integers(0, n - 1)).map(sorted)))
+        weights = np.array(draw(st.lists(st.floats(1.0, 10.0), min_size=n, max_size=n)))
+        rounds.append((clients, array((*lead, len(clients), dim)), weights))
+    return betas, array((*lead, n, dim)), rounds
+
+
+@settings(max_examples=150, deadline=None)
+@given(participant_rounds())
+def test_loop_and_reduce_forms_give_the_same_bits(case):
+    # The forms chosen by the participant count, the loop at every count and
+    # the reduce at every count: each round's update and refreshed memory
+    # have the same bytes, with and without a plan dict.
+    betas, memory, rounds = case
+    outcomes = []
+    for reduce_from in (REDUCE_FROM, math.inf, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(aggregation, "REDUCE_FROM", reduce_from)
+            for plans in (None, {}):
+                slots, bits = memory.copy(), []
+                for clients, deltas, weights in rounds:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        update = fedstale(clients, deltas, slots, weights, betas, plans)
+                    bits.append(update.tobytes())
+                    refresh_memory(slots, clients, deltas, plans)
+                    bits.append(slots.tobytes())
+                outcomes.append(bits)
+    assert all(bits == outcomes[0] for bits in outcomes[1:])

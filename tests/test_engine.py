@@ -808,7 +808,7 @@ def test_nonfinite_final_loss_raises_with_metrics_on():
         run(cfg, obj)
 
 
-def test_iterates_whose_squares_overflow_are_finite():
+def test_iterates_whose_squares_overflow_are_finite(monkeypatch):
     # Centers near 1e160 put the iterates near 1e158, whose squares overflow:
     # the cheap finiteness check raises a false alarm every round, and the
     # exact checks behind it (local SGD's replay, the engine's per-row check)
@@ -824,11 +824,49 @@ def test_iterates_whose_squares_overflow_are_finite():
             local = local - lr * g
         return start - local
 
+    # Local SGD settles the false alarm with the exact check: the bound
+    # kernel runs the K steps once, and a replay would run them twice.
+    calls = []
+    bind = obj._bind_stochastic_gradients
+
+    def counted_bind(*args):
+        grads = bind(*args)
+
+        def counted(sample):
+            calls.append(sample)
+            return grads(sample)
+
+        return counted
+
+    monkeypatch.setattr(obj, "_bind_stochastic_gradients", counted_bind)
     w = np.full((1, 2), 1e158)
     with np.errstate(over="ignore"):
         deltas, errors = local_train(obj, clients, w, LocalConfig(steps, lr), None, [lr])
-    assert errors == [None]
+    assert errors == [None] and len(calls) == steps
     assert deltas.tobytes() == local_deltas(w).tobytes()
+
+    # A real divergence in the same regime still replays and reports the
+    # (client, step) of the hand loop, the first non-finite iterate of the
+    # lowest-index client that has one, next to a config that stays finite.
+    big_steps, big_lr = 60, 1000.0
+    w = np.array([[1e158, 1e158], [1e158, 1e150]])
+    calls.clear()
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, errors = local_train(
+            obj, clients, w, LocalConfig(big_steps, lr), None, np.array([lr, big_lr]),
+        )
+        first = {}
+        for i in clients:
+            local = w[1:, None].copy()
+            for k in range(big_steps):
+                local = local - big_lr * oracles.quadratic_row_gradients(
+                    obj.hessians, obj.centers, [i], local,
+                )
+                if not np.isfinite(local).all():
+                    first.setdefault(i, k)
+    assert errors[0] is None and len(calls) == 2 * big_steps
+    client = min(first)
+    assert (errors[1].client, errors[1].step) == (client, first[client])
 
     cfg = base_config(
         rounds=5, local=LocalConfig(steps, lr), aggregator=AggregatorConfig(rule="u_fedavg"),

@@ -11,6 +11,7 @@ import hashlib
 import pytest
 from test_acceptance import GRID_CONFIG, RUN_CONFIG
 
+from stalefl import aggregation
 from stalefl.cli import main
 
 # Criterion 3's quadratic, shortened to 300 rounds and two seeds.
@@ -102,6 +103,10 @@ GRID_LOSS_CONFIG = (
     .replace("swap_fractions = 0, 0.5", "swap_fractions = 0.5")
     .replace("metric = accuracy", "metric = loss\nclient_lr_grid = 0.02, 0.05")
 )
+
+# The same grid on four clients: its rounds have 2, 3 or 4 participants,
+# on both sides of aggregation.REDUCE_FROM.
+GRID_FOUR_CLIENTS_CONFIG = GRID_LOSS_CONFIG.replace("n_clients = 8", "n_clients = 4")
 
 # The d=201 hard instance: an exact oracle and banded (tridiagonal) per-client
 # products. Its two metrics.csv hashes were re-taken when dense matvecs gave
@@ -221,6 +226,9 @@ CASES = {
     "grid_loss_lr_grid": ("grid", GRID_LOSS_CONFIG, ("--threads", "1"), {
         "grid.csv": "93089fe2354f0a7645555bdaf89a8bafd8b1af18a02b37c93526288335d99ba1",
     }),
+    "grid_four_clients": ("grid", GRID_FOUR_CLIENTS_CONFIG, ("--threads", "1"), {
+        "grid.csv": "03fe96ff6d0068b541ac1eca191f33a04ce08db33124b77f1b7ba1510c2f58bc",
+    }),
     "run_hard_instance": ("run", HARD_RUN_CONFIG, (), {
         "metrics.csv": "fef719badafd9373e2b80ddfe93eeb5d7551d32ab1a2948adb983a8bb8352628",
     }),
@@ -255,3 +263,22 @@ def test_golden_outputs_unchanged(tmp_path, name):
         "Refactors must keep golden outputs byte-identical; a deliberate change "
         "re-baselines these hashes and records why in CHANGES.md."
     )
+
+
+def test_a_grid_golden_pins_both_participant_forms(tmp_path, monkeypatch):
+    # The four-client grid golden's rounds take both forms of fedstale and
+    # the memory refresh, the loop and the reduce, on a stack of configs
+    # with per-row betas and lrs, so a later move of the crossover that
+    # leaves a form unpinned by this golden fails here.
+    forms = set()
+    reduces = aggregation._reduces
+
+    def recorded(clients, deltas):
+        reduce = reduces(clients, deltas)
+        if clients:
+            forms.add(reduce)
+        return reduce
+
+    monkeypatch.setattr(aggregation, "_reduces", recorded)
+    assert output_hashes(tmp_path, "grid_four_clients") == CASES["grid_four_clients"][3]
+    assert forms == {False, True}

@@ -212,13 +212,13 @@ def test_softmax_draws_are_distinct_ascending_in_range():
         obj._draws([0], n + 1, 1, np.random.default_rng(0))
 
 
-def unequal_softmax(sizes=(3, 7, 12)):
+def unequal_softmax(sizes=(3, 7, 12), classes=3, features=2):
     """A softmax objective whose clients hold `sizes` training samples."""
     rng = np.random.default_rng(4)
     data = SyntheticDataset(
-        [rng.normal(size=(n, 2)) for n in sizes],
-        [rng.integers(0, 3, size=n) for n in sizes],
-        np.ones(len(sizes), dtype=int), 3, 0.0, (0, 1),
+        [rng.normal(size=(n, features)) for n in sizes],
+        [rng.integers(0, classes, size=n) for n in sizes],
+        np.ones(len(sizes), dtype=int), classes, 0.0, (0, 1),
     )
     return SoftmaxObjective(data)
 
@@ -240,7 +240,7 @@ def test_softmax_draws_with_unequal_sample_counts():
             for k, (x, onehot) in enumerate(draws):
                 assert x[j].tobytes() == obj.train_x[i][b[k]].tobytes()
                 labels = obj.train_y[i][b[k]][:, None] == np.arange(3)
-                assert onehot[j].tobytes() == labels.tobytes()
+                assert onehot[j].tobytes() == labels.astype(float).tobytes()
         assert (batches[:, 1] == np.arange(3)).all()
     # the smallest asked-for client bounds the batch size
     with pytest.raises(ValueError, match=r"batch_size must be in \[1, 7\]"):
@@ -550,11 +550,13 @@ def test_bound_softmax_kernel_keeps_the_bits_of_the_row_max_gradient():
     # The bound kernel shifts each sample's logits by a max reduced over a
     # class-major copy; it must keep the bits of the z.max(axis=-1) kernel,
     # at w = 0, where every logit is +-0, and where the logits lie more than
-    # 745 apart, so the log-sum-exp is exactly 0 (at a zero max, too).
-    obj = unequal_softmax(sizes=(5, 9, 4))
+    # 745 apart, so the log-sum-exp is exactly 0 (at a zero max, too). The
+    # criterion-9 grid's shapes: 10 classes, 10 features and the bias
+    # column, minibatches of 5, and 5 configs.
+    obj = unequal_softmax(sizes=(5, 9, 7), classes=10, features=10)
     clients = [2, 0]
     rng = np.random.default_rng(9)
-    w = np.empty((3, len(clients), obj.dim))
+    w = np.empty((5, len(clients), obj.dim))
     out = np.empty(w.shape)
     w_mat = obj._unpack(w)
     values = [np.where(rng.random(w.shape) < 0.5, -0.0, 0.0)]
@@ -563,7 +565,7 @@ def test_bound_softmax_kernel_keeps_the_bits_of_the_row_max_gradient():
         far[..., 0 if bias > 0 else slice(1, None), -1] = bias
         values.append(far.reshape(w.shape))
     values.append(rng.normal(size=w.shape))
-    draws = obj._draws(clients, 3, len(values), np.random.default_rng(3))
+    draws = obj._draws(clients, 5, len(values), np.random.default_rng(3))
     grads = obj._bind_stochastic_gradients(clients, w, out)
     for value, (x, onehot) in zip(values, draws):
         w[...] = value
