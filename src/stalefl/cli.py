@@ -478,10 +478,18 @@ def make_parser() -> argparse.ArgumentParser:
                 "trace across rules by construction",
             )
         if name == "grid":
-            p.add_argument("--threads", type=positive_int, default=os.cpu_count() or 1)
+            p.add_argument("--threads", type=positive_int, default=_usable_cpus())
         if name == "replay":
             p.add_argument("--trace", required=True)
     return parser
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one, which can be narrower than the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def main(argv: list[str] | None = None) -> int:

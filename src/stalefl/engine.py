@@ -3,7 +3,9 @@
 There is one round loop, in `run`. Through `run_batch` it runs a batch of
 configs that share the participation trace and each round's noise stream
 in lockstep; a single run is the batch of one. The grid runs
-the betas and client lrs of a cell this way, one batch per seed.
+the betas and client lrs of a cell this way, one batch per seed, and fans
+its cells out to forked processes and the calling one, which take cells in
+cell order from one shared counter.
 
 No indicator depends on the iterate, so `run` takes the whole trace before
 the first round: the replayed one, or one drawn by `sample_round` a chunk of
@@ -566,9 +568,13 @@ def run_grid(
     sequential loop over beta, lr and seed (in that nesting) would meet first.
 
     Cells are independent. With `threads > 1` they fan out to
-    `min(threads, cells)` worker processes, forked so that `obj_factory` may
-    be a closure; results are assembled in cell order, so they do not depend
-    on `threads`. An exception raised in a worker is raised here.
+    `min(threads, cells)` processes, the calling one included: it forks the
+    others (so `obj_factory` may be a closure) and computes cells itself, and
+    every process takes the next cell in cell order. Results are assembled in
+    cell order, and the error raised is the first cell's in that order,
+    whichever process met it, so neither depends on `threads`. A worker
+    process that dies without reporting raises RuntimeError; no worker
+    outlives the call. `threads=1` forks none.
     """
     if not (participation_axis and heterogeneity_axis and beta_axis and seeds):
         raise ValueError("all grid axes and the seeds must be nonempty")
@@ -644,34 +650,85 @@ def run_grid(
     cell_keys = [(r, s) for r in participation_axis for s in heterogeneity_axis]
     workers = min(threads, len(cell_keys))
     if workers > 1:
-        # Imported here so that importing stalefl does not pay for them.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            workers, multiprocessing.get_context("fork"),
-            initializer=_set_worker_cell, initargs=(eval_cell,),
-        ) as pool:
-            results = list(pool.map(_worker_cell, cell_keys))
+        results = _fan_out(eval_cell, cell_keys, workers)
     else:
         results = [eval_cell(*k) for k in cell_keys]
     cells = [row for block in results for row in block]
     return GridResult(cells, metric_mode)
 
 
-# The cell function of a grid worker process, set only in the worker by the
-# pool initializer. Fork hands the initializer's arguments over unpickled, so
-# only the cell key and the cell's summaries cross the process boundary.
-_cell_fn = None
+def _fan_out(fn, keys: list, workers: int) -> list:
+    """[fn(*key) for key in keys], computed by the calling process and
+    `workers - 1` forked ones (fork, so that `fn` may be a closure).
 
+    Every process takes the next key in key order from one shared counter,
+    so uneven keys stay balanced, and a worker sends its (index, outcome)
+    pairs back over its own pipe when the keys run out. Once a key fails no
+    process takes another: every key before it has been taken already, so
+    the first failure in key order is among the outcomes. That failure is
+    raised here, so the results and the error do not depend on `workers`.
+    A worker that exits without reporting raises RuntimeError. No worker
+    outlives the call.
+    """
+    # Imported here so that importing stalefl does not pay for it.
+    import multiprocessing
 
-def _set_worker_cell(fn) -> None:
-    global _cell_fn
-    _cell_fn = fn
+    ctx = multiprocessing.get_context("fork")
+    next_key = ctx.Value("l", 0)
 
+    def take_keys() -> list:
+        pairs = []
+        while True:
+            with next_key.get_lock():
+                i = next_key.value
+                next_key.value = i + 1
+            if i >= len(keys):
+                return pairs
+            try:
+                outcome = fn(*keys[i])
+            except Exception as exc:
+                outcome = exc
+                with next_key.get_lock():
+                    next_key.value = len(keys)
+            pairs.append((i, outcome))
 
-def _worker_cell(key: tuple[float, float]) -> list[GridCellSummary]:
-    return _cell_fn(*key)
+    procs, readers = [], []
+    try:
+        for _ in range(workers - 1):
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=lambda w: w.send(take_keys()), args=(writer,))
+            proc.start()
+            procs.append(proc)
+            readers.append(reader)
+            # Only the worker holds the write end, so its exit ends the pipe.
+            writer.close()
+        outcomes = dict(take_keys())
+        lost = None
+        for proc, reader in zip(procs, readers):
+            with reader:
+                try:
+                    outcomes.update(reader.recv())
+                except EOFError:
+                    lost = proc
+            proc.join()
+    finally:
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+    results = []
+    for i in range(len(keys)):
+        if i not in outcomes:
+            # Keys after the first failure may go untaken, so a missing key
+            # before any failure was taken by a worker that died.
+            raise RuntimeError(
+                f"a grid worker process exited with code {lost.exitcode} "
+                "before reporting its cells"
+            )
+        if isinstance(outcomes[i], Exception):
+            raise outcomes[i]
+        results.append(outcomes[i])
+    return results
 
 
 def write_metrics_csv(result: RunResult, path: str | Path) -> None:

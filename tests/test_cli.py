@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,6 +329,26 @@ def test_grid_subcommand_small(tmp_path):
     assert len(lines) == 1 + 2 * 2 * 2
     flags = sum(int(r.split(",")[-1]) for r in lines[1:])
     assert flags == 4  # exactly one beta_opt per cell
+
+
+def test_grid_threads_default_to_the_usable_cpus():
+    args = cli.make_parser().parse_args(["grid", "--config", "c.ini", "--out", "o"])
+    assert args.threads == len(os.sched_getaffinity(0))
+
+
+def test_importing_the_cli_loads_no_process_machinery():
+    # The grid imports multiprocessing only when it forks, so that start-up
+    # of every command skips it.
+    code = (
+        "import sys, stalefl.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert done.stdout == "[]\n"
 
 
 def test_grid_with_a_nan_weight_cap(tmp_path, capsys):

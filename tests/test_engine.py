@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import time
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -472,6 +475,112 @@ def test_grid_worker_divergence_is_raised_as_itself():
             run_grid(*args, n_clients=4, threads=threads)
         raised.append((type(info.value), info.value.client, info.value.step))
     assert raised[0] == raised[1]
+
+
+def test_grid_raises_the_first_cells_error_at_every_thread_count():
+    # Cell 0 succeeds and cells 1 and 2 fail. Cell 1 fails last in time, so
+    # with more than one process cell 2's error is met first.
+    softmax = small_softmax_factory()
+
+    def factory(swap, group2):
+        if swap == 0.5:
+            time.sleep(0.2)
+            raise LookupError("cell 1")
+        if swap == 1.0:
+            raise ArithmeticError("cell 2")
+        return softmax(swap, group2)
+
+    args = (grid_base_cfg(), factory, [3.0], [0.0, 0.5, 1.0], [0.5], [1])
+    for threads in (1, 2, 3):
+        with pytest.raises(Exception) as info:
+            run_grid(*args, n_clients=4, threads=threads)
+        assert (type(info.value), info.value.args) == (LookupError, ("cell 1",))
+        assert multiprocessing.active_children() == []
+
+
+def wait_for(path):
+    deadline = time.monotonic() + 60
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
+def test_no_grid_cell_is_taken_after_a_failure(tmp_path):
+    # Cell 0 fails; cell 1 returns only after that failure, so by then no
+    # process may take cell 2, as a loop over the cells would not reach it.
+    # (With three processes all three cells are taken at once.)
+    softmax = small_softmax_factory()
+
+    def factory(swap, group2):
+        (cells / f"{swap}").touch()
+        if swap == 0.0:
+            raise LookupError("cell 0")
+        wait_for(cells / "0.0")
+        time.sleep(0.1)
+        return softmax(swap, group2)
+
+    args = (grid_base_cfg(), factory, [3.0], [0.0, 0.5, 1.0], [0.5], [1])
+    for threads in (1, 2):
+        cells = tmp_path / f"threads {threads}"
+        cells.mkdir()
+        with pytest.raises(LookupError, match="cell 0"):
+            run_grid(*args, n_clients=4, threads=threads)
+        assert not (cells / "1.0").exists()
+
+
+def test_no_grid_worker_outlives_run_grid(tmp_path):
+    # The calling process fails its cell; the worker waits until then, so
+    # that the calling process takes a cell whatever the scheduling.
+    pid = os.getpid()
+    softmax = small_softmax_factory()
+    failed = tmp_path / "failed"
+
+    def factory(swap, group2):
+        if os.getpid() == pid:
+            failed.touch()
+            raise ValueError("the calling process's cell")
+        wait_for(failed)
+        return softmax(swap, group2)
+
+    axes = ([3.0], [0.0, 0.5], [0.5], [1])
+    with pytest.raises(ValueError, match="the calling process's cell"):
+        run_grid(grid_base_cfg(), factory, *axes, n_clients=4, threads=2)
+    assert multiprocessing.active_children() == []
+
+    # An interrupt in the calling process stops a worker that is still busy.
+    def interrupted(swap, group2):
+        if os.getpid() == pid:
+            raise KeyboardInterrupt
+        wait_for(tmp_path / "never")
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_grid(grid_base_cfg(), interrupted, *axes, n_clients=4, threads=2)
+    assert time.monotonic() - start < 30
+    assert multiprocessing.active_children() == []
+
+    run_grid(grid_base_cfg(), softmax, *axes, n_clients=4, threads=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_grid_worker_that_dies_raises_its_exit_code(tmp_path):
+    # The calling process waits in its cell until the worker has taken the
+    # other one, so that the worker takes a cell whatever the scheduling.
+    pid = os.getpid()
+    softmax = small_softmax_factory()
+    taken = tmp_path / "taken"
+
+    def factory(swap, group2):
+        if os.getpid() != pid:
+            taken.touch()
+            os._exit(7)
+        wait_for(taken)
+        return softmax(swap, group2)
+
+    with pytest.raises(RuntimeError, match="exited with code 7"):
+        run_grid(
+            grid_base_cfg(), factory, [3.0], [0.0, 0.5], [0.5], [1], n_clients=4, threads=2,
+        )
+    assert multiprocessing.active_children() == []
 
 
 METRICS_OFF_CASES = {

@@ -241,6 +241,14 @@ CASES = {
     }),
 }
 
+# The grid goldens again with cells fanned out to 2 and 3 processes, pinned
+# to the same hashes.
+CASES |= {
+    f"{name}_threads_{threads}": (*CASES[name][:2], ("--threads", threads), CASES[name][3])
+    for name in ("grid", "grid_loss_lr_grid", "grid_four_clients")
+    for threads in ("2", "3")
+}
+
 
 def output_hashes(tmp_path, name):
     command, config, extra, pinned = CASES[name]
