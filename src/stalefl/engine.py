@@ -36,11 +36,12 @@ one finiteness check and one memory refresh. Work per config runs only
 after a check fails, to give the config the error it raises alone.
 
 The per-round metrics are evaluated a block of `METRIC_BLOCK` rounds at a
-time: the loop keeps the points they are taken at, and one call each of the
-broadcasting oracles `loss`, `gradient` and `memory_error` evaluates a whole
-block for every config of the batch. A run keeps them as columns, one list
-per `RoundRecord` field, each extended once a block; `RunResult.records`
-builds the records from them when it is first read.
+time, by one call each of the broadcasting oracles `loss`, `gradient` and
+`memory_error` for every config of the batch. A batch keeps its per-row
+arrays in one list, from which one drop at a round's end deletes the failed
+rows. A config's outcome slot holds its four own metric columns or its
+error; `round`, `participant_count` and `wall_ns` are built once, from the
+trace, and `RunResult.records` from the columns on first read.
 """
 
 from __future__ import annotations
@@ -193,8 +194,11 @@ def run(
     or the final loss are non-finite; of these errors, it raises the one
     that a round-by-round evaluation meets first.
 
-    With `metrics` off, the per-round metrics are not computed: `records` is
-    empty and `min_grad_norm_sq` is nan, and a non-finite final loss is
+    The `round`, `participant_count` and `wall_ns` columns come from the
+    participation trace, built once a batch; each result has its own lists.
+
+    With `metrics` off, the per-round metrics are not computed: every column
+    is empty, `min_grad_norm_sq` is nan, and a non-finite final loss is
     returned as it is. The iterates, the participation trace, `final_loss`,
     `test_accuracy` and the divergence checks on the iterates are the same
     either way.
@@ -212,20 +216,25 @@ def run(
     n = obj.n_clients
     if cfg.profile.n_clients != n:
         raise ValueError("participation profile and objective disagree on client count")
-    # Row r of the per-row arrays (w, betas, client_lrs, server_lrs, slots,
-    # the metric blocks) is config live[r], and a dropped config's row is
-    # deleted; slots[r] is its memory of stale updates.
+    # Row r of every array in `row_arrays` is config live[r]: its iterate w,
+    # beta, client and server lrs, memory of stale updates (slots[r]) and
+    # pending metric points (the blocks, empty with metrics off).
     live = list(range(len(cfgs)))
     averaging = cfg.aggregator.rule == "fedavg_biased"
-    betas = np.array([c.aggregator.staleness_weight for c in cfgs])
-    w = np.array([check_param(c.init_point, obj.dim) for c in cfgs])
-    client_lrs = np.array([c.local.client_lr for c in cfgs])
-    server_lrs = np.array([c.server_lr for c in cfgs])
+    block = METRIC_BLOCK if metrics else 0
+    row_arrays = [
+        np.array([check_param(c.init_point, obj.dim) for c in cfgs]),
+        np.array([c.aggregator.staleness_weight for c in cfgs]),
+        np.array([c.local.client_lr for c in cfgs]),
+        np.array([c.server_lr for c in cfgs]),
+        np.zeros((len(cfgs), n, obj.dim)),
+        np.empty((len(cfgs), block, obj.dim)),
+        np.empty((len(cfgs), block, n, obj.dim)),
+    ]
+    w, betas, client_lrs, server_lrs, slots, w_block, slot_block = row_arrays
     server_lr = lr_factor(server_lrs, 2)
-    slots = np.zeros((len(cfgs), n, obj.dim))
-
-    columns = [{name: [] for name in METRIC_COLUMNS} for _ in cfgs]
-    errors: list[Exception | None] = [None] * len(cfgs)
+    # config c's outcome: its loss, grad_norm_sq, H and update_norm columns, or its error
+    outcomes: list = [([], [], [], []) for _ in cfgs]
     # Round t's noise stream is Philox keyed noise_key | t. One bit
     # generator serves the run: each round sets its key and restarts its
     # counter, which gives the draws of a fresh Generator(Philox(key)).
@@ -235,17 +244,10 @@ def run(
             np.random.Philox(key=key_word(cfg.master_seed, NOISE_WORD) << 64)
         )
         noise_state = noise_rng.bit_generator.state   # key word 0 is the round
-    work = cfg.local.local_steps * cfg.local.batch_size
     plans: dict = {}   # the round plans, for the rows of the current batch
     # The rounds whose metrics are pending form a block that starts at round
     # t0; row r's pending round t0 + j is taken at w_block[r, j] and
     # slot_block[r, j]. With metrics off nothing is pending.
-    counts: list[int] = []   # participants per pending round
-    if metrics:
-        w_block = np.empty((len(cfgs), METRIC_BLOCK, obj.dim))
-        slot_block = np.empty((len(cfgs), METRIC_BLOCK, n, obj.dim))
-        norms: list[list[float]] = [[] for _ in cfgs]   # config c's pending update norms
-
     def evaluate(rows: slice, b: int, t0: int) -> list:
         """The metrics of the first `b` pending rounds of the rows in
         `rows`: per row, lists of the losses, squared gradient norms and H,
@@ -264,18 +266,14 @@ def run(
                 out.append(FloatingPointError(f"metrics are non-finite at round {bad}"))
         return out
 
-    def pending_error(row: int, b: int, t0: int) -> FloatingPointError | None:
-        """The metric error among row's first b pending rounds, if any. A
-        round-by-round evaluation meets it before a divergence that comes
-        after those rounds' metrics, so it is the run's error."""
-        if not (metrics and b):
-            return None
-        (out,) = evaluate(slice(row, row + 1), b, t0)
-        return out if isinstance(out, Exception) else None
-
-    def fail(row: int, error: Exception) -> None:
-        errors[live[row]] = error
-        dropped.append(row)
+    def fail(row: int, error: Exception, b: int, t0: int) -> None:
+        """Drop row's config with `error`, or with the metric error among its
+        first b pending rounds, which a round-by-round evaluation meets first."""
+        if metrics and b:
+            (out,) = evaluate(slice(row, row + 1), b, t0)
+            if isinstance(out, Exception):
+                error = out
+        dropped[row] = error
 
     trace = _participation_trace(cfg)
     # round t's aggregation weights, 1/p_i or their estimate, are item t - 1
@@ -287,19 +285,20 @@ def run(
         weight_rows = repeat(1.0 / cfg.profile.probs)
     # round t's participants are flat[ends[t - 1]:ends[t]], in ascending order
     flat = np.nonzero(trace)[1].tolist()
-    ends = [0, *np.cumsum(np.count_nonzero(trace, axis=1)).tolist()]
+    counts = np.count_nonzero(trace, axis=1)
+    ends = [0, *np.cumsum(counts).tolist()]
 
     # A diverging run overflows before the finiteness checks below catch it;
     # those checks drop the run, so the overflow warnings would only be noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for t, weights in zip(range(1, cfg.rounds + 1), weight_rows):
             participants = flat[ends[t - 1]:ends[t]]
-            j = len(counts)   # this round's column in the block buffers
+            j = (t - 1) % METRIC_BLOCK   # this round's column in the block buffers
             t0 = t - j
-            dropped: list[int] = []
+            dropped: dict[int, Exception] = {}   # the rows that fail this round
 
-            # A dropped row's arrays take part in the rest of the round,
-            # row by row apart from the others, and are deleted at its end.
+            # A dropped row takes part in the rest of the round, apart from the
+            # others; at its end the row is deleted and its error is its outcome.
             if participants:
                 if noise_rng is not None:
                     noise_state["state"]["key"][0] = t
@@ -307,10 +306,9 @@ def run(
                 deltas, diverged = local_train(
                     obj, participants, w, cfg.local, noise_rng, client_lrs, plans,
                 )
-                if any(diverged):
-                    for row, err in enumerate(diverged):
-                        if err is not None:
-                            fail(row, pending_error(row, j, t0) or err)
+                for row, err in enumerate(diverged):
+                    if err is not None:
+                        fail(row, err, j, t0)
             else:
                 deltas = np.empty((len(w), 0, obj.dim))
             if metrics:
@@ -325,61 +323,44 @@ def run(
                 delta = np.zeros(w.shape)   # plain averaging skips an empty round
             if metrics:
                 for c, d in zip(live, delta):
-                    norms[c].append(agg.vector_norm(d))
+                    outcomes[c][3].append(agg.vector_norm(d))
             # the bits of w -= server_lr * delta: IEEE multiplication commutes
             delta *= server_lr
             w -= delta
             # an all_finite false alarm passes the exact per-row check
             if not all_finite(w):
                 for row in np.flatnonzero(~np.isfinite(w).all(axis=1)).tolist():
-                    if errors[live[row]] is None:
-                        fail(row, pending_error(row, j + 1, t0) or FloatingPointError(
-                            f"global iterate diverged at round {t}"
-                        ))
+                    if row not in dropped:
+                        error = FloatingPointError(f"global iterate diverged at round {t}")
+                        fail(row, error, j + 1, t0)
             agg.refresh_memory(slots, participants, deltas, plans)
 
-            if metrics:
-                counts.append(len(participants))
-                if len(counts) == METRIC_BLOCK or t == cfg.rounds:
-                    outs = evaluate(slice(None), len(counts), t0)
-                    for row, (c, out) in enumerate(zip(live, outs)):
-                        if errors[c] is not None:
-                            continue
-                        if isinstance(out, Exception):
-                            fail(row, out)
-                            continue
-                        losses, grad_sqs, hs = out
-                        block = (
-                            range(t0, t + 1), losses, grad_sqs, hs,
-                            counts, norms[c], [m * work for m in counts],
-                        )
-                        for column, values in zip(columns[c].values(), block):
+            if metrics and (j == METRIC_BLOCK - 1 or t == cfg.rounds):
+                outs = evaluate(slice(None), j + 1, t0)
+                for row, (c, out) in enumerate(zip(live, outs)):
+                    if isinstance(out, Exception):
+                        dropped.setdefault(row, out)   # an earlier error stays
+                    else:
+                        for column, values in zip(outcomes[c], out):
                             column += values
-                        norms[c] = []
-                    counts = []
             if dropped:
-                live = [c for c in live if errors[c] is None]
-                w, betas, client_lrs, server_lrs, slots = (
-                    np.delete(a, dropped, axis=0)
-                    for a in (w, betas, client_lrs, server_lrs, slots)
-                )
-                if metrics:
-                    w_block, slot_block = (
-                        np.delete(a, dropped, axis=0) for a in (w_block, slot_block)
-                    )
+                for row, error in dropped.items():
+                    outcomes[live[row]] = error
+                live = [c for row, c in enumerate(live) if row not in dropped]
+                row_arrays = [np.delete(a, list(dropped), axis=0) for a in row_arrays]
+                w, betas, client_lrs, server_lrs, slots, w_block, slot_block = row_arrays
                 if not live:
                     break
                 server_lr = lr_factor(server_lrs, 2)
                 plans.clear()
 
         # One loss and one accuracy call for the whole batch.
-        results: list = errors.copy()
         if live:
             final_losses = obj.loss(w, GLOBAL).tolist()
             ok = []
             for row, (c, loss) in enumerate(zip(live, final_losses)):
                 if metrics and not math.isfinite(loss):
-                    results[c] = FloatingPointError(
+                    outcomes[c] = FloatingPointError(
                         f"the final loss is non-finite after round {cfg.rounds}"
                     )
                 else:
@@ -387,14 +368,22 @@ def run(
             accs = [None] * len(ok)
             if ok and isinstance(obj, SoftmaxObjective):
                 accs = obj.test_accuracy(w[ok]).tolist()
+            # the columns every config shares, from the trace; a copy a result
+            from_trace = ((), (), ())
+            if metrics:
+                work = counts * cfg.local.local_steps * cfg.local.batch_size
+                from_trace = (range(1, cfg.rounds + 1), counts.tolist(), work.tolist())
             for row, acc in zip(ok, accs):
                 c = live[row]
-                results[c] = RunResult(columns[c], w[row].copy(), final_losses[row], acc, trace)
+                loss, grad_sq, h, norm = outcomes[c]
+                rnd, part, wall = map(list, from_trace)
+                columns = dict(zip(METRIC_COLUMNS, (rnd, loss, grad_sq, h, part, norm, wall)))
+                outcomes[c] = RunResult(columns, w[row].copy(), final_losses[row], acc, trace)
     if _lockstep is None:
-        if isinstance(results[0], Exception):
-            raise results[0]
-        return results[0]
-    return results
+        if isinstance(outcomes[0], Exception):
+            raise outcomes[0]
+        return outcomes[0]
+    return outcomes
 
 
 def _participation_trace(cfg: TrainConfig) -> np.ndarray:
@@ -615,33 +604,20 @@ def run_grid(
             for seed in seeds
         ]
         runs = list(zip(*per_seed))   # runs[k]: pair k's outcome for each seed
-        for pair_runs in runs:
-            for r in pair_runs:
-                if isinstance(r, Exception):
-                    raise r
+        for r in chain.from_iterable(runs):
+            if isinstance(r, Exception):
+                raise r
+        # the least sign * mean is the best; `min` keeps the first of equal keys
+        sign = -1.0 if metric_mode == "accuracy" else 1.0
         rows = []
         for b, beta in enumerate(beta_axis):
-            best = None
+            stats = []
             for pair_runs in runs[b * len(lr_grid):(b + 1) * len(lr_grid)]:
-                if metric_mode == "accuracy":
-                    vals = [r.test_accuracy for r in pair_runs]
-                else:
-                    vals = [r.final_loss for r in pair_runs]
-                mean = float(np.mean(vals))
-                stderr = (
-                    float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
-                    if len(vals) > 1 else 0.0
-                )
-                better = best is None or (
-                    mean > best[0] if metric_mode == "accuracy" else mean < best[0]
-                )
-                if better:
-                    best = (mean, stderr)
-            rows.append((beta, best[0], best[1]))
-        if metric_mode == "accuracy":
-            best_val = max(v for _, v, _ in rows)
-        else:
-            best_val = min(v for _, v, _ in rows)
+                vals = [r.test_accuracy if sign < 0 else r.final_loss for r in pair_runs]
+                stderr = np.std(vals, ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
+                stats.append((float(np.mean(vals)), float(stderr)))
+            rows.append((beta, *min(stats, key=lambda s: sign * s[0])))
+        best_val = min((v for _, v, _ in rows), key=lambda v: sign * v)
         beta_opt = min(b for b, v, _ in rows if math.isclose(v, best_val, rel_tol=1e-12))
         return [
             GridCellSummary(ratio, swap, b, v, se, b == beta_opt) for b, v, se in rows
@@ -670,13 +646,14 @@ def _fan_out(fn, keys: list, workers: int) -> list:
     A worker that exits without reporting raises RuntimeError. No worker
     outlives the call.
     """
-    # Imported here so that importing stalefl does not pay for it.
+    # Imported here so that importing stalefl does not pay for them.
     import multiprocessing
+    import traceback
 
     ctx = multiprocessing.get_context("fork")
     next_key = ctx.Value("l", 0)
 
-    def take_keys() -> list:
+    def take_keys(in_worker: bool) -> list:
         pairs = []
         while True:
             with next_key.get_lock():
@@ -687,7 +664,7 @@ def _fan_out(fn, keys: list, workers: int) -> list:
             try:
                 outcome = fn(*keys[i])
             except Exception as exc:
-                outcome = exc
+                outcome = _WorkerError(exc, traceback.format_exc()) if in_worker else exc
                 with next_key.get_lock():
                     next_key.value = len(keys)
             pairs.append((i, outcome))
@@ -696,13 +673,13 @@ def _fan_out(fn, keys: list, workers: int) -> list:
     try:
         for _ in range(workers - 1):
             reader, writer = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=lambda w: w.send(take_keys()), args=(writer,))
+            proc = ctx.Process(target=lambda w: w.send(take_keys(True)), args=(writer,))
             proc.start()
             procs.append(proc)
             readers.append(reader)
             # Only the worker holds the write end, so its exit ends the pipe.
             writer.close()
-        outcomes = dict(take_keys())
+        outcomes = dict(take_keys(False))
         lost = None
         for proc, reader in zip(procs, readers):
             with reader:
@@ -729,6 +706,28 @@ def _fan_out(fn, keys: list, workers: int) -> list:
             raise outcomes[i]
         results.append(outcomes[i])
     return results
+
+
+@dataclass
+class _WorkerError:
+    """An error met in a grid worker, with its traceback as text, as the
+    worker sends it: a traceback does not pickle. It unpickles as the error
+    itself, with a `_WorkerTraceback` of the text as its `__cause__`."""
+
+    error: Exception
+    text: str
+
+    def __reduce__(self):
+        return _caused_by, (self.error, self.text)
+
+
+class _WorkerTraceback(Exception):
+    """The traceback of an error met in a grid worker, as text."""
+
+
+def _caused_by(error: Exception, text: str) -> Exception:
+    error.__cause__ = _WorkerTraceback(text)
+    return error
 
 
 def write_metrics_csv(result: RunResult, path: str | Path) -> None:

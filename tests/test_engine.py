@@ -12,6 +12,7 @@ import pytest
 import stalefl.engine
 from stalefl.aggregation import AggregatorConfig
 from stalefl.engine import (
+    METRIC_COLUMNS,
     METRICS_HEADER,
     TrainConfig,
     default_weight_cap,
@@ -477,6 +478,40 @@ def test_grid_worker_divergence_is_raised_as_itself():
     assert raised[0] == raised[1]
 
 
+def test_a_grid_workers_error_carries_the_workers_traceback(tmp_path):
+    # The calling process waits in its cell until the worker has taken the
+    # other one, so that the worker takes a cell whatever the scheduling.
+    pid = os.getpid()
+    softmax = small_softmax_factory()
+    taken = tmp_path / "taken"
+
+    def factory(swap, group2):
+        if os.getpid() != pid:
+            taken.touch()
+            raise LookupError("the worker's cell", 2)
+        wait_for(taken)
+        return softmax(swap, group2)
+
+    axes = ([3.0], [0.0, 0.5], [0.5], [1])
+    with pytest.raises(LookupError) as info:
+        run_grid(grid_base_cfg(), factory, *axes, n_clients=4, threads=2)
+    assert info.value.args == ("the worker's cell", 2)
+    assert str(info.value) == str(LookupError("the worker's cell", 2))
+    cause = str(info.value.__cause__)
+    assert "in factory" in cause and "raise LookupError(\"the worker's cell\", 2)" in cause
+
+    # An error of the calling process's cell keeps its own traceback.
+    def caller_fails(swap, group2):
+        if os.getpid() == pid:
+            raise LookupError("the calling process's cell")
+        return softmax(swap, group2)
+
+    with pytest.raises(LookupError, match="the calling process's cell") as info:
+        run_grid(grid_base_cfg(), caller_fails, *axes, n_clients=4, threads=2)
+    assert info.value.__cause__ is None
+    assert "caller_fails" in [frame.name for frame in info.traceback]
+
+
 def test_grid_raises_the_first_cells_error_at_every_thread_count():
     # Cell 0 succeeds and cells 1 and 2 fail. Cell 1 fails last in time, so
     # with more than one process cell 2's error is met first.
@@ -794,6 +829,34 @@ def test_batch_configs_may_differ_in_rule_lrs_and_init():
     for pair in ([cfg, averaging], [averaging, cfg]):
         with pytest.raises(ValueError, match="must share rule family"):
             run_batch(pair, obj)
+
+
+def test_batch_results_share_the_trace_but_not_their_columns():
+    # The middle config fails mid-run: its metrics overflow at round 34, or
+    # with metrics off a local iterate at round 66.
+    obj = two_client_objective()
+    cfg = base_config(rounds=100, local=LocalConfig(5, 0.02, batch_size=3))
+    diverging = replace(cfg, local=LocalConfig(5, 10.0, batch_size=3))
+    batch = [cfg, diverging, replace(cfg, server_lr=0.5)]
+    for metrics in (True, False):
+        first, failed, last = run_batch(batch, obj, metrics=metrics)
+        assert isinstance(failed, (FloatingPointError, DivergenceError))
+        assert first.participation_trace is last.participation_trace
+        participants = first.participation_trace.sum(axis=1).tolist()
+        assert 0 < min(participants) < max(participants)
+        for res, sibling in ((first, last), (last, first)):
+            cols = res.columns
+            if metrics:
+                assert cols["round"] == list(range(1, 101))
+                assert cols["participant_count"] == participants
+                assert cols["wall_ns"] == [m * 5 * 3 for m in participants]
+            for name in METRIC_COLUMNS:
+                before = {n: list(sibling.columns[n]) for n in METRIC_COLUMNS}
+                cols[name].append(None)
+                assert {n: sibling.columns[n] for n in METRIC_COLUMNS} == before
+                if not metrics:
+                    assert [len(cols[n]) for n in METRIC_COLUMNS if n != name] == [0] * 6
+                cols[name].pop()
 
 
 def test_plain_averaging_makes_no_update_in_an_empty_round():
