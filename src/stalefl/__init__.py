@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .aggregation import (
     AggregatorConfig,
-    NoParticipantsError,
     fedavg_biased,
     fedstale,
     memory_error,
@@ -32,7 +31,6 @@ from .local_solver import (
     DivergenceError,
     LocalConfig,
     local_train,
-    pseudo_gradient,
 )
 from .objectives import (
     GLOBAL,

@@ -48,10 +48,6 @@ _ZERO = np.zeros(())
 _ZERO.flags.writeable = False
 
 
-class NoParticipantsError(RuntimeError):
-    """Plain averaging is undefined on an empty participant set."""
-
-
 @dataclass(frozen=True)
 class AggregatorConfig:
     rule: str = "fedstale"            # fedavg_biased | u_fedavg | u_fedvarp | fedstale
@@ -109,14 +105,14 @@ def _check_round(
 
 
 def fedavg_biased(clients: Sequence[int], deltas: np.ndarray) -> np.ndarray:
-    """Plain average over participants; biased under heterogeneous p_i."""
+    """Plain average over participants; biased under heterogeneous p_i.
+    With no participants the update is +0.0 zeros: the round moves nothing."""
     _check_round(clients, deltas)
-    if not len(clients):
-        raise NoParticipantsError("no participants this round")
     delta = np.zeros(deltas.shape[:-2] + deltas.shape[-1:])
     for k in range(len(clients)):
         delta += deltas[..., k, :]
-    delta /= len(clients)
+    if len(clients):
+        delta /= len(clients)
     return delta
 
 

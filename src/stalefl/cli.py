@@ -40,6 +40,7 @@ from .participation import (
     export_trace_csv,
     load_trace_csv,
     make_two_group_profile,
+    write_csv,
 )
 from .theory import (
     BoundInputs,
@@ -351,9 +352,7 @@ def cmd_repeat(args, cfg: dict[str, dict], out: Path) -> int:
         write_metrics_csv(one, out / f"metrics_seed{seed}.csv")
     # Python floats format faster than numpy scalars, with the same text.
     rows = zip(count(1), rep.mean_loss_curve.tolist(), rep.stderr_loss_curve.tolist())
-    with open(out / "mean_curve.csv", "w") as f:
-        f.write("round,loss_mean,loss_stderr\n")
-        f.writelines(map("%d,%.17g,%.17g\n".__mod__, rows))
+    write_csv(out / "mean_curve.csv", "round,loss_mean,loss_stderr", "%d,%.17g,%.17g", rows)
     write_manifest(cfg, out)
     print(f"mean_final_loss={rep.mean_final_loss:.6g} seeds={len(seeds)}")
     return EXIT_OK
@@ -405,16 +404,16 @@ def cmd_theory(args, cfg: dict[str, dict], out: Path) -> int:
             t["n_clients"], l["local_steps"], l["client_lr"], r["server_lr"], rounds,
             beta, t["f_init_gap"], t["h_init"], t["a1"], t["a2"],
         )
-        report = check_lr_constraints(inp)
         bb = theorem1_bound(inp, override_constraints=True)
-        rows.append(
-            f"{beta:.17g},{int(report.ok)},{bb.iterate_init_term:.17g},"
-            f"{bb.memory_init_term:.17g},{bb.stochastic_term:.17g},"
-            f"{bb.heterogeneity_term:.17g},{bb.total:.17g},{beta_star(inp):.17g}"
-        )
-    with open(out / "theory.csv", "w") as f:
-        f.write("beta,constraints_ok,iterate_init,memory_init,stochastic,heterogeneity,total,beta_star\n")
-        f.write("\n".join(rows) + "\n")
+        rows.append((
+            beta, check_lr_constraints(inp).ok, bb.iterate_init_term, bb.memory_init_term,
+            bb.stochastic_term, bb.heterogeneity_term, bb.total, beta_star(inp),
+        ))
+    write_csv(
+        out / "theory.csv",
+        "beta,constraints_ok,iterate_init,memory_init,stochastic,heterogeneity,total,beta_star",
+        "%.17g,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g", rows,
+    )
     write_manifest(cfg, out)
     print(f"wrote bound table for {len(t['betas'])} beta values (unit-constant convention)")
     return EXIT_OK
@@ -424,24 +423,21 @@ def cmd_lowerbound(args, cfg: dict[str, dict], out: Path) -> int:
     lb = _section(cfg, "lowerbound")
     rounds, smoothness, p_min = lb["rounds"], lb["smoothness"], lb["p_min"]
     inst = HardInstance(lb["dim"], lb["horizon"], smoothness, 2)
-    lines = ["tau,t,k,k_bound,violation"]
-    violations = 0
+    # checks p_min and rounds before any file is written
+    env = lower_bound_curve(p_min, rounds, inst.f_gap(), smoothness)
+    rows = []
     for tau in lb["taus"]:
         ks = track_frontier(inst, fastest_schedule(rounds, tau))
-        for t, k in enumerate(ks):
+        for t, k in enumerate(ks.tolist()):
             bound = frontier_bound(t, tau)
-            bad = int(k > bound)
-            violations += bad
-            lines.append(f"{tau},{t},{k},{bound},{bad}")
-    with open(out / "frontier.csv", "w") as f:
-        f.write("\n".join(lines) + "\n")
-    env = lower_bound_curve(p_min, rounds, inst.f_gap(), smoothness)
-    with open(out / "envelope.csv", "w") as f:
-        f.write("t,envelope,expected_frontier_cap\n")
-        for t, v in enumerate(env):
-            f.write(f"{t},{v:.17g},{expected_frontier_cap(p_min, t):.17g}\n")
+            rows.append((tau, t, k, bound, k > bound))
+    write_csv(out / "frontier.csv", "tau,t,k,k_bound,violation", "%d,%d,%d,%d,%d", rows)
+    write_csv(
+        out / "envelope.csv", "t,envelope,expected_frontier_cap", "%d,%.17g,%.17g",
+        [(t, v, expected_frontier_cap(p_min, t)) for t, v in enumerate(env.tolist())],
+    )
     write_manifest(cfg, out)
-    print(f"frontier table written; bound violations={violations}")
+    print(f"frontier table written; bound violations={sum(row[-1] for row in rows)}")
     return EXIT_OK
 
 
@@ -493,10 +489,9 @@ def _usable_cpus() -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    out_path: Path | None = None
+    out_path: Path | None = None   # set by prepare_outdir; FAILED goes nowhere else
     try:
         args = make_parser().parse_args(argv)
-        out_path = Path(args.out)
         cfg = load_config(args.config, args.set)
         out_path = prepare_outdir(args.out, args.force)
         return _COMMANDS[args.command](args, cfg, out_path)
@@ -516,7 +511,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def _write_failed(out: Path | None, message: str) -> None:
     try:
-        if out is not None and out.exists():
+        if out is not None:
             (out / "FAILED").write_text(message + "\n")
     except OSError:
         pass

@@ -46,9 +46,8 @@ trace, and `RunResult.records` from the columns on first read.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from functools import cached_property
 from itertools import chain, repeat
 from operator import itemgetter
@@ -67,12 +66,12 @@ from .participation import (
     key_word,
     make_two_group_profile,
     sample_round,
+    write_csv,
 )
 
 METRICS_HEADER = "round,loss,grad_norm_sq,H,participants,update_norm,wall_ns"
-# One row of metrics.csv. printf-style formatting of a tuple costs less a row
-# than an f-string, and %.17g gives the text of f"{x:.17g}".
-METRICS_ROW = "%d,%.17g,%.17g,%.17g,%d,%.17g,%d\n"
+# One row of metrics.csv (`write_csv`).
+METRICS_ROW = "%d,%.17g,%.17g,%.17g,%d,%.17g,%d"
 
 # Rounds whose metrics `run` evaluates together. At small dim a metric call
 # costs its per-call overhead, which a block shares among its rounds; the
@@ -216,6 +215,8 @@ def run(
     n = obj.n_clients
     if cfg.profile.n_clients != n:
         raise ValueError("participation profile and objective disagree on client count")
+    if isinstance(obj, SoftmaxObjective):
+        obj.require_holdout()   # test_accuracy needs it after the last round
     # Row r of every array in `row_arrays` is config live[r]: its iterate w,
     # beta, client and server lrs, memory of stale updates (slots[r]) and
     # pending metric points (the blocks, empty with metrics off).
@@ -315,12 +316,10 @@ def run(
                 w_block[:, j] = w
                 slot_block[:, j] = slots
 
-            if not averaging:
-                delta = agg.fedstale(participants, deltas, slots, weights, betas, plans)
-            elif participants:
+            if averaging:
                 delta = agg.fedavg_biased(participants, deltas)
             else:
-                delta = np.zeros(w.shape)   # plain averaging skips an empty round
+                delta = agg.fedstale(participants, deltas, slots, weights, betas, plans)
             if metrics:
                 for c, d in zip(live, delta):
                     outcomes[c][3].append(agg.vector_norm(d))
@@ -484,7 +483,6 @@ class GridCellSummary:
 @dataclass
 class GridResult:
     cells: list[GridCellSummary]
-    metric_mode: str   # "loss" (lower better) or "accuracy" (higher better)
 
     def beta_opt(self, ratio: float, swap_fraction: float) -> float:
         rows = [
@@ -496,16 +494,10 @@ class GridResult:
         return rows[0].beta
 
     def export_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as f:
-            wr = csv.writer(f, lineterminator="\n")
-            wr.writerow(
-                ["ratio", "swap_fraction", "beta", "metric_mean", "metric_stderr", "beta_opt_flag"]
-            )
-            for c in self.cells:
-                wr.writerow([
-                    f"{c.ratio:.17g}", f"{c.swap_fraction:.17g}", f"{c.beta:.17g}",
-                    f"{c.metric_mean:.17g}", f"{c.metric_stderr:.17g}", int(c.beta_opt_flag),
-                ])
+        write_csv(
+            path, "ratio,swap_fraction,beta,metric_mean,metric_stderr,beta_opt_flag",
+            "%.17g,%.17g,%.17g,%.17g,%.17g,%d", map(astuple, self.cells),
+        )
 
 
 def _check_distinct(name: str, values) -> None:
@@ -630,7 +622,7 @@ def run_grid(
     else:
         results = [eval_cell(*k) for k in cell_keys]
     cells = [row for block in results for row in block]
-    return GridResult(cells, metric_mode)
+    return GridResult(cells)
 
 
 def _fan_out(fn, keys: list, workers: int) -> list:
@@ -732,6 +724,4 @@ def _caused_by(error: Exception, text: str) -> Exception:
 
 def write_metrics_csv(result: RunResult, path: str | Path) -> None:
     rows = zip(*itemgetter(*METRIC_COLUMNS)(result.columns))
-    with open(path, "w", newline="") as f:
-        f.write(METRICS_HEADER + "\n")
-        f.writelines(map(METRICS_ROW.__mod__, rows))
+    write_csv(path, METRICS_HEADER, METRICS_ROW, rows)

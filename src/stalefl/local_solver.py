@@ -195,8 +195,3 @@ def lr_factor(lrs: np.ndarray, ndim: int) -> np.ndarray:
     if len(lrs) == 1 or (lrs == lrs[0]).all():
         return lrs[0, ...]
     return lrs.reshape(len(lrs), *[1] * (ndim - 1))
-
-
-def pseudo_gradient(delta: np.ndarray, cfg: LocalConfig) -> np.ndarray:
-    """Update normalized by lr*K: the average of the K local gradients."""
-    return delta / (cfg.client_lr * cfg.local_steps)

@@ -165,15 +165,11 @@ class Objective:
         raise NotImplementedError
 
     def _one_stochastic_gradient(self, client, w, batch_size, rng) -> np.ndarray:
-        """`stochastic_gradient` on a validated vector: a batch of one."""
-        sample = self._draws([client], batch_size, 1, rng)[0]
-        w = w[None, None]
-        return self._bind_stochastic_gradients([client], w, np.empty(w.shape))(sample)[0, 0]
-
-    def _validated(self, w: np.ndarray, client: int | None) -> np.ndarray:
-        w = check_param(w, self.dim)
+        """`stochastic_gradient`: `w` and `client` checked, then a batch of one."""
+        w = check_param(w, self.dim)[None, None]
         self._check_client(client)
-        return w
+        sample = self._draws([client], batch_size, 1, rng)[0]
+        return self._bind_stochastic_gradients([client], w, np.empty(w.shape))(sample)[0, 0]
 
     def _oracle(self, kernel, w: np.ndarray, client: int | None):
         """`kernel(w, client)` for the public `loss` or `gradient` on a
@@ -254,7 +250,7 @@ class QuadraticObjective(Objective):
         return self._oracle(self._gradient, w, client)
 
     def stochastic_gradient(self, client, w, batch_size, rng):
-        return self._one_stochastic_gradient(client, self._validated(w, client), batch_size, rng)
+        return self._one_stochastic_gradient(client, w, batch_size, rng)
 
     def _client_loss(self, w, client):
         r = w - self.centers[client]
@@ -307,10 +303,7 @@ class SyntheticDataset:
 
     features: list[np.ndarray]    # per client, (n_i, d)
     labels: list[np.ndarray]      # per client, (n_i,) ints
-    groups: np.ndarray            # per client, 1 or 2
     class_count: int
-    swap_fraction: float
-    class_pair: tuple[int, int]
 
     @property
     def n_clients(self) -> int:
@@ -366,22 +359,20 @@ def build_label_swap_dataset(
     center_rng = np.random.default_rng(DEFAULT_CENTER_SEED)
     centers = center_rng.normal(0.0, 3.0, size=(class_count, feature_dim))
 
-    groups = np.ones(n_clients, dtype=int)
     if group2 is None:
-        order = rng.permutation(n_clients)
-        groups[order[n_clients // 2:]] = 2
-    else:
-        groups[np.asarray(group2, dtype=int)] = 2
+        group2 = rng.permutation(n_clients)[n_clients // 2:]
+    swapped = np.zeros(n_clients, dtype=bool)
+    swapped[np.asarray(group2, dtype=int)] = True
 
     features, labels = [], []
     for i in range(n_clients):
         y = rng.integers(0, class_count, size=samples_per_client)
         x = centers[y] + rng.normal(0.0, cluster_std, size=(samples_per_client, feature_dim))
-        if groups[i] == 2:
+        if swapped[i]:
             y = _swap_labels(y, swap_fraction, class_pair)
         features.append(x)
         labels.append(y.astype(int))
-    return SyntheticDataset(features, labels, groups, class_count, swap_fraction, class_pair)
+    return SyntheticDataset(features, labels, class_count)
 
 
 class SoftmaxObjective(Objective):
@@ -395,7 +386,6 @@ class SoftmaxObjective(Objective):
     def __init__(self, dataset: SyntheticDataset, holdout_fraction: float = 0.0):
         if not 0.0 <= holdout_fraction < 1.0:
             raise ValueError(f"holdout_fraction must lie in [0, 1), got {holdout_fraction}")
-        self.dataset = dataset
         self.n_clients = dataset.n_clients
         self.n_classes = dataset.class_count
         self.n_features = dataset.feature_dim
@@ -478,7 +468,7 @@ class SoftmaxObjective(Objective):
         return self._oracle(self._gradient, w, client)
 
     def stochastic_gradient(self, client, w, batch_size, rng):
-        return self._one_stochastic_gradient(client, self._validated(w, client), batch_size, rng)
+        return self._one_stochastic_gradient(client, w, batch_size, rng)
 
     def _client_loss(self, w, client):
         return self._samples_loss(self._unpack(w), self.train_x[client], self.train_y[client])
@@ -533,6 +523,7 @@ class SoftmaxObjective(Objective):
         of the call on its point alone: one per-slice matmul per client, an
         exact argmax and integer hit counts."""
         w_t = self._unpack(check_param(w, self.dim, stacked=True)).swapaxes(-1, -2)
+        self.require_holdout()
         hits = np.zeros(w_t.shape[:-2], dtype=np.int64)
         total = 0
         for x, y in zip(self.test_x, self.test_y):
@@ -540,10 +531,14 @@ class SoftmaxObjective(Objective):
                 continue
             hits += (np.argmax(x @ w_t, axis=-1) == y).sum(axis=-1)
             total += len(y)
-        if total == 0:
-            raise ValueError("no held-out samples available")
         acc = hits / total
         return float(acc) if acc.ndim == 0 else acc
+
+    def require_holdout(self) -> None:
+        """Raise ValueError unless some client holds held-out samples, which
+        `test_accuracy` needs; `engine.run` checks this before round 1."""
+        if not any(len(y) for y in self.test_y):
+            raise ValueError("no held-out samples available")
 
 
 def estimate_stats(

@@ -1,4 +1,5 @@
-"""Bernoulli participation schedules, statistics, and online estimation.
+"""Bernoulli participation schedules, statistics, and online estimation;
+participation-trace files, and `write_csv`, the writer of every CSV file.
 
 Each (client, round) indicator comes from its own counter-based Philox stream
 keyed by (master_seed, client, round), so the realized schedule never changes
@@ -166,13 +167,20 @@ def sample_round(
     return present
 
 
-def export_trace_csv(schedule: np.ndarray, path: str | Path) -> None:
+def write_csv(path: str | Path, header: str, row_format: str, rows) -> None:
+    """Write the `header` line, then the line `row_format % row` for each
+    tuple of `rows`; each line ends in "\\n". printf-style formatting of a
+    tuple costs less a row than an f-string, and %.17g gives the text of
+    f"{x:.17g}"."""
+    line = row_format + "\n"
     with open(path, "w", newline="") as f:
-        wr = csv.writer(f, lineterminator="\n")
-        wr.writerow(["round", "client_id", "present"])
-        for t in range(schedule.shape[0]):
-            for i in range(schedule.shape[1]):
-                wr.writerow([t + 1, i, int(schedule[t, i])])
+        f.write(header + "\n")
+        f.writelines(map(line.__mod__, rows))
+
+
+def export_trace_csv(schedule: np.ndarray, path: str | Path) -> None:
+    rows = ((t, i, v) for t, row in enumerate(schedule, 1) for i, v in enumerate(row.tolist()))
+    write_csv(path, "round,client_id,present", "%d,%d,%d", rows)
 
 
 def load_trace_csv(path: str | Path) -> np.ndarray:

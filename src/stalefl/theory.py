@@ -156,15 +156,11 @@ def beta_star(inp: BoundInputs) -> float:
     return min(max((inp.sg_sq / inp.n_clients) / denom, 0.0), 1.0)
 
 
-def _tridiagonal_product(
-    diag: np.ndarray, off: np.ndarray, w: np.ndarray, out: np.ndarray | None = None,
-) -> np.ndarray:
+def _tridiagonal_product(diag: np.ndarray, off: np.ndarray, w: np.ndarray) -> np.ndarray:
     """A w over the last axis of `w`, for the symmetric tridiagonal A with
-    main diagonal `diag` and off-diagonal `off`, in `out` if given. Every op
-    is elementwise, so each point of a stack gets the bits of its call
-    alone."""
-    out = np.empty(w.shape) if out is None else out
-    return _bind_tridiagonal_product(diag, off, w, out, np.empty(out[..., 1:].shape))()
+    main diagonal `diag` and off-diagonal `off`. Every op is elementwise, so
+    each point of a stack gets the bits of its call alone."""
+    return _bind_tridiagonal_product(diag, off, w, np.empty(w.shape), np.empty(w[..., 1:].shape))()
 
 
 def _bind_tridiagonal_product(diag, off, w, out, scratch):
@@ -188,8 +184,8 @@ class HardInstance(Objective):
 
     The global objective is F(w) = L/8 (w' A w - 2 w_1) where A is the
     {2, -1} tridiagonal matrix active on the first 2t+1 coordinates. Client
-    `i_0` holds the squared-difference terms on (even, odd) coordinate pairs
-    plus the linear term; client `i_1` holds the (odd, even) pairs plus the
+    0 holds the squared-difference terms on (even, odd) coordinate pairs
+    plus the linear term; client 1 holds the (odd, even) pairs plus the
     boundary term; every other client's objective is identically zero. Any
     first-order method starting at 0 can only make a new coordinate nonzero
     when the client owning its parity participates.
@@ -203,28 +199,22 @@ class HardInstance(Objective):
 
     uses_rng = False  # the oracle is exact
 
-    def __init__(self, dim: int, horizon: int, smoothness_L: float, n_clients: int,
-                 i0: int = 0, i1: int = 1):
+    def __init__(self, dim: int, horizon: int, smoothness_L: float, n_clients: int):
         if n_clients < 2:
             raise ValueError("need at least 2 clients")
         if not (math.isfinite(smoothness_L) and smoothness_L > 0):
             raise ValueError(f"smoothness must be finite and > 0, got {smoothness_L}")
         if horizon < 1 or 2 * horizon + 1 > dim:
             raise ValueError("horizon must satisfy 1 <= t <= (d-1)/2")
-        if i0 == i1:
-            raise ValueError("i0 and i1 must differ")
-        if not (0 <= i0 < n_clients and 0 <= i1 < n_clients):
-            raise ValueError(f"i0 and i1 must lie in [0, {n_clients}), got {i0} and {i1}")
         self.dim = dim
         self.horizon = horizon
         self.smoothness_L = float(smoothness_L)
         self.n_clients = n_clients
-        self.i0, self.i1 = i0, i1
 
         t, L, N = horizon, self.smoothness_L, n_clients
         m = 2 * t + 1
         scale = N * L / 4.0
-        # Client i0: w'B w = scale (w_1^2 + sum_j (w_{2j} - w_{2j+1})^2), 1-based;
+        # Client 0: w'B w = scale (w_1^2 + sum_j (w_{2j} - w_{2j+1})^2), 1-based;
         # its pairs couple 0-based coordinates (1, 2), (3, 4), ...
         diag0 = np.zeros(dim)
         diag0[:m] = scale
@@ -232,7 +222,7 @@ class HardInstance(Objective):
         off0[1:m - 1:2] = -scale
         lin0 = np.zeros(dim)
         lin0[0] = -scale
-        # Client i1: w'B w = scale (sum_j (w_{2j-1} - w_{2j})^2 + w_m^2); its
+        # Client 1: w'B w = scale (sum_j (w_{2j-1} - w_{2j})^2 + w_m^2); its
         # pairs couple 0-based coordinates (0, 1), (2, 3), ...
         diag1 = np.zeros(dim)
         diag1[:m] = scale
@@ -242,8 +232,8 @@ class HardInstance(Objective):
         # GLOBAL the global form: (L/4) A on the active block, linear
         # -(L/4) e_1. A client absent here has a zero objective.
         self._forms = {
-            i0: (diag0, off0, lin0),
-            i1: (diag1, off1, np.zeros(dim)),
+            0: (diag0, off0, lin0),
+            1: (diag1, off1, np.zeros(dim)),
             GLOBAL: ((diag0 + diag1) / N, (off0 + off1) / N, lin0 / N),
         }
 
@@ -270,7 +260,7 @@ class HardInstance(Objective):
         return self._oracle(self._gradient, w, client)
 
     def stochastic_gradient(self, client, w, batch_size, rng):
-        return self._one_stochastic_gradient(client, self._validated(w, client), batch_size, rng)
+        return self._one_stochastic_gradient(client, w, batch_size, rng)
 
     def _loss(self, w, client):
         form = self._forms.get(client)
@@ -330,14 +320,14 @@ class HardInstance(Objective):
 def track_frontier(instance: HardInstance, schedule: np.ndarray) -> np.ndarray:
     """Largest discoverable nonzero coordinate index per round.
 
-    `schedule` is a (rounds, n_clients) boolean matrix. Client i0 unlocks the
-    next coordinate when the frontier is even, i1 when it is odd; the frontier
-    grows by at most one per round.
+    `schedule` is a (rounds, n_clients) boolean matrix. Client 0 unlocks the
+    next coordinate when the frontier is even, client 1 when it is odd; the
+    frontier grows by at most one per round.
     """
     schedule = np.asarray(schedule, dtype=bool)
     ks = []
     k = 0
-    for p0, p1 in zip(schedule[:, instance.i0].tolist(), schedule[:, instance.i1].tolist()):
+    for p0, p1 in zip(schedule[:, 0].tolist(), schedule[:, 1].tolist()):
         if (p1 if k % 2 else p0) and k < instance.dim:
             k += 1
         ks.append(k)
@@ -357,7 +347,7 @@ def frontier_bound(t: int, tau: int) -> int:
 
 
 def fastest_schedule(rounds: int, tau: int, n_clients: int = 2) -> np.ndarray:
-    """i0 participates every round; i1 at rounds t = 1, 1+tau, 1+2*tau, ..."""
+    """Client 0 participates every round; client 1 at rounds t = 1, 1+tau, 1+2*tau, ..."""
     if tau < 1:
         raise ValueError("tau must be >= 1")
     if rounds < 1:

@@ -62,10 +62,10 @@ def incremental_weights(trace, cap):
     return np.array(rows)
 
 
-def hard_instance_forms(dim, horizon, smoothness_L, n_clients, i0=0, i1=1):
+def hard_instance_forms(dim, horizon, smoothness_L, n_clients):
     """Dense (quadratic, linear) forms {client: (B, b)} of the hard instance,
     with F_i(w) = 1/2 w'B w + b'w, plus the global form under the key None.
-    Clients other than i0 and i1 are absent: their objective is zero."""
+    Clients other than 0 and 1 are absent: their objective is zero."""
     t, m = horizon, 2 * horizon + 1
     scale = n_clients * smoothness_L / 4.0
     b0 = np.zeros((dim, dim))
@@ -87,8 +87,8 @@ def hard_instance_forms(dim, horizon, smoothness_L, n_clients, i0=0, i1=1):
         b1[hi, lo] -= scale
     b1[m - 1, m - 1] += scale
     return {
-        i0: (b0, lin0),
-        i1: (b1, np.zeros(dim)),
+        0: (b0, lin0),
+        1: (b1, np.zeros(dim)),
         None: ((b0 + b1) / n_clients, lin0 / n_clients),
     }
 

@@ -11,7 +11,6 @@ from stalefl import aggregation
 from stalefl.aggregation import (
     REDUCE_FROM,
     AggregatorConfig,
-    NoParticipantsError,
     fedavg_biased,
     fedstale,
     memory_error,
@@ -46,9 +45,10 @@ def test_fedavg_two_participants_mean():
     np.testing.assert_array_equal(out, np.array([1.0, 1.0]))
 
 
-def test_fedavg_empty_raises():
-    with pytest.raises(NoParticipantsError):
-        fedavg_biased([], np.empty((0, 2)))
+def test_fedavg_empty_round_is_a_positive_zero_update():
+    assert fedavg_biased([], np.empty((0, 2))).tobytes() == np.zeros(2).tobytes()
+    out = fedavg_biased([], np.empty((3, 0, 2)))
+    assert out.shape == (3, 2) and out.tobytes() == np.zeros((3, 2)).tobytes()
 
 
 def test_u_fedavg_hand_value():
@@ -477,13 +477,10 @@ def test_fedstale_bits_for_every_form_of_one_beta(entries, clients, beta):
 @given(stacked_rounds())
 def test_stacked_fedavg_and_refresh_rows_are_single_calls(case):
     clients, deltas, slots, _, _ = case
-    if clients:
-        assert_rows_are_single_calls(
-            fedavg_biased(clients, deltas), [fedavg_biased(clients, d) for d in deltas],
-        )
-    else:
-        with pytest.raises(NoParticipantsError):
-            fedavg_biased(clients, deltas)
+    stacked = fedavg_biased(clients, deltas)
+    assert_rows_are_single_calls(stacked, [fedavg_biased(clients, d) for d in deltas])
+    if not clients:
+        assert stacked.tobytes() == np.zeros(stacked.shape).tobytes()
     singles = slots.copy()
     for s, d in zip(singles, deltas):
         refresh_memory(s, clients, d)

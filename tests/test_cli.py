@@ -225,6 +225,16 @@ def test_nonempty_outdir_requires_force(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(out), "--force"]) == 0
 
 
+def test_a_refused_outdir_is_left_untouched(tmp_path, capsys):
+    path = write(tmp_path, QUAD_RUN)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert "is not empty (use --force)" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergence_exit_code_and_failed_sentinel(tmp_path, capsys):
     path = write(tmp_path, QUAD_RUN.replace("client_lr = 0.02", "client_lr = 50.0")
@@ -376,6 +386,28 @@ def test_failed_sentinel_lands_under_out_root(tmp_path, monkeypatch):
                  .replace("rounds = 30", "rounds = 500"))
     assert main(["run", "--config", str(path), "--out", "rel"]) == EXIT_DIVERGENCE
     assert (tmp_path / "root" / "rel" / "FAILED").exists()
+
+
+def test_an_error_before_the_outdir_writes_no_sentinel(tmp_path, monkeypatch):
+    # The config is missing, so no output directory was prepared: neither
+    # ./rel nor the one under the root gets a FAILED file.
+    monkeypatch.setenv("STALEFL_OUT_ROOT", str(tmp_path / "root"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rel").mkdir()
+    (tmp_path / "root" / "rel").mkdir(parents=True)
+    argv = ["run", "--config", str(tmp_path / "missing.ini"), "--out", "rel"]
+    assert main(argv) == EXIT_CONFIG
+    assert not any((tmp_path / "rel").iterdir())
+    assert not any((tmp_path / "root" / "rel").iterdir())
+
+
+@pytest.mark.parametrize("p_min", ["0", "1.5", "nan"])
+def test_lowerbound_with_a_bad_p_min_writes_only_the_sentinel(tmp_path, capsys, p_min):
+    path = write(tmp_path, LOWERBOUND.replace("p_min = 0.1", f"p_min = {p_min}"))
+    out = tmp_path / "o"
+    assert main(["lowerbound", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert "p_min must lie in (0, 1]" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["FAILED"]
 
 
 def trace_csv(rounds, clients):

@@ -753,6 +753,21 @@ def test_batch_without_held_out_samples_raises_as_a_single_run():
     assert str(alone.value) == str(batch.value) == "no held-out samples available"
 
 
+def test_a_run_without_held_out_samples_fails_before_round_1(monkeypatch):
+    ds = build_label_swap_dataset(
+        4, 30, 0.5, (0, 1), np.random.default_rng(1), class_count=3, feature_dim=2,
+    )
+    obj = SoftmaxObjective(ds, holdout_fraction=0.0)
+    calls = []
+    monkeypatch.setattr(
+        stalefl.engine, "local_train", lambda *a, **k: calls.append(a) or local_train(*a, **k),
+    )
+    for metrics in (True, False):
+        with pytest.raises(ValueError, match="^no held-out samples available$"):
+            run(batch_case_configs(obj, BETAS, [0.05])[0], obj, metrics=metrics)
+    assert calls == []
+
+
 def test_batch_returns_each_configs_own_error():
     obj = two_client_objective()
     slow, fast = batch_case_configs(obj, [("fedstale", 0.5)], [3.0, 50.0], rounds=400)

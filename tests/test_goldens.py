@@ -190,6 +190,13 @@ CASES = {
             "trace.csv": "71a082e03b6ff439cd875608a28f4645acf8a949e1414006331f143c50d08b13",
         },
     ),
+    # Plain averaging through the config's 21 rounds without participants;
+    # hashed when the engine still skipped those rounds with its own zeros.
+    "run_fedavg_biased_empty_rounds": (
+        "run", NOISY_ESTIMATOR_CONFIG.replace("rule = u_fedavg", "rule = fedavg_biased"), (), {
+            "metrics.csv": "db0302526bd34c332a73c7fdc9f17bc02e6f89746a86e8a4222fa151906d552e",
+        },
+    ),
     "run_hard_instance_150_rounds": (
         "run", HARD_RUN_CONFIG.replace("rounds = 60", "rounds = 150"), (), {
             "metrics.csv": "786bc24b7c42bcf2ab833347b5913ec2482134e8e372e3449e7f9ed1b3ca22c9",

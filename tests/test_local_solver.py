@@ -9,7 +9,6 @@ from stalefl.local_solver import (
     DivergenceError,
     LocalConfig,
     local_train,
-    pseudo_gradient,
 )
 from stalefl.objectives import QuadraticObjective, SoftmaxObjective, build_label_swap_dataset
 from stalefl.theory import HardInstance
@@ -71,18 +70,6 @@ def test_single_step_is_single_gradient():
     # the one step's gradient, replayed from the same rng seed
     g = obj.stochastic_gradient(0, w, 1, np.random.default_rng(1))
     np.testing.assert_array_equal(g, obj.gradient(w, 0))
-
-
-def test_pseudo_gradient_hand_value():
-    cfg = LocalConfig(local_steps=2, client_lr=0.1)
-    delta, _ = train_one(origin_quadratic(), 0, np.array([1.0, 0.0]), cfg,
-                     np.random.default_rng(0))
-    np.testing.assert_allclose(pseudo_gradient(delta, cfg), np.array([0.95, 0.0]), atol=1e-15)
-
-
-def test_pseudo_gradient_zero_update():
-    cfg = LocalConfig(local_steps=3, client_lr=0.2)
-    np.testing.assert_array_equal(pseudo_gradient(np.zeros(4), cfg), np.zeros(4))
 
 
 def test_telescoping_identity():

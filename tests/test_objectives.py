@@ -217,8 +217,7 @@ def unequal_softmax(sizes=(3, 7, 12), classes=3, features=2):
     rng = np.random.default_rng(4)
     data = SyntheticDataset(
         [rng.normal(size=(n, features)) for n in sizes],
-        [rng.integers(0, classes, size=n) for n in sizes],
-        np.ones(len(sizes), dtype=int), classes, 0.0, (0, 1),
+        [rng.integers(0, classes, size=n) for n in sizes], classes,
     )
     return SoftmaxObjective(data)
 
