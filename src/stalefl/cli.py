@@ -404,7 +404,7 @@ def cmd_theory(args, cfg: dict[str, dict], out: Path) -> int:
             t["n_clients"], l["local_steps"], l["client_lr"], r["server_lr"], rounds,
             beta, t["f_init_gap"], t["h_init"], t["a1"], t["a2"],
         )
-        bb = theorem1_bound(inp, override_constraints=True)
+        bb = theorem1_bound(inp)
         rows.append((
             beta, check_lr_constraints(inp).ok, bb.iterate_init_term, bb.memory_init_term,
             bb.stochastic_term, bb.heterogeneity_term, bb.total, beta_star(inp),

@@ -8,10 +8,9 @@ its cells out to forked processes and the calling one, which take cells in
 cell order from one shared counter.
 
 No indicator depends on the iterate, so `run` takes the whole trace before
-the first round: the replayed one, or one drawn by `sample_round` a chunk of
-rounds per call (at most `TRACE_LANES` keyed draws a chunk). Each round's
-participant list is a slice of that trace, and estimated weights are
-computed from its running counts a block of rounds at a time.
+the first round: the replayed one, or one drawn by a single `sample_round`
+call. Each round's participant list is a slice of that trace, and estimated
+weights are computed from its running counts a block of rounds at a time.
 
 Round t's local noise (minibatches, or a noisy oracle's noise) comes from one
 Philox stream keyed (key_word(master_seed, NOISE_WORD) << 64) | t for all
@@ -77,13 +76,6 @@ METRICS_ROW = "%d,%.17g,%.17g,%.17g,%d,%.17g,%d"
 # costs its per-call overhead, which a block shares among its rounds; the
 # block buffers bound the memory this takes.
 METRIC_BLOCK = 64
-
-# Keyed participation draws per `sample_round` call when `run` draws its
-# trace: a chunk spans TRACE_LANES // (clients that draw) rounds. Each of the
-# Philox kernel's uint64 temporaries holds one word per draw, so this bounds
-# their size, while a chunk of a few thousand draws already spreads the
-# kernel's per-call overhead thin.
-TRACE_LANES = 4096
 
 
 @dataclass(frozen=True)
@@ -276,7 +268,10 @@ def run(
                 error = out
         dropped[row] = error
 
-    trace = _participation_trace(cfg)
+    if cfg.replay_schedule is not None:
+        trace = np.array(cfg.replay_schedule[: cfg.rounds], dtype=bool)
+    else:
+        trace = sample_round(cfg.profile, 1, cfg.master_seed, cfg.rounds)
     # round t's aggregation weights, 1/p_i or their estimate, are item t - 1
     if cfg.aggregator.weights_source == "estimator":
         cap = cfg.aggregator.weight_cap
@@ -383,20 +378,6 @@ def run(
             raise outcomes[0]
         return outcomes[0]
     return outcomes
-
-
-def _participation_trace(cfg: TrainConfig) -> np.ndarray:
-    """The (rounds, n_clients) indicator matrix of a run: the replay trace's
-    first `cfg.rounds` rows, or the rounds drawn by `sample_round`, a chunk
-    of at most `TRACE_LANES` draws per call."""
-    if cfg.replay_schedule is not None:
-        return np.array(cfg.replay_schedule[: cfg.rounds], dtype=bool)
-    trace = np.empty((cfg.rounds, cfg.profile.n_clients), dtype=bool)
-    chunk = max(1, TRACE_LANES // max(1, int(np.count_nonzero(cfg.profile.probs < 1.0))))
-    for t in range(1, cfg.rounds + 1, chunk):
-        k = min(chunk, cfg.rounds + 1 - t)
-        trace[t - 1:t - 1 + k] = sample_round(cfg.profile, t, cfg.master_seed, k)
-    return trace
 
 
 def _shared_fields(cfg: TrainConfig) -> dict:
@@ -635,12 +616,15 @@ def _fan_out(fn, keys: list, workers: int) -> list:
     process takes another: every key before it has been taken already, so
     the first failure in key order is among the outcomes. That failure is
     raised here, so the results and the error do not depend on `workers`.
-    A worker that exits without reporting raises RuntimeError. No worker
-    outlives the call.
+    A worker sends an error as `multiprocessing.pool.ExceptionWithTraceback`,
+    the wrapper the stdlib `Pool` sends: it unpickles as the error, with a
+    `RemoteTraceback` of the worker's traceback as its `__cause__`. A worker
+    that exits without reporting raises RuntimeError. No worker outlives the
+    call.
     """
     # Imported here so that importing stalefl does not pay for them.
     import multiprocessing
-    import traceback
+    from multiprocessing.pool import ExceptionWithTraceback
 
     ctx = multiprocessing.get_context("fork")
     next_key = ctx.Value("l", 0)
@@ -656,7 +640,7 @@ def _fan_out(fn, keys: list, workers: int) -> list:
             try:
                 outcome = fn(*keys[i])
             except Exception as exc:
-                outcome = _WorkerError(exc, traceback.format_exc()) if in_worker else exc
+                outcome = ExceptionWithTraceback(exc, exc.__traceback__) if in_worker else exc
                 with next_key.get_lock():
                     next_key.value = len(keys)
             pairs.append((i, outcome))
@@ -698,28 +682,6 @@ def _fan_out(fn, keys: list, workers: int) -> list:
             raise outcomes[i]
         results.append(outcomes[i])
     return results
-
-
-@dataclass
-class _WorkerError:
-    """An error met in a grid worker, with its traceback as text, as the
-    worker sends it: a traceback does not pickle. It unpickles as the error
-    itself, with a `_WorkerTraceback` of the text as its `__cause__`."""
-
-    error: Exception
-    text: str
-
-    def __reduce__(self):
-        return _caused_by, (self.error, self.text)
-
-
-class _WorkerTraceback(Exception):
-    """The traceback of an error met in a grid worker, as text."""
-
-
-def _caused_by(error: Exception, text: str) -> Exception:
-    error.__cause__ = _WorkerTraceback(text)
-    return error
 
 
 def write_metrics_csv(result: RunResult, path: str | Path) -> None:

@@ -318,9 +318,8 @@ def _swap_labels(labels: np.ndarray, frac: float, pair: tuple[int, int]) -> np.n
     """Relabel floor(frac*m) samples of each class in `pair` to the other class."""
     a, b = pair
     out = labels.copy()
-    original = labels.copy()
     for src, dst in ((a, b), (b, a)):
-        idx = np.nonzero(original == src)[0]
+        idx = np.nonzero(labels == src)[0]
         n_swap = int(math.floor(frac * len(idx)))
         out[idx[:n_swap]] = dst
     return out

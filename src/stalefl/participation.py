@@ -9,8 +9,9 @@ participation trace.
 
 The draws come from one numpy Philox4x64-10 kernel, `philox_uniforms`, which
 gives the first double of `Generator(Philox(key)).random()` for every key of
-a block of rounds at once. `sample_round` draws a block of rounds through
-it; a run draws its whole trace in a few block calls.
+a block of rounds at once. `sample_round` draws any number of rounds through
+it, at most `TRACE_LANES` keyed draws a call; a run draws its whole trace
+with one `sample_round` call.
 
 A round's local noise comes from a Philox stream keyed the same way, with
 `NOISE_WORD` in place of the client index (`key_word`).
@@ -41,6 +42,13 @@ NOISE_WORD = 0xE7037ED1A0B428DB
 # rows take 8 * WEIGHT_BLOCK * N bytes, and a block of a few dozen rounds
 # already spreads the per-call overhead of its numpy calls thin.
 WEIGHT_BLOCK = 64
+
+# Keyed draws per `philox_uniforms` call: `sample_round` draws a chunk of
+# TRACE_LANES // (clients that draw) rounds a call. Each of the Philox
+# kernel's uint64 temporaries holds one word per draw, so this bounds their
+# size, while a chunk of a few thousand draws already spreads the kernel's
+# per-call overhead thin.
+TRACE_LANES = 4096
 
 
 def key_word(master_seed: int, word: int) -> int:
@@ -149,7 +157,8 @@ def sample_round(
     profile: ParticipationProfile, rnd: int, master_seed: int, n_rounds: int = 1,
 ) -> np.ndarray:
     """The (n_rounds, n_clients) indicator matrix of rounds rnd .. rnd +
-    n_rounds - 1, from one `philox_uniforms` call; repeatable bit for bit.
+    n_rounds - 1, from one `philox_uniforms` call per chunk of rounds (at
+    most `TRACE_LANES` keyed draws); repeatable bit for bit.
 
     A client with p = 1 is present without a draw: every draw is at most
     1 - 2^-53 < 1, and no draw depends on another, so skipping it changes
@@ -160,10 +169,13 @@ def sample_round(
     present = np.ones((n_rounds, profile.n_clients), dtype=bool)
     drawn = np.flatnonzero(profile.probs < 1.0)
     if len(drawn):
-        # rounds mod 2^64; uint64 addition wraps past 2^64 - 1 as the key does
-        rounds = np.uint64(rnd & _MASK64) + np.arange(n_rounds, dtype=np.uint64)
-        u = philox_uniforms(master_seed, drawn.tolist(), rounds)
-        present[:, drawn] = u < profile.probs[drawn]
+        clients, probs = drawn.tolist(), profile.probs[drawn]
+        chunk = max(1, TRACE_LANES // len(drawn))
+        for j in range(0, n_rounds, chunk):
+            k = min(chunk, n_rounds - j)
+            # rounds mod 2^64; uint64 addition wraps past 2^64 - 1 as the key does
+            rounds = np.uint64((rnd + j) & _MASK64) + np.arange(k, dtype=np.uint64)
+            present[j:j + k, drawn] = philox_uniforms(master_seed, clients, rounds) < probs
     return present
 
 

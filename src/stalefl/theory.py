@@ -116,11 +116,9 @@ def check_lr_constraints(inp: BoundInputs) -> ConstraintReport:
     return ConstraintReport(not violated, tuple(violated), c_max, s_max)
 
 
-def theorem1_bound(inp: BoundInputs, *, override_constraints: bool = False) -> BoundBreakdown:
-    """Four-term upper bound on min_t E||grad F(w^(t))||^2, unit constants."""
-    report = check_lr_constraints(inp)
-    if not report.ok and not override_constraints:
-        raise ValueError(f"learning-rate constraints violated: {report.violated}")
+def theorem1_bound(inp: BoundInputs) -> BoundBreakdown:
+    """Four-term upper bound on min_t E||grad F(w^(t))||^2, unit constants;
+    it holds where `check_lr_constraints(inp).ok`."""
     L, K, T = inp.smoothness_L, inp.local_steps, inp.rounds
     ec, es, b = inp.client_lr, inp.server_lr, inp.beta
     inv_p_var = 0.0 if math.isinf(inp.p_var) else 1.0 / inp.p_var
@@ -239,12 +237,12 @@ class HardInstance(Objective):
 
         self._verify_split()
 
-    def _verify_split(self, n_probes: int = 8) -> None:
+    def _verify_split(self) -> None:
         """Check that the clients' mean loss is the definition
         L/8 (w' A w - 2 w_1), computed here from A's entries alone."""
         rng = np.random.default_rng(12345)
         m = 2 * self.horizon + 1
-        for _ in range(n_probes):
+        for _ in range(8):
             w = rng.normal(size=self.dim)
             v = w[:m]
             quad = 2.0 * (v @ v) - 2.0 * (v[:-1] @ v[1:])   # w' A w
@@ -346,13 +344,13 @@ def frontier_bound(t: int, tau: int) -> int:
     return 1 + (t + tau - 2) // tau + (t + tau - 1) // tau
 
 
-def fastest_schedule(rounds: int, tau: int, n_clients: int = 2) -> np.ndarray:
+def fastest_schedule(rounds: int, tau: int) -> np.ndarray:
     """Client 0 participates every round; client 1 at rounds t = 1, 1+tau, 1+2*tau, ..."""
     if tau < 1:
         raise ValueError("tau must be >= 1")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    sched = np.zeros((rounds, n_clients), dtype=bool)
+    sched = np.zeros((rounds, 2), dtype=bool)
     sched[:, 0] = True
     sched[1::tau, 1] = True
     return sched

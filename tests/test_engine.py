@@ -10,6 +10,7 @@ import oracles
 import pytest
 
 import stalefl.engine
+import stalefl.participation
 from stalefl.aggregation import AggregatorConfig
 from stalefl.engine import (
     METRIC_COLUMNS,
@@ -234,13 +235,14 @@ def test_trace_is_the_same_whatever_the_chunk(monkeypatch, lanes):
     expected = np.concatenate([sample_round(prof, t, cfg.master_seed) for t in range(1, 51)])
     whole = result_bytes(run(cfg, obj))
     calls = []
+    kernel = stalefl.participation.philox_uniforms
 
-    def counted(*args):
-        calls.append(args[3])
-        return sample_round(*args)
+    def counted(master_seed, clients, rounds):
+        calls.append(len(rounds))
+        return kernel(master_seed, clients, rounds)
 
-    monkeypatch.setattr(stalefl.engine, "TRACE_LANES", lanes)
-    monkeypatch.setattr(stalefl.engine, "sample_round", counted)
+    monkeypatch.setattr(stalefl.participation, "TRACE_LANES", lanes)
+    monkeypatch.setattr(stalefl.participation, "philox_uniforms", counted)
     res = run(cfg, obj)
     assert calls == {1: [1] * 50, 21: [7] * 7 + [1], 10**6: [50]}[lanes]
     assert res.participation_trace.tobytes() == expected.tobytes()

@@ -149,6 +149,27 @@ def test_block_of_rounds_equals_single_round_calls(first):
         assert np.array_equal(block[j], sample_round(prof, first + j, 11)[0]), j
 
 
+@pytest.mark.parametrize("lanes,chunks", [(1, [1] * 10), (3, [3, 3, 3, 1]), (4, [4, 4, 2])])
+def test_chunks_past_2_64_equal_single_round_calls(monkeypatch, lanes, chunks):
+    # one client draws, so a chunk holds `lanes` rounds; each chunk takes its
+    # own round word, and the wrap past 2^64 - 1 falls between chunks (lanes
+    # 3) or inside one (lanes 4)
+    prof = ParticipationProfile(np.array([1.0, 0.5, 1.0]))
+    first = 2**64 - 3
+    single = np.concatenate([sample_round(prof, first + j, 11) for j in range(10)])
+    calls = []
+
+    def counted(master_seed, clients, rounds):
+        calls.append(len(rounds))
+        return philox_uniforms(master_seed, clients, rounds)
+
+    monkeypatch.setattr(stalefl.participation, "TRACE_LANES", lanes)
+    monkeypatch.setattr(stalefl.participation, "philox_uniforms", counted)
+    block = sample_round(prof, first, 11, 10)
+    assert calls == chunks
+    assert block.tobytes() == single.tobytes()
+
+
 def test_empirical_frequency():
     prof = ParticipationProfile(np.array([0.5]))
     sched = schedule(prof, 100_000, master_seed=9)

@@ -62,11 +62,8 @@ def test_server_lr_vacuous_cases():
 )
 @settings(max_examples=60, deadline=None)
 def test_bound_terms_nonnegative(beta, sg, sigma, h):
-    bb = theorem1_bound(
-        make_inputs(beta=beta, sg_sq=sg, sigma_sq=sigma, h_init=h,
-                    client_lr=0.02, server_lr=0.01),
-        override_constraints=True,
-    )
+    bb = theorem1_bound(make_inputs(beta=beta, sg_sq=sg, sigma_sq=sigma, h_init=h,
+                                    client_lr=0.02, server_lr=0.01))
     for term in (bb.iterate_init_term, bb.memory_init_term,
                  bb.stochastic_term, bb.heterogeneity_term):
         assert term >= 0.0
@@ -74,17 +71,12 @@ def test_bound_terms_nonnegative(beta, sg, sigma, h):
 
 
 def test_doubling_rounds_halves_horizon_terms_only():
-    a = theorem1_bound(make_inputs(server_lr=0.01), override_constraints=True)
-    b = theorem1_bound(make_inputs(server_lr=0.01, rounds=200), override_constraints=True)
+    a = theorem1_bound(make_inputs(server_lr=0.01))
+    b = theorem1_bound(make_inputs(server_lr=0.01, rounds=200))
     assert b.iterate_init_term == pytest.approx(a.iterate_init_term / 2)
     assert b.memory_init_term == pytest.approx(a.memory_init_term / 2)
     assert b.stochastic_term == a.stochastic_term
     assert b.heterogeneity_term == a.heterogeneity_term
-
-
-def test_constraint_enforcement():
-    with pytest.raises(ValueError):
-        theorem1_bound(make_inputs(client_lr=0.5))
 
 
 @pytest.mark.parametrize("field,value", [
@@ -143,7 +135,7 @@ def test_beta_star_self_consistent_with_bound():
         grid = np.arange(0.0, 1.0 + 1e-9, 1e-3)
         totals = [
             theorem1_bound(make_inputs(h_init=0.0, p_avg=ratio * 0.05, p_min=0.05,
-                                       sg_sq=sg, beta=b), override_constraints=True).total
+                                       sg_sq=sg, beta=b)).total
             for b in grid
         ]
         assert abs(grid[int(np.argmin(totals))] - beta_star(inp)) <= 0.05
